@@ -95,7 +95,7 @@ int main() {
     options.mine_patterns = false;  // cheaper; CTH detection is unaffected
     core::PipelineResult result = bench::RunStudyPipeline(raw, options);
     std::printf("    %-10llu %12s\n", (unsigned long long)support,
-                bench::Thousands(result.stats.distinct_cth).c_str());
+                bench::Thousands(result.stats.DistinctOf("cth")).c_str());
   }
 
   std::printf("\nExpected: dropping the key check inflates claims at lower precision;\n"

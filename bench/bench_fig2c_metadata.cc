@@ -35,12 +35,13 @@ int main() {
               bench::Thousands(with_meta.stats.final_size).c_str(),
               bench::Thousands(without_meta.stats.final_size).c_str(), size_delta);
   std::printf("solvable-antipattern queries: with FI %s, without FI %s\n",
-              bench::Thousands(with_meta.stats.queries_dw + with_meta.stats.queries_ds +
-                               with_meta.stats.queries_df)
+              bench::Thousands(with_meta.stats.QueriesOf("dw-stifle") +
+                               with_meta.stats.QueriesOf("ds-stifle") +
+                               with_meta.stats.QueriesOf("df-stifle"))
                   .c_str(),
-              bench::Thousands(without_meta.stats.queries_dw +
-                               without_meta.stats.queries_ds +
-                               without_meta.stats.queries_df)
+              bench::Thousands(without_meta.stats.QueriesOf("dw-stifle") +
+                               without_meta.stats.QueriesOf("ds-stifle") +
+                               without_meta.stats.QueriesOf("df-stifle"))
                   .c_str());
   std::printf("\nShape check: top frequencies and cleaned sizes barely move without\n"
               "metadata, because instance members arrive back-to-back in time.\n");

@@ -23,12 +23,13 @@ int main() {
     bool real;
   };
   std::vector<Row> rows;
+  const auto cth = static_cast<uint32_t>(result.antipatterns.detectors->IndexOf("cth"));
   for (const auto& d : result.antipatterns.distinct) {
-    if (d.type != core::AntipatternType::kCthCandidate) continue;
+    if (d.detector != cth) continue;
     size_t real_votes = 0;
     size_t false_votes = 0;
     for (const auto& instance : result.antipatterns.instances) {
-      if (instance.type != core::AntipatternType::kCthCandidate) continue;
+      if (instance.detector != cth) continue;
       // Match instance to this distinct signature via its first query.
       if (result.parsed.queries[instance.query_indices.front()].template_id !=
           d.template_ids.front()) {

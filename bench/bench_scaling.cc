@@ -107,7 +107,7 @@ StageSeconds RunOnce(const log::QueryLog& raw, const catalog::Schema& schema,
 
   timer.Reset();
   core::SolveOutcome outcome =
-      core::SolveAntipatterns(pre_clean, parsed, report, defaults.detector.custom_rules);
+      core::SolveAntipatterns(pre_clean, parsed, report);
   out.solve = timer.ElapsedSeconds();
 
   // Keep the otherwise-unused results observable so nothing is elided.

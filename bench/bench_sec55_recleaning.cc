@@ -16,8 +16,9 @@ int main() {
               "share");
   for (int pass = 1; pass <= 4; ++pass) {
     core::PipelineResult result = bench::RunStudyPipeline(current);
-    uint64_t solvable = result.stats.queries_dw + result.stats.queries_ds +
-                        result.stats.queries_df + result.stats.queries_snc;
+    uint64_t solvable =
+        result.stats.QueriesOf("dw-stifle") + result.stats.QueriesOf("ds-stifle") +
+        result.stats.QueriesOf("df-stifle") + result.stats.QueriesOf("snc");
     double share = current.empty() ? 0.0
                                    : 100.0 * static_cast<double>(solvable) /
                                          static_cast<double>(current.size());

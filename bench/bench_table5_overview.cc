@@ -33,8 +33,8 @@ int main() {
                   static_cast<double>(result.stats.original_size));
   std::printf("  final (clean) share   measured %5.1f%%   paper 72.5%%\n", final_share);
   std::printf("  DW >> DS >> DF query counts: %s >> %s >> %s (paper 6.3M >> 1.3M >> 0.2M)\n",
-              bench::Thousands(result.stats.queries_dw).c_str(),
-              bench::Thousands(result.stats.queries_ds).c_str(),
-              bench::Thousands(result.stats.queries_df).c_str());
+              bench::Thousands(result.stats.QueriesOf("dw-stifle")).c_str(),
+              bench::Thousands(result.stats.QueriesOf("ds-stifle")).c_str(),
+              bench::Thousands(result.stats.QueriesOf("df-stifle")).c_str());
   return 0;
 }

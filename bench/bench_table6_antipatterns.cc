@@ -16,10 +16,10 @@ int main() {
 
   auto distinct = result.antipatterns.distinct;
   // Keep solvable Stifles (what Table 6 lists) ranked by covered queries.
+  const core::DetectorSet& set = *result.antipatterns.detectors;
   distinct.erase(std::remove_if(distinct.begin(), distinct.end(),
-                                [](const core::DistinctAntipattern& d) {
-                                  return d.type == core::AntipatternType::kCthCandidate ||
-                                         d.type == core::AntipatternType::kSnc;
+                                [&](const core::DistinctAntipattern& d) {
+                                  return set.info(d.detector).scan_group != "stifle";
                                 }),
                  distinct.end());
   std::sort(distinct.begin(), distinct.end(),

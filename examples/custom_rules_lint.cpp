@@ -49,33 +49,26 @@ int main(int argc, char** argv) {
               result.parsed.queries.size());
   std::printf("%-22s %10s %12s %8s\n", "rule", "hits", "distinct", "users");
 
+  // Each rule runs as the adapter detector "custom-rule-<index>".
+  const sqlog::core::AntipatternReport& report = result.antipatterns;
   for (size_t r = 0; r < options.detector.custom_rules.size(); ++r) {
-    uint64_t hits = 0;
-    uint64_t distinct = 0;
+    const std::string id = "custom-rule-" + std::to_string(r);
     size_t users = 0;
-    for (const auto& d : result.antipatterns.distinct) {
-      if (d.type != sqlog::core::AntipatternType::kCustom) continue;
-      if (d.custom_rule != static_cast<int>(r)) continue;
-      hits += d.query_count;
-      ++distinct;
-      users += d.user_popularity();
+    for (const auto& d : report.distinct) {
+      if (report.detectors->info(d.detector).id == id) users += d.user_popularity();
     }
     std::printf("%-22s %10llu %12llu %8zu\n",
                 options.detector.custom_rules[r].name.c_str(),
-                (unsigned long long)hits, (unsigned long long)distinct, users);
+                (unsigned long long)report.QueriesOf(id),
+                (unsigned long long)report.DistinctOf(id), users);
   }
 
   std::printf("\nBuilt-in detectors still ran alongside: %llu Stifle instances, "
               "%llu CTH candidates, %llu SNC.\n",
-              (unsigned long long)(result.antipatterns.CountInstances(
-                                       sqlog::core::AntipatternType::kDwStifle) +
-                                   result.antipatterns.CountInstances(
-                                       sqlog::core::AntipatternType::kDsStifle) +
-                                   result.antipatterns.CountInstances(
-                                       sqlog::core::AntipatternType::kDfStifle)),
-              (unsigned long long)result.antipatterns.CountInstances(
-                  sqlog::core::AntipatternType::kCthCandidate),
-              (unsigned long long)result.antipatterns.CountInstances(
-                  sqlog::core::AntipatternType::kSnc));
+              (unsigned long long)(result.antipatterns.InstancesOf("dw-stifle") +
+                                   result.antipatterns.InstancesOf("ds-stifle") +
+                                   result.antipatterns.InstancesOf("df-stifle")),
+              (unsigned long long)result.antipatterns.InstancesOf("cth"),
+              (unsigned long long)result.antipatterns.InstancesOf("snc"));
   return 0;
 }

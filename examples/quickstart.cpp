@@ -82,7 +82,7 @@ int main() {
   std::printf("\n== Antipattern instances ==\n");
   for (const auto& instance : result.antipatterns.instances) {
     std::printf("  %s over %zu queries:\n",
-                sqlog::core::AntipatternTypeName(instance.type),
+                result.antipatterns.detectors->info(instance.detector).display_name.c_str(),
                 instance.query_indices.size());
     for (size_t idx : instance.query_indices) {
       size_t record = result.parsed.queries[idx].record_index;

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const auto& d = distinct[i];
     const auto& tmpl = result.templates.Get(d.template_ids[0]).tmpl;
     std::printf("  %2zu. %-9s queries=%9s users=%3zu  %.80s\n", i + 1,
-                sqlog::core::AntipatternTypeName(d.type),
+                result.antipatterns.detectors->info(d.detector).display_name.c_str(),
                 sqlog::WithThousands((long long)d.query_count).c_str(),
                 d.user_popularity(), tmpl.ssc.c_str());
   }

@@ -89,6 +89,21 @@ trap 'rm -f "$smoke_log" "${smoke_log%.csv}".* /tmp/sqlog_smoke_clean.*' EXIT
 ./build/tools/sqlog generate 2000 "$smoke_log"
 ./build/tools/sqlog report "$smoke_log" >/dev/null
 
+# 3a. Malformed numeric arguments are usage errors (exit 2), never a
+#     crash or a silently truncated number.
+step "CLI numeric-argument rejection"
+expect_exit_2() {
+  local status=0
+  "$@" >/dev/null 2>&1 || status=$?
+  if [[ $status -ne 2 ]]; then
+    echo "expected exit 2, got $status: $*" >&2
+    exit 1
+  fi
+}
+expect_exit_2 ./build/tools/sqlog clean --batch-size=-1 "$smoke_log" /tmp/sqlog_smoke_clean.x
+expect_exit_2 ./build/tools/sqlog clean --batch-size=12abc "$smoke_log" /tmp/sqlog_smoke_clean.x
+expect_exit_2 ./build/tools/sqlog generate -1 /tmp/sqlog_smoke_clean.x.csv
+
 # 3b. Binary-format smoke: convert to `.sqb`, clean from it (exercising
 #     the zero-parse ingest path), convert back, and require the result
 #     to be byte-identical to cleaning the CSV directly.

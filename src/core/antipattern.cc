@@ -10,94 +10,36 @@ namespace sqlog::core {
 
 namespace {
 
-/// Registry id of the built-in detector behind a legacy type; null for
-/// kCustom (many detectors share it — the legacy name stays "Custom").
-const char* LegacyDetectorId(AntipatternType type) {
-  switch (type) {
-    case AntipatternType::kDwStifle: return "dw-stifle";
-    case AntipatternType::kDsStifle: return "ds-stifle";
-    case AntipatternType::kDfStifle: return "df-stifle";
-    case AntipatternType::kCthCandidate: return "cth";
-    case AntipatternType::kSnc: return "snc";
-    case AntipatternType::kCustom: return nullptr;
-  }
-  return nullptr;
+/// Set index of the detector `id` in the report's set, or -1.
+int IndexIn(const AntipatternReport& report, const std::string& id) {
+  return report.detectors == nullptr ? -1 : report.detectors->IndexOf(id);
 }
 
 }  // namespace
 
-const char* AntipatternTypeName(AntipatternType type) {
-  const char* id = LegacyDetectorId(type);
-  if (id == nullptr) return "Custom";
-  std::shared_ptr<const Detector> detector = DetectorRegistry::Global().Find(id);
-  assert(detector != nullptr && "built-in detector missing from registry");
-  // The registry retains every registered detector for the process
-  // lifetime, so the returned pointer is stable.
-  return detector->info().display_name.c_str();
-}
-
-bool IsSolvable(AntipatternType type) {
-  const char* id = LegacyDetectorId(type);
-  if (id == nullptr) return false;  // custom solvability is per-rule
-  std::shared_ptr<const Detector> detector = DetectorRegistry::Global().Find(id);
-  assert(detector != nullptr && "built-in detector missing from registry");
-  return detector->info().solvable;
-}
-
-bool InstanceSolvable(const AntipatternInstance& instance,
-                      const std::vector<CustomRule>& rules) {
-  if (instance.type == AntipatternType::kCustom) {
-    return instance.custom_rule >= 0 &&
-           static_cast<size_t>(instance.custom_rule) < rules.size() &&
-           rules[static_cast<size_t>(instance.custom_rule)].solvable();
-  }
-  return IsSolvable(instance.type);
-}
-
-uint64_t AntipatternReport::CountInstances(AntipatternType type) const {
+uint64_t AntipatternReport::InstancesOf(const std::string& id) const {
+  const int detector = IndexIn(*this, id);
   uint64_t n = 0;
   for (const auto& instance : instances) {
-    if (instance.type == type) ++n;
+    if (static_cast<int>(instance.detector) == detector) ++n;
   }
   return n;
 }
 
-uint64_t AntipatternReport::CountQueries(AntipatternType type) const {
+uint64_t AntipatternReport::QueriesOf(const std::string& id) const {
+  const int detector = IndexIn(*this, id);
   uint64_t n = 0;
   for (const auto& instance : instances) {
-    if (instance.type == type) n += instance.query_indices.size();
+    if (static_cast<int>(instance.detector) == detector) n += instance.query_indices.size();
   }
   return n;
 }
 
-uint64_t AntipatternReport::CountDistinct(AntipatternType type) const {
+uint64_t AntipatternReport::DistinctOf(const std::string& id) const {
+  const int detector = IndexIn(*this, id);
   uint64_t n = 0;
   for (const auto& d : distinct) {
-    if (d.type == type) ++n;
-  }
-  return n;
-}
-
-uint64_t AntipatternReport::InstancesOf(uint32_t detector) const {
-  uint64_t n = 0;
-  for (const auto& instance : instances) {
-    if (instance.detector == detector) ++n;
-  }
-  return n;
-}
-
-uint64_t AntipatternReport::QueriesOf(uint32_t detector) const {
-  uint64_t n = 0;
-  for (const auto& instance : instances) {
-    if (instance.detector == detector) n += instance.query_indices.size();
-  }
-  return n;
-}
-
-uint64_t AntipatternReport::DistinctOf(uint32_t detector) const {
-  uint64_t n = 0;
-  for (const auto& d : distinct) {
-    if (d.detector == detector) ++n;
+    if (static_cast<int>(d.detector) == detector) ++n;
   }
   return n;
 }
@@ -184,8 +126,6 @@ void ScanSegment(const std::vector<size_t>& segment, const DetectorSet& set,
       for (uint32_t d : pass) {
         AntipatternInstance instance;
         instance.detector = d;
-        instance.type = set.info(d).legacy_type;
-        instance.custom_rule = set.info(d).custom_rule;
         advanced = set.at(d).ScanAt(view, i, ctx, &instance);
         if (advanced != 0) {
           out.push_back(std::move(instance));
@@ -199,8 +139,6 @@ void ScanSegment(const std::vector<size_t>& segment, const DetectorSet& set,
     for (uint32_t d : plan.per_query) {
       AntipatternInstance instance;
       instance.detector = d;
-      instance.type = set.info(d).legacy_type;
-      instance.custom_rule = set.info(d).custom_rule;
       instance.query_indices = {segment[pos]};
       if (set.at(d).MatchQuery(view.at(pos), ctx, &instance)) {
         out.push_back(std::move(instance));
@@ -304,8 +242,6 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
     if (inserted) {
       DistinctAntipattern d;
       d.detector = instance.detector;
-      d.type = instance.type;
-      d.custom_rule = instance.custom_rule;
       d.template_ids = std::move(signature);
       d.sample_query = instance.query_indices.front();
       report.distinct.push_back(std::move(d));

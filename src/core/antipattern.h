@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -13,35 +14,20 @@
 
 namespace sqlog::core {
 
-// AntipatternType, AntipatternInstance, and DetectorOptions live in
-// core/detector.h together with the plugin interface; this header keeps
-// the detection driver and the report types.
-
-/// Returns the display name of the built-in detector behind a legacy
-/// type ("DW-Stifle", ...), looked up from the registry metadata.
-/// Deprecated: prefer DetectorSet::info(instance.detector).display_name,
-/// which also covers detectors beyond the paper's set.
-const char* AntipatternTypeName(AntipatternType type);
-
-/// True for legacy types whose built-in detector declares a solving
-/// rule (CTH has none). Deprecated: prefer DetectorSet::Solvable.
-bool IsSolvable(AntipatternType type);
+// AntipatternInstance and DetectorOptions live in core/detector.h
+// together with the plugin interface; this header keeps the detection
+// driver and the report types.
 
 /// Aggregation of instances sharing a template signature — the unit the
 /// paper's "count of distinct DW-Stifle" statistics and Table 6 use.
 struct DistinctAntipattern {
   /// Index into the DetectorSet the report was produced with.
   uint32_t detector = 0;
-  /// Legacy class of the producing detector. Deprecated: prefer
-  /// `detector`.
-  AntipatternType type = AntipatternType::kDwStifle;
   std::vector<uint64_t> template_ids;  // distinct templates, first-seen order
   uint64_t instance_count = 0;
   uint64_t query_count = 0;
   std::unordered_set<uint32_t> users;
   size_t sample_query = 0;  // a ParsedQuery index from some instance
-  /// Deprecated compat field for kCustom aggregations.
-  int custom_rule = -1;
 
   size_t user_popularity() const { return users.size(); }
 };
@@ -55,21 +41,16 @@ struct AntipatternReport {
   /// A query belongs to at most one instance (first-wins, Sec. 5.5).
   std::vector<uint32_t> instance_of_query;
 
-  /// The detector set the report was produced with; null only for
-  /// hand-built reports (legacy tests). Kept on the report so
-  /// per-instance metadata lookups never dangle.
+  /// The detector set the report was produced with (DetectAntipatterns
+  /// always sets it). Kept on the report so per-instance metadata
+  /// lookups never dangle.
   std::shared_ptr<const DetectorSet> detectors;
 
-  /// Legacy-type counters (deprecated: prefer the per-detector
-  /// overloads below, which distinguish detectors sharing kCustom).
-  uint64_t CountInstances(AntipatternType type) const;
-  uint64_t CountQueries(AntipatternType type) const;
-  uint64_t CountDistinct(AntipatternType type) const;
-
-  /// Per-detector counters over the set index.
-  uint64_t InstancesOf(uint32_t detector) const;
-  uint64_t QueriesOf(uint32_t detector) const;
-  uint64_t DistinctOf(uint32_t detector) const;
+  /// Per-detector counters by registry id ("dw-stifle", ...); 0 for a
+  /// detector outside the report's set.
+  uint64_t InstancesOf(const std::string& id) const;
+  uint64_t QueriesOf(const std::string& id) const;
+  uint64_t DistinctOf(const std::string& id) const;
 };
 
 /// Runs the resolved detector set over per-user gap-bounded segments.
@@ -95,12 +76,6 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
                                      const catalog::Schema* schema,
                                      const DetectorOptions& options,
                                      util::ThreadPool* pool = nullptr);
-
-/// True when an instance has a solving rule: built-in types consult
-/// IsSolvable; kCustom consults its rule's rewrite hook. Deprecated:
-/// prefer AntipatternReport::detectors->Solvable(instance).
-bool InstanceSolvable(const AntipatternInstance& instance,
-                      const std::vector<CustomRule>& rules);
 
 /// True when `query` can be a Stifle member (Def. 11 per-query axioms):
 /// exactly one predicate, equality against a constant, conjunctive

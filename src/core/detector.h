@@ -17,32 +17,12 @@ class Schema;
 
 namespace sqlog::core {
 
-/// Antipattern classes implemented per Sec. 4.2 (Defs. 11-16).
-///
-/// Deprecated as a primary discriminator: instances now carry a detector
-/// index into the DetectorSet that produced them, and new detectors all
-/// share kCustom here. Use AntipatternInstance::detector plus
-/// DetectorSet::info() for anything beyond the paper's six classes.
-enum class AntipatternType {
-  kDwStifle,      // Def. 12: same SELECT/FROM, different WHERE constants
-  kDsStifle,      // Def. 13: same FROM/WHERE, different SELECT
-  kDfStifle,      // Def. 14: different FROM, same WHERE
-  kCthCandidate,  // Def. 15: dependent follow-up chain (candidate only)
-  kSnc,           // Def. 16: searching nullable columns with = / <> NULL
-  kCustom,        // any detector beyond the paper's five built-ins
-};
-
 /// One concrete occurrence: the member queries in log order.
 struct AntipatternInstance {
-  /// Index into the DetectorSet the report was produced with.
+  /// Index into the DetectorSet the report was produced with — the
+  /// instance's only class discriminator.
   uint32_t detector = 0;
-  /// Legacy class of the producing detector (kCustom for everything
-  /// outside the paper's five). Deprecated: prefer `detector`.
-  AntipatternType type = AntipatternType::kDwStifle;
   std::vector<size_t> query_indices;  // indices into ParsedLog.queries
-  /// Deprecated compat field: index into DetectorOptions::custom_rules
-  /// when the producing detector is a custom-rule adapter, else -1.
-  int custom_rule = -1;
   /// Optional per-instance annotations a detector may attach (e.g. the
   /// offending column names). Not part of any golden output.
   std::vector<std::string> detail;
@@ -77,9 +57,8 @@ enum class DetectorScope {
 
 /// Static metadata every registered detector must declare. A detector
 /// cannot exist without a display name and a solvability declaration —
-/// the registry rejects empty ids/names at registration time, which
-/// replaces the old silently-incomplete AntipatternTypeName/IsSolvable
-/// switches.
+/// the registry rejects empty ids/names at registration time. The
+/// display name also labels the detector's Table 5 row pair.
 struct DetectorInfo {
   /// Stable registry id ("dw-stifle", "select-star", ...).
   std::string id;
@@ -95,11 +74,6 @@ struct DetectorInfo {
   /// — the DW/DS/DF stifles share "stifle" to reproduce the paper's
   /// coupled classification. Empty = a pass of its own.
   std::string scan_group;
-  /// Legacy AntipatternType stamped on instances (kCustom for new
-  /// detectors); keeps type-based statistics and callers working.
-  AntipatternType legacy_type = AntipatternType::kCustom;
-  /// Deprecated compat: custom_rules index for adapter detectors.
-  int custom_rule = -1;
   /// True when detection reads `facts.ast` (custom-rule adapters).
   /// Such detectors disable the parse cache and cannot run streaming.
   bool needs_ast = false;
@@ -144,8 +118,8 @@ class Detector {
   virtual const DetectorInfo& info() const = 0;
 
   /// Per-query hook: returns true when `query` is a hit. The driver has
-  /// pre-filled `instance` (detector index, legacy type, the single
-  /// query index); the hook may attach detail entries.
+  /// pre-filled `instance` (detector index, the single query index);
+  /// the hook may attach detail entries.
   virtual bool MatchQuery(const ParsedQuery& query, const DetectorContext& ctx,
                           AntipatternInstance* instance) const {
     (void)query;

@@ -38,22 +38,25 @@ std::string PrintCanonical(const sql::SelectStatement& stmt) {
 // equivalent to the original coupled if-else classification.
 // ---------------------------------------------------------------------------
 
+/// The three Stifle classes (Defs. 12-14).
+enum class StifleKind { kDw, kDs, kDf };
+
 /// DW/DS/DF-Stifle (Defs. 12-14), parameterized by class.
 class StifleDetector final : public Detector {
  public:
-  explicit StifleDetector(AntipatternType type) : type_(type) {
-    switch (type) {
-      case AntipatternType::kDwStifle:
+  explicit StifleDetector(StifleKind kind) : kind_(kind) {
+    switch (kind) {
+      case StifleKind::kDw:
         info_.id = "dw-stifle";
         info_.display_name = "DW-Stifle";
         info_.description = "same SELECT/FROM repeated with different WHERE constants";
         break;
-      case AntipatternType::kDsStifle:
+      case StifleKind::kDs:
         info_.id = "ds-stifle";
         info_.display_name = "DS-Stifle";
         info_.description = "same FROM/WHERE repeated with different SELECT lists";
         break;
-      default:
+      case StifleKind::kDf:
         info_.id = "df-stifle";
         info_.display_name = "DF-Stifle";
         info_.description = "same WHERE repeated against different tables";
@@ -62,7 +65,6 @@ class StifleDetector final : public Detector {
     info_.scope = DetectorScope::kSequence;
     info_.solvable = true;
     info_.scan_group = "stifle";
-    info_.legacy_type = type;
   }
 
   const DetectorInfo& info() const override { return info_; }
@@ -78,15 +80,15 @@ class StifleDetector final : public Detector {
     const sql::QueryFacts& f1 = first.facts;
     const sql::QueryFacts& f2 = second.facts;
     bool matches = false;
-    switch (type_) {
-      case AntipatternType::kDwStifle:
+    switch (kind_) {
+      case StifleKind::kDw:
         matches = f1.sc == f2.sc && f1.fc == f2.fc && f1.tmpl.swc == f2.tmpl.swc &&
                   f1.wc != f2.wc;
         break;
-      case AntipatternType::kDsStifle:
+      case StifleKind::kDs:
         matches = f1.fc == f2.fc && f1.wc == f2.wc && f1.tmpl.ssc != f2.tmpl.ssc;
         break;
-      default:
+      case StifleKind::kDf:
         matches = f1.wc == f2.wc && f1.fc != f2.fc;
         break;
     }
@@ -103,15 +105,15 @@ class StifleDetector final : public Detector {
       if (!StifleEligible(next, ctx.schema, ctx.options.require_key_attribute)) break;
       const sql::QueryFacts& fn = next.facts;
       bool extends = false;
-      switch (type_) {
-        case AntipatternType::kDwStifle:
+      switch (kind_) {
+        case StifleKind::kDw:
           extends = fn.sc == f1.sc && fn.fc == f1.fc && fn.tmpl.swc == f1.tmpl.swc &&
                     seen_wc.insert(fn.wc).second;
           break;
-        case AntipatternType::kDsStifle:
+        case StifleKind::kDs:
           extends = fn.fc == f1.fc && fn.wc == f1.wc && seen_ssc.insert(fn.tmpl.ssc).second;
           break;
-        default:
+        case StifleKind::kDf:
           extends = fn.wc == f1.wc && seen_fc.insert(fn.fc).second;
           break;
       }
@@ -125,15 +127,15 @@ class StifleDetector final : public Detector {
   Result<std::string> Rewrite(const AntipatternInstance& instance,
                               const std::vector<const ParsedQuery*>& members) const override {
     (void)instance;
-    switch (type_) {
-      case AntipatternType::kDwStifle: return RewriteDwStifle(members);
-      case AntipatternType::kDsStifle: return RewriteDsStifle(members);
+    switch (kind_) {
+      case StifleKind::kDw: return RewriteDwStifle(members);
+      case StifleKind::kDs: return RewriteDsStifle(members);
       default: return RewriteDfStifle(members);
     }
   }
 
  private:
-  AntipatternType type_;
+  StifleKind kind_;
   DetectorInfo info_;
 };
 
@@ -143,11 +145,12 @@ class CthDetector final : public Detector {
  public:
   CthDetector() {
     info_.id = "cth";
-    info_.display_name = "CTH";
+    // The paper's Table 5 reports CTH as candidates (Sec. 5.5: detected,
+    // never rewritten), so the row labels read "candidate CTH".
+    info_.display_name = "candidate CTH";
     info_.description = "dependent follow-up chain re-filtering on exposed attributes";
     info_.scope = DetectorScope::kSequence;
     info_.solvable = false;
-    info_.legacy_type = AntipatternType::kCthCandidate;
     info_.min_support_filtered = true;
   }
 
@@ -211,7 +214,6 @@ class SncDetector final : public Detector {
     info_.display_name = "SNC";
     info_.description = "searching nullable columns with = NULL / <> NULL";
     info_.solvable = true;
-    info_.legacy_type = AntipatternType::kSnc;
   }
 
   const DetectorInfo& info() const override { return info_; }
@@ -521,7 +523,6 @@ class CustomRuleDetector final : public Detector {
     info_.display_name = rule.name.empty() ? info_.id : rule.name;
     info_.description = "legacy CustomRule adapter";
     info_.solvable = rule.solvable();
-    info_.custom_rule = index;
     // Detect hooks receive the full ParsedQuery and may read facts.ast,
     // which the parse cache and the streaming parser do not provide.
     info_.needs_ast = true;
@@ -555,9 +556,9 @@ void RegisterBuiltinDetectors(DetectorRegistry& registry) {
     (void)status;
     assert(status.ok() && "built-in detector registration must not fail");
   };
-  must(registry.Register(std::make_shared<StifleDetector>(AntipatternType::kDwStifle)));
-  must(registry.Register(std::make_shared<StifleDetector>(AntipatternType::kDsStifle)));
-  must(registry.Register(std::make_shared<StifleDetector>(AntipatternType::kDfStifle)));
+  must(registry.Register(std::make_shared<StifleDetector>(StifleKind::kDw)));
+  must(registry.Register(std::make_shared<StifleDetector>(StifleKind::kDs)));
+  must(registry.Register(std::make_shared<StifleDetector>(StifleKind::kDf)));
   must(registry.Register(std::make_shared<CthDetector>()));
   must(registry.Register(std::make_shared<SncDetector>()));
   must(registry.Register(std::make_shared<SelectStarDetector>()));

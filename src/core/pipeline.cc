@@ -18,12 +18,7 @@ bool PipelineResult::PatternIsAntipattern(size_t pattern_index, bool solvable_on
   // template in a longer signature does not flag the pattern: a CTH
   // head also used organically stays a pattern.
   for (const auto& d : antipatterns.distinct) {
-    if (solvable_only) {
-      bool solvable = antipatterns.detectors != nullptr
-                          ? antipatterns.detectors->info(d.detector).solvable
-                          : IsSolvable(d.type);
-      if (!solvable) continue;
-    }
+    if (solvable_only && !antipatterns.detectors->info(d.detector).solvable) continue;
     if (pattern.template_ids == d.template_ids) return true;
   }
   return false;
@@ -125,29 +120,16 @@ void AnalyzeParsed(const PipelineOptions& options, const catalog::Schema* schema
   // Step 4: detect antipatterns.
   antipatterns = DetectAntipatterns(parsed, templates, schema, options.detector,
                                     std::move(detectors), pool);
-  stats.distinct_dw = antipatterns.CountDistinct(AntipatternType::kDwStifle);
-  stats.queries_dw = antipatterns.CountQueries(AntipatternType::kDwStifle);
-  stats.distinct_ds = antipatterns.CountDistinct(AntipatternType::kDsStifle);
-  stats.queries_ds = antipatterns.CountQueries(AntipatternType::kDsStifle);
-  stats.distinct_df = antipatterns.CountDistinct(AntipatternType::kDfStifle);
-  stats.queries_df = antipatterns.CountQueries(AntipatternType::kDfStifle);
-  stats.distinct_cth = antipatterns.CountDistinct(AntipatternType::kCthCandidate);
-  stats.queries_cth = antipatterns.CountQueries(AntipatternType::kCthCandidate);
-  stats.distinct_snc = antipatterns.CountDistinct(AntipatternType::kSnc);
-  stats.queries_snc = antipatterns.CountQueries(AntipatternType::kSnc);
-
-  // Registry additions (legacy_type kCustom, not a custom-rule adapter)
-  // get their own row pair; empty for the default set, so the
-  // golden-compared table is unchanged there.
+  // One Table 5 row pair per detector of the set, in set order.
   const DetectorSet& set = *antipatterns.detectors;
   for (uint32_t d = 0; d < set.size(); ++d) {
     const DetectorInfo& info = set.info(d);
-    if (info.legacy_type != AntipatternType::kCustom || info.custom_rule >= 0) continue;
-    PipelineStats::DetectorStatsRow row;
+    PipelineStats::DetectorRow row;
+    row.id = info.id;
     row.label = info.display_name;
-    row.distinct_count = antipatterns.DistinctOf(d);
-    row.query_count = antipatterns.QueriesOf(d);
-    stats.extra_detectors.push_back(std::move(row));
+    row.distinct_count = antipatterns.DistinctOf(info.id);
+    row.query_count = antipatterns.QueriesOf(info.id);
+    stats.detectors.push_back(std::move(row));
   }
 
   // SWS detection (Sec. 6.5) over the mined patterns.
@@ -201,9 +183,9 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
                 result.stats);
 
   // Step 5 (Sec. 5.5): solve antipatterns.
-  SolveOutcome outcome = SolveAntipatterns(result.pre_clean, result.parsed,
-                                           result.antipatterns,
-                                           options_.detector.custom_rules);
+  SolveOutcome outcome =
+      SolveAntipatterns(result.pre_clean, result.parsed, result.antipatterns);
+  SQLOG_RETURN_IF_ERROR_R(outcome.status);
   result.clean_log = std::move(outcome.clean_log);
   result.removal_log = std::move(outcome.removal_log);
   result.stats.solve = outcome.stats;
@@ -221,9 +203,8 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
       if (pass_report.detectors->Solvable(instance)) ++solvable;
     }
     if (solvable == 0) break;
-    SolveOutcome pass_outcome = SolveAntipatterns(result.clean_log, pass_parsed,
-                                                  pass_report,
-                                                  options_.detector.custom_rules);
+    SolveOutcome pass_outcome = SolveAntipatterns(result.clean_log, pass_parsed, pass_report);
+    SQLOG_RETURN_IF_ERROR_R(pass_outcome.status);
     result.clean_log = std::move(pass_outcome.clean_log);
   }
 
@@ -292,7 +273,6 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   // overwritten in place so span vectors keep capacity across batches.
   std::vector<log::RecordShape> batch_shapes;
   size_t batch_shape_count = 0;
-  batch.reserve(options.batch_size);
   log::LogRecord record;
   bool eof = false;
   bool have_previous = false;
@@ -361,7 +341,7 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   // so they re-ingest parse-free.
   std::unique_ptr<log::RecordWriter> clean_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, clean_path),
-      /*renumber=*/true, BuildStatementRecipe);  // SolveAntipatterns Renumber()s
+      /*renumber=*/true, BuildStatementRecipe);  // outputs are renumbered
   std::unique_ptr<log::RecordWriter> removal_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, removal_path),
       /*renumber=*/true, BuildStatementRecipe);

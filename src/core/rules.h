@@ -15,7 +15,8 @@ namespace sqlog::core {
 /// detection rule and, if possible, a solving solution").
 ///
 /// `detect` is evaluated on every parsed query; a hit becomes an
-/// antipattern instance of type kCustom tagged with the rule's index.
+/// antipattern instance of the rule's adapter detector
+/// ("custom-rule-<index>", labelled `name` in the statistics).
 /// When `rewrite` is set, the solver replaces the statement with the
 /// rewrite (like SNC); otherwise the rule is detect-only (annotated in
 /// the clean log, dropped from the removal log, like CTH).

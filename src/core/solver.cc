@@ -1,8 +1,6 @@
 #include "core/solver.h"
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "sql/ast.h"
@@ -63,32 +61,28 @@ const sql::TableRef* SingleTable(const sql::SelectStatement& stmt) {
   return static_cast<const sql::TableRef*>(stmt.from_items[0].get());
 }
 
-/// Solvability of an instance under `report`: the report's detector set
-/// when present, the legacy type/rule path for hand-built reports.
-bool ReportSolvable(const AntipatternReport& report, const AntipatternInstance& instance,
-                    const std::vector<CustomRule>& custom_rules) {
-  if (report.detectors != nullptr) return report.detectors->Solvable(instance);
-  return InstanceSolvable(instance, custom_rules);
-}
+/// RecordWriter appending to an in-memory log — SolveAntipatterns's
+/// stand-in for the file writers of the streaming path. Seqs are
+/// renumbered positionally, as file writers do with renumber=true.
+class MemoryWriter final : public log::RecordWriter {
+ public:
+  explicit MemoryWriter(log::QueryLog& out) : out_(out) {}
 
-/// Dispatches the rewrite of one instance: through the report's
-/// detector set when present, else through the legacy type switch.
-Result<std::string> RewriteInstance(const AntipatternReport& report,
-                                    const AntipatternInstance& instance,
-                                    const std::vector<const ParsedQuery*>& members,
-                                    const std::vector<CustomRule>& custom_rules) {
-  if (report.detectors != nullptr) return report.detectors->Rewrite(instance, members);
-  switch (instance.type) {
-    case AntipatternType::kDwStifle: return RewriteDwStifle(members);
-    case AntipatternType::kDsStifle: return RewriteDsStifle(members);
-    case AntipatternType::kDfStifle: return RewriteDfStifle(members);
-    case AntipatternType::kSnc: return RewriteSnc(*members[0]);
-    case AntipatternType::kCustom:
-      return custom_rules[static_cast<size_t>(instance.custom_rule)].rewrite(*members[0]);
-    case AntipatternType::kCthCandidate: break;
+  Status Open(const std::string& path) override {
+    (void)path;
+    return Status::OK();
   }
-  return Status::Internal("unsolvable instance dispatched to RewriteInstance");
-}
+  Status Append(const log::LogRecord& record) override {
+    out_.Append(record);
+    out_.records().back().seq = out_.size() - 1;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t records_written() const override { return out_.size(); }
+
+ private:
+  log::QueryLog& out_;
+};
 
 }  // namespace
 
@@ -264,126 +258,20 @@ Result<std::string> RewriteSnc(const ParsedQuery& query) {
   return PrintRewritten(*stmt);
 }
 
-SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, const ParsedLog& parsed,
+SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed,
                                const AntipatternReport& report,
                                const std::vector<CustomRule>& custom_rules) {
+  (void)custom_rules;
   SolveOutcome outcome;
-
-  // Only parsed SELECTs flow into the output logs (Sec. 5.3: syntax
-  // errors and non-SELECTs "are not considered any further").
-  std::vector<bool> was_parsed(pre_clean.size(), false);
-  for (const auto& query : parsed.queries) was_parsed[query.record_index] = true;
-
-  // record index → (instance id, member rank) for queries owned by an
-  // instance via the solver-priority map.
-  struct Membership {
-    uint32_t instance_id = 0;  // 1-based; 0 = none
-    bool is_first = false;
-  };
-  std::vector<Membership> membership(pre_clean.size());
-  for (size_t q = 0; q < parsed.queries.size(); ++q) {
-    uint32_t instance_id = report.instance_of_query[q];
-    if (instance_id == 0) continue;
-    const AntipatternInstance& instance = report.instances[instance_id - 1];
-    size_t record = parsed.queries[q].record_index;
-    membership[record].instance_id = instance_id;
-    membership[record].is_first =
-        parsed.queries[instance.query_indices.front()].record_index == record;
+  MemoryWriter clean_writer(outcome.clean_log);
+  MemoryWriter removal_writer(outcome.removal_log);
+  StreamingSolver solver(parsed, report, clean_writer, removal_writer);
+  for (const log::LogRecord& record : pre_clean.records()) {
+    outcome.status = solver.Feed(record);
+    if (!outcome.status.ok()) break;
   }
-
-  // Pre-compute rewrites per solvable instance. Members parsed through
-  // the template cache carry no AST — restore them on demand by
-  // re-parsing the statement (the parser is deterministic, so this is
-  // the AST the uncached path would have rewritten from). Restored
-  // copies live in a deque so member pointers stay stable.
-  std::deque<ParsedQuery> restored;
-  auto member_with_ast = [&](size_t idx) -> const ParsedQuery* {
-    const ParsedQuery& query = parsed.queries[idx];
-    if (query.facts.ast != nullptr) return &query;
-    auto facts = sql::ParseAndAnalyze(pre_clean.records()[query.record_index].statement);
-    if (!facts.ok()) return nullptr;
-    restored.push_back(ParsedQuery{});
-    ParsedQuery& copy = restored.back();
-    copy.record_index = query.record_index;
-    copy.timestamp_ms = query.timestamp_ms;
-    copy.user_id = query.user_id;
-    copy.row_count = query.row_count;
-    copy.template_id = query.template_id;
-    copy.facts = std::move(facts.value());
-    return &copy;
-  };
-
-  std::unordered_map<uint32_t, std::string> rewritten;
-  std::unordered_set<uint32_t> failed;
-  for (size_t k = 0; k < report.instances.size(); ++k) {
-    const AntipatternInstance& instance = report.instances[k];
-    if (!ReportSolvable(report, instance, custom_rules)) {
-      ++outcome.stats.instances_unsolvable;
-      continue;
-    }
-    std::vector<const ParsedQuery*> members;
-    members.reserve(instance.query_indices.size());
-    bool members_ok = true;
-    for (size_t idx : instance.query_indices) {
-      const ParsedQuery* member = member_with_ast(idx);
-      if (member == nullptr) {
-        members_ok = false;
-        break;
-      }
-      members.push_back(member);
-    }
-    Result<std::string> rewrite = Status::Internal("unset");
-    if (!members_ok) {
-      rewrite = Status::Internal("instance member no longer parses");
-    } else {
-      rewrite = RewriteInstance(report, instance, members, custom_rules);
-    }
-    uint32_t id = static_cast<uint32_t>(k + 1);
-    if (rewrite.ok()) {
-      rewritten[id] = std::move(rewrite.value());
-      ++outcome.stats.instances_solved;
-      // Single-query instances are fixed in place (SNC, per-query
-      // rules); multi-query instances merge into their first member.
-      if (instance.query_indices.size() == 1) {
-        ++outcome.stats.queries_rewritten_in_place;
-      } else {
-        outcome.stats.queries_merged += instance.query_indices.size() - 1;
-      }
-    } else {
-      failed.insert(id);
-      ++outcome.stats.rewrite_failures;
-    }
-  }
-
-  // Emit the clean and removal logs in one pass over the input.
-  for (size_t r = 0; r < pre_clean.size(); ++r) {
-    const log::LogRecord& record = pre_clean.records()[r];
-    if (!was_parsed[r]) continue;
-    const Membership& m = membership[r];
-    if (m.instance_id == 0) {
-      outcome.clean_log.Append(record);
-      outcome.removal_log.Append(record);
-      continue;
-    }
-    const AntipatternInstance& instance = report.instances[m.instance_id - 1];
-    bool solvable =
-        ReportSolvable(report, instance, custom_rules) && failed.count(m.instance_id) == 0;
-    if (!solvable) {
-      // CTH candidates (and failed rewrites) stay in the clean log but
-      // leave the removal log.
-      outcome.clean_log.Append(record);
-      if (failed.count(m.instance_id) != 0) outcome.removal_log.Append(record);
-      continue;
-    }
-    if (m.is_first) {
-      log::LogRecord merged = record;
-      merged.statement = rewritten[m.instance_id];
-      outcome.clean_log.Append(std::move(merged));
-    }
-    // Members of solvable instances never reach the removal log.
-  }
-  outcome.clean_log.Renumber();
-  outcome.removal_log.Renumber();
+  if (outcome.status.ok()) outcome.status = solver.Finish();
+  outcome.stats = solver.stats();
   return outcome;
 }
 
@@ -394,16 +282,11 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
       report_(report),
       clean_writer_(clean_writer),
       removal_writer_(removal_writer) {
-  query_at_record_.reserve(parsed_.queries.size());
-  for (size_t q = 0; q < parsed_.queries.size(); ++q) {
-    query_at_record_[parsed_.queries[q].record_index] = q;
-  }
-  // Mirror SolveAntipatterns's pre-compute loop: every unsolvable
-  // instance counts once; every solvable instance gets a rewrite — here
-  // deferred until its last listed member streams past.
+  // Every unsolvable instance counts once; every solvable instance gets
+  // a rewrite, deferred until its last listed member streams past.
   for (size_t k = 0; k < report_.instances.size(); ++k) {
     const AntipatternInstance& instance = report_.instances[k];
-    if (!ReportSolvable(report_, instance, /*custom_rules=*/{})) {
+    if (!report_.detectors->Solvable(instance)) {
       ++stats_.instances_unsolvable;
       continue;
     }
@@ -417,26 +300,38 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
   }
 }
 
+StreamingSolver::~StreamingSolver() {
+  // sqlog-lint: deterministic-merge(each entry clears its own query's AST)
+  for (const auto& [idx, need] : ast_needs_) {
+    if (need.restored) parsed_.queries[idx].facts.ast.reset();
+  }
+}
+
 Status StreamingSolver::Feed(const log::LogRecord& record) {
   const size_t r = next_record_++;
-  auto record_it = query_at_record_.find(r);
-  // Non-SELECTs and syntax errors never reach the output logs.
-  if (record_it == query_at_record_.end()) return Status::OK();
-  const size_t q = record_it->second;
+  // Non-SELECTs and syntax errors have no parsed query and never reach
+  // the output logs.
+  if (next_query_ == parsed_.queries.size() ||
+      parsed_.queries[next_query_].record_index != r) {
+    return Status::OK();
+  }
+  const size_t q = next_query_++;
 
-  // Restore the AST for solvable-instance members (released by the
-  // streaming parser). The parser is deterministic, so this reproduces
-  // the AST the in-memory path rewrote from.
+  // Members of solvable instances need their AST to be rewritten.
   std::vector<uint32_t> completed;
   auto need_it = ast_needs_.find(q);
   if (need_it != ast_needs_.end()) {
-    auto facts = sql::ParseAndAnalyze(record.statement);
-    if (!facts.ok()) {
-      return Status::Internal(
-          StrFormat("record %zu no longer parses between passes: %s", r,
-                    facts.status().message().c_str()));
+    std::shared_ptr<const sql::SelectStatement>& ast = parsed_.queries[q].facts.ast;
+    if (ast == nullptr) {
+      auto facts = sql::ParseAndAnalyze(record.statement);
+      if (!facts.ok()) {
+        return Status::Internal(StrFormat(
+            "pre-clean record %zu (seq %llu) no longer parses: %s", r,
+            (unsigned long long)record.seq, facts.status().message().c_str()));
+      }
+      ast = std::move(facts.value().ast);
+      need_it->second.restored = true;
     }
-    parsed_.queries[q].facts.ast = std::move(facts.value().ast);
     for (uint32_t id : need_it->second.instances) {
       auto pending_it = members_pending_.find(id);
       if (pending_it != members_pending_.end() && --pending_it->second == 0) {
@@ -447,7 +342,6 @@ Status StreamingSolver::Feed(const log::LogRecord& record) {
   }
 
   Slot slot;
-  slot.record = record;
   const uint32_t claiming = report_.instance_of_query[q];
   if (claiming == 0) {
     slot.resolved = true;
@@ -455,7 +349,7 @@ Status StreamingSolver::Feed(const log::LogRecord& record) {
     slot.to_removal = true;
   } else {
     const AntipatternInstance& instance = report_.instances[claiming - 1];
-    if (!ReportSolvable(report_, instance, /*custom_rules=*/{})) {
+    if (!report_.detectors->Solvable(instance)) {
       // CTH candidates stay in the clean log but leave the removal log.
       slot.resolved = true;
       slot.to_clean = true;
@@ -466,6 +360,7 @@ Status StreamingSolver::Feed(const log::LogRecord& record) {
           parsed_.queries[instance.query_indices.front()].record_index == r;
     }
   }
+  slot.record = record;
   slots_.push_back(std::move(slot));
 
   for (uint32_t id : completed) ResolveInstance(id);
@@ -478,14 +373,11 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
   members.reserve(instance.query_indices.size());
   for (size_t idx : instance.query_indices) members.push_back(&parsed_.queries[idx]);
 
-  // Streaming mode rejects custom rules, so the empty rule vector can
-  // only be consulted by hand-built legacy reports without kCustom.
-  Result<std::string> rewrite = RewriteInstance(report_, instance, members,
-                                                /*custom_rules=*/{});
+  Result<std::string> rewrite = report_.detectors->Rewrite(instance, members);
   if (rewrite.ok()) {
     ++stats_.instances_solved;
-    // Mirror SolveAntipatterns: single-query instances are in-place
-    // fixes, multi-query instances merge into their first member.
+    // Single-query instances are in-place fixes; multi-query instances
+    // merge into their first member.
     if (instance.query_indices.size() == 1) {
       ++stats_.queries_rewritten_in_place;
     } else {
@@ -513,11 +405,12 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
     }
   }
 
-  // Release member ASTs once no unresolved instance still needs them.
+  // Release restored member ASTs once no unresolved instance still
+  // needs them.
   for (size_t idx : instance.query_indices) {
     auto it = ast_needs_.find(idx);
     if (it != ast_needs_.end() && --it->second.unresolved == 0) {
-      parsed_.queries[idx].facts.ast.reset();
+      if (it->second.restored) parsed_.queries[idx].facts.ast.reset();
       ast_needs_.erase(it);
     }
   }
@@ -534,11 +427,11 @@ Status StreamingSolver::Drain() {
 }
 
 Status StreamingSolver::Finish() {
-  if (!members_pending_.empty()) {
+  if (next_query_ != parsed_.queries.size()) {
     return Status::Internal(StrFormat(
-        "%zu antipattern instance(s) missing members at end of stream — the "
-        "input changed between passes",
-        members_pending_.size()));
+        "%zu parsed queries were never fed: the records fed do not match the "
+        "parsed log (did the input change between passes?)",
+        parsed_.queries.size() - next_query_));
   }
   SQLOG_RETURN_IF_ERROR(Drain());
   if (!slots_.empty()) {

@@ -27,11 +27,13 @@ struct SolveStats {
 
 /// Solving output: the clean log (antipatterns rewritten) and the
 /// removal log (antipattern member queries dropped entirely) that
-/// Sec. 6.9 compares against.
+/// Sec. 6.9 compares against. A non-OK `status` (a member statement that
+/// no longer parses) leaves both logs incomplete.
 struct SolveOutcome {
   log::QueryLog clean_log;
   log::QueryLog removal_log;
   SolveStats stats;
+  Status status;
 };
 
 /// Rewrites one DW-Stifle instance (Example 10): one statement whose
@@ -53,49 +55,62 @@ Result<std::string> RewriteSnc(const ParsedQuery& query);
 
 /// Applies all solving rules over the pre-clean log: member queries of
 /// each solvable instance collapse into one rewritten statement at the
-/// position of the instance's first query; SNC statements (and solvable
-/// custom-rule hits) are fixed in place; everything else passes through.
-/// Also produces the removal variant. Rewritten/removed records keep
-/// their original metadata.
+/// position of the instance's first query; single-query instances (SNC,
+/// solvable per-query detectors) are fixed in place; everything else
+/// passes through. Also produces the removal variant. Rewritten/removed
+/// records keep their original metadata; both logs are renumbered.
 ///
-/// Rewrites dispatch through the report's detector set
-/// (AntipatternReport::detectors); `custom_rules` is the deprecated
-/// fallback consulted only for hand-built reports without a set, and
-/// must then be the rule vector the report was detected with.
-SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, const ParsedLog& parsed,
+/// A loop feeding `pre_clean` through a StreamingSolver into two
+/// in-memory logs, so the in-memory and streaming paths share one
+/// implementation of Sec. 5.5. `parsed` is borrowed: members without an
+/// AST (parse-cache hits) get one restored while their instance is open,
+/// and `parsed` is handed back with exactly the ASTs it came with.
+/// Rewrites dispatch through the report's detector set;
+/// `custom_rules` is ignored (the set already carries their adapters).
+SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed,
                                const AntipatternReport& report,
                                const std::vector<CustomRule>& custom_rules = {});
 
-/// Incremental flavour of SolveAntipatterns for the streaming ingestion
-/// path: pre-clean records are fed one at a time in pre-clean order and
-/// the clean/removal rows are emitted straight to the two RecordWriters (either format) —
-/// byte-identical (rows, order, renumbered seqs, SolveStats) to what
-/// SolveAntipatterns would produce over the whole log.
+/// The Sec. 5.5 solver, fed one pre-clean record at a time in pre-clean
+/// order; the clean/removal rows are emitted straight to the two
+/// RecordWriters (either format). SolveAntipatterns is this class over
+/// in-memory writers, so both paths emit the same rows, order, and
+/// SolveStats.
 ///
-/// Rewriting needs member ASTs, which the streaming parser released to
-/// bound memory; the solver re-parses just the member statements of
-/// solvable instances as they stream past (the parser is deterministic,
-/// so the ASTs — and therefore the rewrites — are identical), restores
-/// them into `parsed` temporarily, and clears them once the instance
-/// resolves. Records are buffered only while an instance that contains
-/// them is still unresolved, so the buffer is bounded by the detector's
-/// gap-bounded segment span, not the log length.
+/// Rewriting needs member ASTs. A member that carries none (the
+/// streaming parser released it, or a parse-cache hit never built it)
+/// is re-parsed as it streams past — the parser is deterministic, so the
+/// AST, and therefore the rewrite, is the one a full parse would have
+/// produced — restored into `parsed`, and cleared again once every
+/// instance listing it has resolved. ASTs the caller supplied are
+/// neither replaced nor released. Records are buffered only while an
+/// instance that contains them is still unresolved, so the buffer is
+/// bounded by the detector's gap-bounded segment span, not the log
+/// length.
 ///
-/// Custom rules are not supported (streaming mode rejects them — their
-/// detect hooks read the released ASTs).
+/// `parsed.queries` must be in ascending record order, as ParseLog and
+/// StreamingParser produce them.
 class StreamingSolver {
  public:
-  /// Both writers must be open; they must be configured with
-  /// renumber=true to reproduce SolveAntipatterns's Renumber().
+  /// Both writers must be open; file writers must be configured with
+  /// renumber=true so output seqs are positional.
   StreamingSolver(ParsedLog& parsed, const AntipatternReport& report,
                   log::RecordWriter& clean_writer, log::RecordWriter& removal_writer);
 
+  /// Clears any AST still restored (a run abandoned after an error), so
+  /// `parsed` is handed back as it came.
+  ~StreamingSolver();
+
+  StreamingSolver(const StreamingSolver&) = delete;
+  StreamingSolver& operator=(const StreamingSolver&) = delete;
+
   /// Feeds the next pre-clean record (call in pre-clean order, starting
-  /// at position 0).
+  /// at position 0). Fails, naming the record, when a member statement no
+  /// longer parses.
   Status Feed(const log::LogRecord& record);
 
-  /// Flushes remaining output. Every instance must have resolved (all
-  /// members fed); call after the last record.
+  /// Flushes remaining output. Every parsed query must have been fed;
+  /// call after the last record.
   Status Finish();
 
   const SolveStats& stats() const { return stats_; }
@@ -117,6 +132,7 @@ class StreamingSolver {
   struct AstNeed {
     std::vector<uint32_t> instances;  // solvable instances listing the query
     uint32_t unresolved = 0;
+    bool restored = false;  // the AST was re-parsed here (cleared on release)
   };
 
   void ResolveInstance(uint32_t instance_id);
@@ -128,14 +144,13 @@ class StreamingSolver {
   log::RecordWriter& removal_writer_ SQLOG_SHARD_LOCAL;
   SolveStats stats_ SQLOG_SHARD_LOCAL;
 
-  /// pre-clean record index → ParsedLog query index.
-  std::unordered_map<size_t, size_t> query_at_record_ SQLOG_SHARD_LOCAL;
   /// query index → AST bookkeeping (solvable-instance members only).
   std::unordered_map<size_t, AstNeed> ast_needs_ SQLOG_SHARD_LOCAL;
   /// instance id (1-based, solvable only) → members not yet fed.
   std::unordered_map<uint32_t, size_t> members_pending_ SQLOG_SHARD_LOCAL;
   std::deque<Slot> slots_ SQLOG_SHARD_LOCAL;
   size_t next_record_ SQLOG_SHARD_LOCAL = 0;  // position assigned to the next Feed
+  size_t next_query_ SQLOG_SHARD_LOCAL = 0;   // first parsed query not yet fed
 };
 
 }  // namespace sqlog::core

@@ -19,6 +19,20 @@ std::string Row(const char* label, uint64_t value, uint64_t base = 0) {
 
 }  // namespace
 
+uint64_t PipelineStats::DistinctOf(const std::string& id) const {
+  for (const DetectorRow& row : detectors) {
+    if (row.id == id) return row.distinct_count;
+  }
+  return 0;
+}
+
+uint64_t PipelineStats::QueriesOf(const std::string& id) const {
+  for (const DetectorRow& row : detectors) {
+    if (row.id == id) return row.query_count;
+  }
+  return 0;
+}
+
 std::string PipelineStats::ToTable() const {
   std::string out = "Results overview (cf. paper Table 5)\n";
   out += Row("Size of original query log", original_size);
@@ -31,21 +45,11 @@ std::string PipelineStats::ToTable() const {
   out += Row("Removal log size", removal_size, original_size);
   out += Row("Count of patterns", pattern_count);
   out += Row("Maximal pattern frequency", max_pattern_frequency);
-  out += Row("Count of distinct DW-Stifle", distinct_dw);
-  out += Row("Count of queries in all DW-Stifle", queries_dw);
-  out += Row("Count of distinct DS-Stifle", distinct_ds);
-  out += Row("Count of queries in all DS-Stifle", queries_ds);
-  out += Row("Count of distinct DF-Stifle", distinct_df);
-  out += Row("Count of queries in all DF-Stifle", queries_df);
-  out += Row("Count of distinct candidate CTH", distinct_cth);
-  out += Row("Count of queries in all candidate CTH", queries_cth);
-  out += Row("Count of distinct SNC", distinct_snc);
-  out += Row("Count of queries in all SNC", queries_snc);
-  for (const auto& extra : extra_detectors) {
-    out += Row(StrFormat("Count of distinct %s", extra.label.c_str()).c_str(),
-               extra.distinct_count);
-    out += Row(StrFormat("Count of queries in all %s", extra.label.c_str()).c_str(),
-               extra.query_count);
+  for (const DetectorRow& row : detectors) {
+    out += Row(StrFormat("Count of distinct %s", row.label.c_str()).c_str(),
+               row.distinct_count);
+    out += Row(StrFormat("Count of queries in all %s", row.label.c_str()).c_str(),
+               row.query_count);
   }
   out += Row("Instances solved", solve.instances_solved);
   out += Row("Queries merged away by rewriting", solve.queries_merged);

@@ -26,26 +26,19 @@ struct PipelineStats {
   uint64_t pattern_count = 0;        // distinct mined patterns
   uint64_t max_pattern_frequency = 0;
 
-  uint64_t distinct_dw = 0;
-  uint64_t queries_dw = 0;
-  uint64_t distinct_ds = 0;
-  uint64_t queries_ds = 0;
-  uint64_t distinct_df = 0;
-  uint64_t queries_df = 0;
-  uint64_t distinct_cth = 0;
-  uint64_t queries_cth = 0;
-  uint64_t distinct_snc = 0;
-  uint64_t queries_snc = 0;
-
-  /// One row pair per enabled detector beyond the paper's set (registry
-  /// additions like select-star). Empty for the default detector set, so
-  /// the golden-compared table is unchanged there.
-  struct DetectorStatsRow {
+  /// One Table 5 row pair per detector of the run's set, in set order
+  /// (the default set yields the paper's DW/DS/DF/CTH/SNC rows).
+  struct DetectorRow {
+    std::string id;     // registry id ("dw-stifle", ...)
     std::string label;  // the detector's display name
     uint64_t distinct_count = 0;
     uint64_t query_count = 0;
   };
-  std::vector<DetectorStatsRow> extra_detectors;
+  std::vector<DetectorRow> detectors;
+
+  /// Row counters by registry id; 0 for a detector the run did not select.
+  uint64_t DistinctOf(const std::string& id) const;
+  uint64_t QueriesOf(const std::string& id) const;
 
   SolveStats solve;
 

@@ -727,6 +727,14 @@ Status BinLogReader::OpenCommon(std::string_view whole, bool streaming) {
         block_end > footer->dict_offset) {
       return footer_reader.Error(StrFormat("block %zu offset out of bounds", i));
     }
+    // FlushBlock writes at least one byte per record in each of the
+    // seven columns, so a larger count is corrupt — reject it here, before
+    // a caller sizes anything by record_count().
+    const uint64_t payload_bytes = block_end - index_[i].offset - binfmt::kBlockFrameBytes;
+    if (index_[i].record_count > payload_bytes / 7) {
+      return footer_reader.Error(
+          StrFormat("block %zu record count exceeds its payload size", i));
+    }
   }
   record_count_ = footer->record_count;
 

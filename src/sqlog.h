@@ -7,8 +7,11 @@
 ///
 ///   - the end-to-end cleaning pipeline and its builder
 ///     (sqlog::core::Pipeline, PipelineBuilder, PipelineOptions),
-///   - the custom-rule registry — the Sec. 5.4 extension point
-///     (sqlog::core::CustomRule and the ready-made rules),
+///   - the detector registry — the Sec. 5.4 extension point
+///     (sqlog::core::DetectorRegistry, DetectorSet; detectors are named
+///     by registry id, and statistics carry one Table 5 row pair per
+///     detector of the run's set) plus the deprecated closure-based
+///     sqlog::core::CustomRule shim and its ready-made rules,
 ///   - the log model and CSV I/O (sqlog::log::QueryLog, LogIo),
 ///   - the synthetic SkyServer-style workload generator
 ///     (sqlog::log::GenerateLog),

@@ -49,9 +49,9 @@ TEST_F(AntipatternTest, DetectsDwStifleOfExample9) {
       {"u", 1000, "SELECT name FROM Employee WHERE empId = 1"},
   });
   ASSERT_EQ(report.instances.size(), 1u);
-  EXPECT_EQ(report.instances[0].type, AntipatternType::kDwStifle);
+  EXPECT_EQ(report.detectors->info(report.instances[0].detector).id, "dw-stifle");
   EXPECT_EQ(report.instances[0].query_indices.size(), 2u);
-  EXPECT_EQ(report.CountDistinct(AntipatternType::kDwStifle), 1u);
+  EXPECT_EQ(report.DistinctOf("dw-stifle"), 1u);
 }
 
 TEST_F(AntipatternTest, DwRunExtendsGreedily) {
@@ -61,7 +61,7 @@ TEST_F(AntipatternTest, DwRunExtendsGreedily) {
                        StrFormat("SELECT name FROM Employee WHERE empId = %d", i)});
   }
   auto report = Detect(entries);
-  ASSERT_EQ(report.CountInstances(AntipatternType::kDwStifle), 1u);
+  ASSERT_EQ(report.InstancesOf("dw-stifle"), 1u);
   EXPECT_EQ(report.instances[0].query_indices.size(), 6u);
 }
 
@@ -70,7 +70,7 @@ TEST_F(AntipatternTest, DetectsDsStifleOfExample11) {
       {"u", 0, "SELECT name FROM Employee WHERE empId = 8"},
       {"u", 1000, "SELECT address, phone FROM Employee WHERE empId = 8"},
   });
-  ASSERT_EQ(report.CountInstances(AntipatternType::kDsStifle), 1u);
+  ASSERT_EQ(report.InstancesOf("ds-stifle"), 1u);
 }
 
 TEST_F(AntipatternTest, DetectsDfStifleOfExample13) {
@@ -78,7 +78,7 @@ TEST_F(AntipatternTest, DetectsDfStifleOfExample13) {
       {"u", 0, "SELECT name FROM Employee WHERE empId = 8"},
       {"u", 1000, "SELECT address FROM EmployeeInfo WHERE empId = 8"},
   });
-  ASSERT_EQ(report.CountInstances(AntipatternType::kDfStifle), 1u);
+  ASSERT_EQ(report.InstancesOf("df-stifle"), 1u);
 }
 
 TEST_F(AntipatternTest, NonKeyFilterColumnIsNotStifle) {
@@ -87,7 +87,7 @@ TEST_F(AntipatternTest, NonKeyFilterColumnIsNotStifle) {
       {"u", 0, "SELECT empId FROM Employees WHERE department = 'sales'"},
       {"u", 1000, "SELECT empId FROM Employees WHERE department = 'hr'"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 0u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 0u);
 }
 
 TEST_F(AntipatternTest, DisablingKeyCheckAdmitsNonKeyColumns) {
@@ -99,7 +99,7 @@ TEST_F(AntipatternTest, DisablingKeyCheckAdmitsNonKeyColumns) {
           {"u", 1000, "SELECT empId FROM Employees WHERE department = 'hr'"},
       },
       options);
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 1u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 1u);
 }
 
 TEST_F(AntipatternTest, TwoPredicatesAreNotStifle) {
@@ -107,7 +107,7 @@ TEST_F(AntipatternTest, TwoPredicatesAreNotStifle) {
       {"u", 0, "SELECT name FROM Employee WHERE empId = 8 AND name = 'x'"},
       {"u", 1000, "SELECT name FROM Employee WHERE empId = 1 AND name = 'y'"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 0u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 0u);
 }
 
 TEST_F(AntipatternTest, RangePredicateIsNotStifle) {
@@ -115,7 +115,7 @@ TEST_F(AntipatternTest, RangePredicateIsNotStifle) {
       {"u", 0, "SELECT name FROM Employee WHERE empId > 8"},
       {"u", 1000, "SELECT name FROM Employee WHERE empId > 1"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 0u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 0u);
 }
 
 TEST_F(AntipatternTest, DifferentUsersDoNotFormOneInstance) {
@@ -123,7 +123,7 @@ TEST_F(AntipatternTest, DifferentUsersDoNotFormOneInstance) {
       {"a", 0, "SELECT name FROM Employee WHERE empId = 8"},
       {"b", 1000, "SELECT name FROM Employee WHERE empId = 1"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 0u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 0u);
 }
 
 TEST_F(AntipatternTest, GapBreaksInstance) {
@@ -135,7 +135,7 @@ TEST_F(AntipatternTest, GapBreaksInstance) {
           {"u", 60000, "SELECT name FROM Employee WHERE empId = 1"},
       },
       options);
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 0u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 0u);
 }
 
 TEST_F(AntipatternTest, Table1FormsCthCandidate) {
@@ -145,16 +145,16 @@ TEST_F(AntipatternTest, Table1FormsCthCandidate) {
       {"u", 5500, "SELECT E.birthday, E.phone FROM Employees E WHERE E.id = 12"},
       {"u", 8000, "SELECT count(orders) FROM Orders O WHERE O.empId = 12"},
   });
-  ASSERT_EQ(report.CountInstances(AntipatternType::kCthCandidate), 1u);
+  ASSERT_EQ(report.InstancesOf("cth"), 1u);
   // The chain covers all four queries.
   const AntipatternInstance* cth = nullptr;
   for (const auto& instance : report.instances) {
-    if (instance.type == AntipatternType::kCthCandidate) cth = &instance;
+    if (report.detectors->info(instance.detector).id == "cth") cth = &instance;
   }
   ASSERT_NE(cth, nullptr);
   EXPECT_EQ(cth->query_indices.size(), 4u);
   // Queries 2 and 3 also form a DS-Stifle (Table 2 double-labelling).
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDsStifle), 1u);
+  EXPECT_EQ(report.InstancesOf("ds-stifle"), 1u);
 }
 
 TEST_F(AntipatternTest, CthNeedsLinkedAttribute) {
@@ -163,7 +163,7 @@ TEST_F(AntipatternTest, CthNeedsLinkedAttribute) {
       {"u", 0, "SELECT E.name FROM Employees E WHERE E.department = 'sales'"},
       {"u", 3000, "SELECT count(orders) FROM Orders O WHERE O.empId = 12"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kCthCandidate), 0u);
+  EXPECT_EQ(report.InstancesOf("cth"), 0u);
 }
 
 TEST_F(AntipatternTest, StarHeadLinksAnyFollowup) {
@@ -171,7 +171,7 @@ TEST_F(AntipatternTest, StarHeadLinksAnyFollowup) {
       {"u", 0, "SELECT * FROM dbo.fGetNearestObjEq(145.38, 0.12, 0.1)"},
       {"u", 100, "SELECT plate, fiberID, mjd FROM SpecObjAll WHERE SpecObjID = 75094094447116288"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kCthCandidate), 1u);
+  EXPECT_EQ(report.InstancesOf("cth"), 1u);
 }
 
 TEST_F(AntipatternTest, CthRequiresDifferentTemplates) {
@@ -180,7 +180,7 @@ TEST_F(AntipatternTest, CthRequiresDifferentTemplates) {
       {"u", 0, "SELECT name FROM Employee WHERE empId = 8"},
       {"u", 1000, "SELECT name FROM Employee WHERE empId = 1"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kCthCandidate), 0u);
+  EXPECT_EQ(report.InstancesOf("cth"), 0u);
 }
 
 TEST_F(AntipatternTest, CthSupportThresholdDropsOneOffs) {
@@ -192,7 +192,7 @@ TEST_F(AntipatternTest, CthSupportThresholdDropsOneOffs) {
           {"u", 100, "SELECT plate FROM SpecObjAll WHERE SpecObjID = 123"},
       },
       options);
-  EXPECT_EQ(report.CountInstances(AntipatternType::kCthCandidate), 0u);
+  EXPECT_EQ(report.InstancesOf("cth"), 0u);
 }
 
 TEST_F(AntipatternTest, DetectsSnc) {
@@ -200,16 +200,16 @@ TEST_F(AntipatternTest, DetectsSnc) {
       {"u", 0, "SELECT * FROM Bugs WHERE assigned_to = NULL"},
       {"u", 100000000, "SELECT * FROM Bugs WHERE assigned_to <> NULL"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kSnc), 2u);
+  EXPECT_EQ(report.InstancesOf("snc"), 2u);
   // Same template for `=`-form occurrences; `<>` is a different one.
-  EXPECT_EQ(report.CountDistinct(AntipatternType::kSnc), 2u);
+  EXPECT_EQ(report.DistinctOf("snc"), 2u);
 }
 
 TEST_F(AntipatternTest, ProperIsNullIsNotSnc) {
   auto report = Detect({
       {"u", 0, "SELECT * FROM Bugs WHERE assigned_to IS NULL"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kSnc), 0u);
+  EXPECT_EQ(report.InstancesOf("snc"), 0u);
 }
 
 TEST_F(AntipatternTest, SolvableInstancesClaimQueriesFirst) {
@@ -223,7 +223,7 @@ TEST_F(AntipatternTest, SolvableInstancesClaimQueriesFirst) {
   // point at the solvable DS instance.
   uint32_t ds_instance = 0;
   for (size_t k = 0; k < report.instances.size(); ++k) {
-    if (report.instances[k].type == AntipatternType::kDsStifle) {
+    if (report.detectors->info(report.instances[k].detector).id == "ds-stifle") {
       ds_instance = static_cast<uint32_t>(k + 1);
     }
   }
@@ -242,19 +242,20 @@ TEST_F(AntipatternTest, DistinctAggregationMergesInstances) {
       {"u", 100000000, "SELECT name FROM Employee WHERE empId = 3"},
       {"u", 100001000, "SELECT name FROM Employee WHERE empId = 4"},
   });
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 2u);
-  EXPECT_EQ(report.CountDistinct(AntipatternType::kDwStifle), 1u);
-  EXPECT_EQ(report.CountQueries(AntipatternType::kDwStifle), 4u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 2u);
+  EXPECT_EQ(report.DistinctOf("dw-stifle"), 1u);
+  EXPECT_EQ(report.QueriesOf("dw-stifle"), 4u);
 }
 
 TEST_F(AntipatternTest, TypeNamesAndSolvability) {
-  EXPECT_STREQ(AntipatternTypeName(AntipatternType::kDwStifle), "DW-Stifle");
-  EXPECT_STREQ(AntipatternTypeName(AntipatternType::kCthCandidate), "CTH");
-  EXPECT_TRUE(IsSolvable(AntipatternType::kDwStifle));
-  EXPECT_TRUE(IsSolvable(AntipatternType::kDsStifle));
-  EXPECT_TRUE(IsSolvable(AntipatternType::kDfStifle));
-  EXPECT_TRUE(IsSolvable(AntipatternType::kSnc));
-  EXPECT_FALSE(IsSolvable(AntipatternType::kCthCandidate));
+  auto info = [](const char* id) { return DetectorRegistry::Global().Find(id)->info(); };
+  EXPECT_EQ(info("dw-stifle").display_name, "DW-Stifle");
+  EXPECT_EQ(info("cth").display_name, "candidate CTH");
+  EXPECT_TRUE(info("dw-stifle").solvable);
+  EXPECT_TRUE(info("ds-stifle").solvable);
+  EXPECT_TRUE(info("df-stifle").solvable);
+  EXPECT_TRUE(info("snc").solvable);
+  EXPECT_FALSE(info("cth").solvable);
 }
 
 TEST_F(AntipatternTest, NullSchemaSkipsKeyAxiom) {
@@ -270,7 +271,7 @@ TEST_F(AntipatternTest, NullSchemaSkipsKeyAxiom) {
   log.Renumber();
   parsed_ = ParseLog(log, store_);
   auto report = DetectAntipatterns(parsed_, store_, nullptr, MakeOptions());
-  EXPECT_EQ(report.CountInstances(AntipatternType::kDwStifle), 1u);
+  EXPECT_EQ(report.InstancesOf("dw-stifle"), 1u);
 }
 
 }  // namespace

@@ -429,6 +429,52 @@ TEST(BinLogCorruptionTest, BlockPayloadFlipTripsTheChecksum) {
   EXPECT_NE(status.message().find("block"), std::string::npos) << status.ToString();
 }
 
+TEST(BinLogCorruptionTest, InflatedRecordCountIsRejectedAtOpen) {
+  // The first index row and the footer both claim 2^40 more records,
+  // with every checksum recomputed: the counts agree with each other, so
+  // only the per-block payload bound can catch it — at Open, before a
+  // caller sizes anything by record_count().
+  const std::string valid = CorruptionSubject();
+  const size_t footer_at = valid.size() - binfmt::kFooterBytes;
+  auto footer =
+      binfmt::Footer::Parse(std::string_view(valid).substr(footer_at), footer_at);
+  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
+  const size_t index_at = footer->index_offset + binfmt::kSectionFrameBytes;
+  binfmt::ByteReader reader(std::string_view(valid).substr(index_at, footer_at - index_at),
+                            index_at, "index");
+  uint64_t rows = 0;
+  ASSERT_TRUE(reader.ReadVarint(&rows).ok());
+  std::string index;
+  binfmt::AppendVarint(rows, &index);
+  constexpr uint64_t kExtra = uint64_t{1} << 40;
+  for (uint64_t i = 0; i < rows; ++i) {
+    uint64_t offset_delta = 0;
+    uint64_t records = 0;
+    int64_t ts_delta = 0;
+    ASSERT_TRUE(reader.ReadVarint(&offset_delta).ok());
+    ASSERT_TRUE(reader.ReadVarint(&records).ok());
+    ASSERT_TRUE(reader.ReadZigzag(&ts_delta).ok());
+    binfmt::AppendVarint(offset_delta, &index);
+    binfmt::AppendVarint(i == 0 ? records + kExtra : records, &index);
+    binfmt::AppendZigzag(ts_delta, &index);
+  }
+  std::string mutant = valid.substr(0, footer->index_offset);
+  binfmt::AppendU32(binfmt::kIndexMagic, &mutant);
+  binfmt::AppendU64(index.size(), &mutant);
+  binfmt::AppendU64(Fnv1a64(index), &mutant);
+  mutant += index;
+  footer->record_count += kExtra;
+  footer->AppendTo(&mutant);
+
+  BinLogReader bin;
+  Status status = bin.OpenFromBuffer(mutant);
+  ASSERT_FALSE(status.ok()) << "opened with record_count() = " << bin.record_count();
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_NE(status.message().find("block 0 record count exceeds its payload size"),
+            std::string::npos)
+      << status.ToString();
+}
+
 TEST(BinLogCorruptionTest, StreamingReaderRejectsCorruptionToo) {
   const std::string valid = CorruptionSubject();
   // Flip one byte in the middle; write to disk; both reader modes must

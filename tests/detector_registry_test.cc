@@ -50,10 +50,10 @@ TEST(DetectorRegistryTest, GlobalRegistryCarriesBuiltinsAndTheirMetadata) {
   EXPECT_EQ(dw->info().scope, core::DetectorScope::kSequence);
   EXPECT_EQ(dw->info().scan_group, "stifle");
   EXPECT_TRUE(dw->info().solvable);
-  EXPECT_EQ(dw->info().legacy_type, core::AntipatternType::kDwStifle);
 
   auto cth = registry.Find("cth");
   ASSERT_NE(cth, nullptr);
+  EXPECT_EQ(cth->info().display_name, "candidate CTH");
   EXPECT_FALSE(cth->info().solvable);
   EXPECT_TRUE(cth->info().min_support_filtered);
 
@@ -62,7 +62,6 @@ TEST(DetectorRegistryTest, GlobalRegistryCarriesBuiltinsAndTheirMetadata) {
   EXPECT_EQ(star->info().display_name, "Implicit Columns");
   EXPECT_EQ(star->info().scope, core::DetectorScope::kPerQuery);
   EXPECT_FALSE(star->info().solvable);
-  EXPECT_EQ(star->info().legacy_type, core::AntipatternType::kCustom);
   EXPECT_FALSE(star->info().needs_ast);
 
   ASSERT_NE(registry.Find("null-fear"), nullptr);
@@ -133,7 +132,7 @@ TEST(DetectorSetTest, CustomRulesAppendAdapterDetectors) {
   auto set = DetectorSet::Resolve(options);
   ASSERT_TRUE(set.ok()) << set.status().ToString();
   ASSERT_EQ(set.value()->size(), 2u);
-  EXPECT_EQ(set.value()->info(1).custom_rule, 0);
+  EXPECT_EQ(set.value()->info(1).id, "custom-rule-0");
   EXPECT_TRUE(set.value()->info(1).needs_ast);
   EXPECT_TRUE(set.value()->AnyNeedsAst());
 }
@@ -241,8 +240,13 @@ TEST_F(CatalogExpansionTest, NonSargablePrecisionRecall) {
 }
 
 TEST_F(CatalogExpansionTest, StatisticsGrowPerDetectorRows) {
-  // Detectors beyond the paper's set surface as extra overview rows;
-  // the default set leaves extra_detectors empty (golden-stable).
+  // Every detector of the run's set surfaces as one overview row pair,
+  // in set order — the paper's five and the additions alike.
+  const core::DetectorSet& set = *result_->antipatterns.detectors;
+  ASSERT_EQ(result_->stats.detectors.size(), set.size());
+  for (size_t d = 0; d < set.size(); ++d) {
+    EXPECT_EQ(result_->stats.detectors[d].id, set.info(d).id);
+  }
   const std::string table = result_->stats.ToTable();
   for (const char* name :
        {"Implicit Columns", "Fear of the Unknown", "Implicit Cross Join",

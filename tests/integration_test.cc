@@ -68,11 +68,11 @@ TEST_F(IntegrationTest, DuplicateShareMatchesGeneratorConfig) {
 }
 
 TEST_F(IntegrationTest, AllStifleClassesAreFound) {
-  EXPECT_GT(result_->stats.distinct_dw, 0u);
-  EXPECT_GT(result_->stats.distinct_ds, 0u);
-  EXPECT_GT(result_->stats.distinct_df, 0u);
-  EXPECT_GT(result_->stats.distinct_cth, 0u);
-  EXPECT_GT(result_->stats.distinct_snc, 0u);
+  EXPECT_GT(result_->stats.DistinctOf("dw-stifle"), 0u);
+  EXPECT_GT(result_->stats.DistinctOf("ds-stifle"), 0u);
+  EXPECT_GT(result_->stats.DistinctOf("df-stifle"), 0u);
+  EXPECT_GT(result_->stats.DistinctOf("cth"), 0u);
+  EXPECT_GT(result_->stats.DistinctOf("snc"), 0u);
 }
 
 TEST_F(IntegrationTest, StifleDetectionMatchesGroundTruthLabels) {
@@ -81,7 +81,7 @@ TEST_F(IntegrationTest, StifleDetectionMatchesGroundTruthLabels) {
   // are themselves DW runs (paper Table 2 double-labels them).
   size_t checked = 0;
   for (const auto& instance : result_->antipatterns.instances) {
-    if (instance.type != core::AntipatternType::kDwStifle) continue;
+    if (result_->antipatterns.detectors->info(instance.detector).id != "dw-stifle") continue;
     for (size_t q : instance.query_indices) {
       size_t record = result_->parsed.queries[q].record_index;
       log::TruthLabel truth = result_->pre_clean.records()[record].truth;
@@ -119,15 +119,17 @@ TEST_F(IntegrationTest, RecleaningConverges) {
   core::Pipeline pipeline;
   pipeline.SetSchema(schema_);
   core::PipelineResult second = pipeline.Run(result_->clean_log).value();
-  uint64_t residual1 = second.stats.queries_dw + second.stats.queries_ds +
-                       second.stats.queries_df;
+  uint64_t residual1 = second.stats.QueriesOf("dw-stifle") +
+                       second.stats.QueriesOf("ds-stifle") +
+                       second.stats.QueriesOf("df-stifle");
   double share1 = static_cast<double>(residual1) /
                   static_cast<double>(result_->clean_log.size());
   EXPECT_LT(share1, 0.06) << "first-pass residual too high";
 
   core::PipelineResult third = pipeline.Run(second.clean_log).value();
   uint64_t residual2 =
-      third.stats.queries_dw + third.stats.queries_ds + third.stats.queries_df;
+      third.stats.QueriesOf("dw-stifle") + third.stats.QueriesOf("ds-stifle") +
+      third.stats.QueriesOf("df-stifle");
   double share2 = static_cast<double>(residual2) /
                   static_cast<double>(second.clean_log.size());
   EXPECT_LT(share2, 0.01) << "second-pass residual too high";
@@ -146,7 +148,7 @@ TEST_F(IntegrationTest, CleanLogStatementsAllParse) {
 TEST_F(IntegrationTest, RemovalLogContainsNoAntipatternQueries) {
   std::unordered_set<std::string> antipattern_statements;
   for (const auto& instance : result_->antipatterns.instances) {
-    if (!core::IsSolvable(instance.type)) continue;
+    if (!result_->antipatterns.detectors->Solvable(instance)) continue;
     for (size_t q : instance.query_indices) {
       size_t record = result_->parsed.queries[q].record_index;
       antipattern_statements.insert(result_->pre_clean.records()[record].statement);

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "catalog/schema.h"
 #include "core/parse_cache.h"
@@ -172,6 +174,36 @@ TEST(PipelineGoldenTest, StreamingIsByteIdenticalAtAnyBatchSizeAndThreadCount) {
       }
     }
   }
+  std::remove(input_path.c_str());
+}
+
+TEST(PipelineGoldenTest, StreamingAtTheLargestBatchSizeMatchesTheDefault) {
+  // The batch vector grows on demand instead of reserving batch_size
+  // records up front, so any valid batch size runs — SIZE_MAX is one
+  // batch holding the whole log.
+  const log::QueryLog raw = FixedLog();
+  const catalog::Schema schema = catalog::MakeSkyServerSchema();
+  const std::string input_path = ::testing::TempDir() + "/golden_maxbatch_input.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(raw, input_path).ok());
+
+  std::vector<std::string> outputs;
+  for (size_t batch_size : {core::PipelineOptions().batch_size, SIZE_MAX}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch_size));
+    const std::string clean_path = ::testing::TempDir() + "/golden_maxbatch_clean.csv";
+    const std::string removal_path = ::testing::TempDir() + "/golden_maxbatch_removal.csv";
+    auto pipeline = core::PipelineBuilder()
+                        .WithSchema(&schema)
+                        .Streaming(true)
+                        .BatchSize(batch_size)
+                        .Build();
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    auto run = pipeline->RunStreaming(input_path, clean_path, removal_path);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    outputs.push_back(run->stats.ToTable() + ReadAll(clean_path) + ReadAll(removal_path));
+    std::remove(clean_path.c_str());
+    std::remove(removal_path.c_str());
+  }
+  EXPECT_EQ(outputs[1], outputs[0]);
   std::remove(input_path.c_str());
 }
 

@@ -83,9 +83,8 @@ void ExpectResultsIdentical(const core::PipelineResult& serial,
   for (size_t i = 0; i < serial.antipatterns.instances.size(); ++i) {
     const auto& ia = serial.antipatterns.instances[i];
     const auto& ib = parallel.antipatterns.instances[i];
-    ASSERT_EQ(ia.type, ib.type) << "instance " << i;
+    ASSERT_EQ(ia.detector, ib.detector) << "instance " << i;
     ASSERT_EQ(ia.query_indices, ib.query_indices) << "instance " << i;
-    ASSERT_EQ(ia.custom_rule, ib.custom_rule) << "instance " << i;
   }
   ASSERT_EQ(serial.antipatterns.instance_of_query, parallel.antipatterns.instance_of_query);
   ASSERT_EQ(serial.antipatterns.distinct.size(), parallel.antipatterns.distinct.size());
@@ -101,16 +100,16 @@ void ExpectResultsIdentical(const core::PipelineResult& serial,
   EXPECT_EQ(sa.syntax_error_count, sb.syntax_error_count);
   EXPECT_EQ(sa.pattern_count, sb.pattern_count);
   EXPECT_EQ(sa.max_pattern_frequency, sb.max_pattern_frequency);
-  EXPECT_EQ(sa.distinct_dw, sb.distinct_dw);
-  EXPECT_EQ(sa.queries_dw, sb.queries_dw);
-  EXPECT_EQ(sa.distinct_ds, sb.distinct_ds);
-  EXPECT_EQ(sa.queries_ds, sb.queries_ds);
-  EXPECT_EQ(sa.distinct_df, sb.distinct_df);
-  EXPECT_EQ(sa.queries_df, sb.queries_df);
-  EXPECT_EQ(sa.distinct_cth, sb.distinct_cth);
-  EXPECT_EQ(sa.queries_cth, sb.queries_cth);
-  EXPECT_EQ(sa.distinct_snc, sb.distinct_snc);
-  EXPECT_EQ(sa.queries_snc, sb.queries_snc);
+  EXPECT_EQ(sa.DistinctOf("dw-stifle"), sb.DistinctOf("dw-stifle"));
+  EXPECT_EQ(sa.QueriesOf("dw-stifle"), sb.QueriesOf("dw-stifle"));
+  EXPECT_EQ(sa.DistinctOf("ds-stifle"), sb.DistinctOf("ds-stifle"));
+  EXPECT_EQ(sa.QueriesOf("ds-stifle"), sb.QueriesOf("ds-stifle"));
+  EXPECT_EQ(sa.DistinctOf("df-stifle"), sb.DistinctOf("df-stifle"));
+  EXPECT_EQ(sa.QueriesOf("df-stifle"), sb.QueriesOf("df-stifle"));
+  EXPECT_EQ(sa.DistinctOf("cth"), sb.DistinctOf("cth"));
+  EXPECT_EQ(sa.QueriesOf("cth"), sb.QueriesOf("cth"));
+  EXPECT_EQ(sa.DistinctOf("snc"), sb.DistinctOf("snc"));
+  EXPECT_EQ(sa.QueriesOf("snc"), sb.QueriesOf("snc"));
   EXPECT_EQ(sa.final_size, sb.final_size);
   EXPECT_EQ(sa.removal_size, sb.removal_size);
 

@@ -63,10 +63,10 @@ TEST(PipelineTest, StatsReflectEveryStage) {
   EXPECT_EQ(result.stats.non_select_count, 1u);
   EXPECT_EQ(result.stats.syntax_error_count, 1u);
   EXPECT_EQ(result.stats.select_count, 8u);
-  EXPECT_EQ(result.stats.distinct_dw, 1u);
-  EXPECT_EQ(result.stats.queries_dw, 4u);
-  EXPECT_EQ(result.stats.distinct_ds, 1u);
-  EXPECT_EQ(result.stats.queries_ds, 2u);
+  EXPECT_EQ(result.stats.DistinctOf("dw-stifle"), 1u);
+  EXPECT_EQ(result.stats.QueriesOf("dw-stifle"), 4u);
+  EXPECT_EQ(result.stats.DistinctOf("ds-stifle"), 1u);
+  EXPECT_EQ(result.stats.QueriesOf("ds-stifle"), 2u);
   // Clean: DW run (4→1) + DS pair (2→1) + 2 ordinary = 4.
   EXPECT_EQ(result.stats.final_size, 4u);
   // Removal: only the 2 ordinary queries remain.
@@ -100,7 +100,7 @@ TEST(PipelineTest, WithoutUserMetadataStillFindsStifles) {
   PipelineOptions options;
   options.use_user_metadata = false;
   PipelineResult result = RunCrafted(options);
-  EXPECT_GE(result.stats.queries_dw, 4u);
+  EXPECT_GE(result.stats.QueriesOf("dw-stifle"), 4u);
   // All queries collapse onto the anonymous stream.
   EXPECT_EQ(result.parsed.user_streams.size(), 1u);
 }
@@ -192,7 +192,7 @@ TEST(PipelineTest, WithoutSchemaKeyAxiomIsSkipped) {
   options.miner.min_support = 1;
   Pipeline pipeline(options);
   PipelineResult result = pipeline.Run(raw).value();
-  EXPECT_EQ(result.stats.queries_dw, 2u);
+  EXPECT_EQ(result.stats.QueriesOf("dw-stifle"), 2u);
 }
 
 TEST(PipelineTest, RunRejectsInvalidOptions) {
@@ -252,7 +252,7 @@ TEST(PipelineBuilderTest, BuildsConfiguredPipeline) {
   EXPECT_EQ(result.stats.final_size, 4u);
   // The schema made it through the builder: Def. 11's key axiom held, so
   // the DW run over objid was detected.
-  EXPECT_EQ(result.stats.queries_dw, 4u);
+  EXPECT_EQ(result.stats.QueriesOf("dw-stifle"), 4u);
 }
 
 TEST(PipelineBuilderTest, RejectsNegativeDedupThreshold) {

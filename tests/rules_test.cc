@@ -75,8 +75,10 @@ class RulePipelineTest : public ::testing::Test {
 
 TEST_F(RulePipelineTest, DetectOnlyRuleAnnotatesAndRemoves) {
   PipelineResult result = Run({MakeSelectStarRule(), MakeMissingWhereRule()});
-  EXPECT_EQ(result.antipatterns.CountInstances(AntipatternType::kCustom), 2u);
-  EXPECT_EQ(result.antipatterns.CountDistinct(AntipatternType::kCustom), 2u);
+  EXPECT_EQ(result.antipatterns.InstancesOf("custom-rule-0"), 1u);
+  EXPECT_EQ(result.antipatterns.InstancesOf("custom-rule-1"), 1u);
+  EXPECT_EQ(result.antipatterns.DistinctOf("custom-rule-0"), 1u);
+  EXPECT_EQ(result.antipatterns.DistinctOf("custom-rule-1"), 1u);
   // Detect-only hits stay in the clean log but leave the removal log.
   EXPECT_EQ(result.clean_log.size(), 3u);
   EXPECT_EQ(result.removal_log.size(), 1u);
@@ -84,15 +86,24 @@ TEST_F(RulePipelineTest, DetectOnlyRuleAnnotatesAndRemoves) {
 
 TEST_F(RulePipelineTest, DistinctCustomRulesKeepSeparateIdentities) {
   PipelineResult result = Run({MakeSelectStarRule(), MakeMissingWhereRule()});
-  int star_rule = -1;
-  int where_rule = -1;
+  std::vector<std::string> labels;
   for (const auto& d : result.antipatterns.distinct) {
-    if (d.type != AntipatternType::kCustom) continue;
-    if (d.custom_rule == 0) star_rule = d.custom_rule;
-    if (d.custom_rule == 1) where_rule = d.custom_rule;
+    labels.push_back(result.antipatterns.detectors->info(d.detector).display_name);
   }
-  EXPECT_EQ(star_rule, 0);
-  EXPECT_EQ(where_rule, 1);
+  EXPECT_EQ(labels, (std::vector<std::string>{"select-star", "missing-where"}));
+}
+
+TEST_F(RulePipelineTest, EachRuleRendersItsTable5Rows) {
+  PipelineResult result = Run({MakeSelectStarRule(), MakeMissingWhereRule()});
+  const std::string table = result.stats.ToTable();
+  for (const char* name : {"select-star", "missing-where"}) {
+    EXPECT_NE(table.find(StrFormat("Count of distinct %s ", name)), std::string::npos)
+        << table;
+    EXPECT_NE(table.find(StrFormat("Count of queries in all %s ", name)), std::string::npos)
+        << table;
+  }
+  EXPECT_EQ(result.stats.DistinctOf("custom-rule-0"), 1u);
+  EXPECT_EQ(result.stats.QueriesOf("custom-rule-1"), 1u);
 }
 
 TEST_F(RulePipelineTest, SolvableCustomRuleRewritesInPlace) {
@@ -113,7 +124,8 @@ TEST_F(RulePipelineTest, SolvableCustomRuleRewritesInPlace) {
 
 TEST_F(RulePipelineTest, NoRulesMeansNoCustomInstances) {
   PipelineResult result = Run({});
-  EXPECT_EQ(result.antipatterns.CountInstances(AntipatternType::kCustom), 0u);
+  EXPECT_EQ(result.antipatterns.detectors->size(), DefaultDetectorIds().size());
+  EXPECT_EQ(result.antipatterns.InstancesOf("custom-rule-0"), 0u);
 }
 
 }  // namespace

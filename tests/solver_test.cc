@@ -176,6 +176,14 @@ TEST(SolverTest, SncRewriteNullOnLeft) {
 class SolveLogTest : public ::testing::Test {
  protected:
   SolveOutcome Solve(const std::vector<std::pair<int64_t, std::string>>& statements) {
+    Detect(statements);
+    SolveOutcome outcome = SolveAntipatterns(log_, parsed_, report_);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    return outcome;
+  }
+
+  /// Parses and detects, leaving log_/parsed_/report_ ready to solve.
+  void Detect(const std::vector<std::pair<int64_t, std::string>>& statements) {
     log_ = log::QueryLog();
     for (const auto& [t, sql] : statements) {
       log::LogRecord record;
@@ -191,8 +199,8 @@ class SolveLogTest : public ::testing::Test {
     DetectorOptions options;
     options.cth_min_support = 1;
     report_ = DetectAntipatterns(parsed_, store_, &schema_, options);
-    return SolveAntipatterns(log_, parsed_, report_);
   }
+
 
   log::QueryLog log_;
   TemplateStore store_;
@@ -275,6 +283,67 @@ TEST_F(SolveLogTest, Table3ReproducesPaperExample16) {
             "SELECT E.Id FROM Employees E WHERE E.department = 'sales'");
   EXPECT_EQ(outcome.clean_log.records()[1].statement,
             "select e.id, e.name, e.surname from employees as e where e.id in (12, 15, 16)");
+}
+
+TEST_F(SolveLogTest, MemberThatNoLongerParsesFailsNamingTheRecord) {
+  Detect({
+      {0, "SELECT count(*) FROM photoPrimary WHERE htmid >= 1 and htmid <= 2"},
+      {1000, "SELECT name FROM Employee WHERE empId = 8"},
+      {2000, "SELECT name FROM Employee WHERE empId = 1"},
+  });
+  // Members without an AST are re-parsed from the records handed to the
+  // solver; break the last member's text.
+  ASSERT_EQ(report_.instances.size(), 1u);
+  const std::vector<size_t> members = report_.instances[0].query_indices;
+  ASSERT_EQ(members.size(), 2u);
+  for (size_t member : members) parsed_.queries[member].facts.ast.reset();
+  log::QueryLog changed = log_;
+  changed.records()[parsed_.queries[members.back()].record_index].statement =
+      "SELECT name FROM";
+
+  SolveOutcome outcome = SolveAntipatterns(changed, parsed_, report_);
+  ASSERT_FALSE(outcome.status.ok());
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInternal);
+  EXPECT_NE(outcome.status.message().find("record 2 (seq 2)"), std::string::npos)
+      << outcome.status.ToString();
+  EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
+  // The first member's AST was restored before the failure; abandoning
+  // the run clears it again.
+  for (size_t member : members) {
+    EXPECT_EQ(parsed_.queries[member].facts.ast, nullptr) << "query " << member;
+  }
+}
+
+TEST_F(SolveLogTest, ParsedLogKeepsExactlyTheAstsItCameWith) {
+  Detect({
+      {0, "SELECT name FROM Employee WHERE empId = 8"},
+      {1000, "SELECT name FROM Employee WHERE empId = 1"},
+      {2000, "SELECT name FROM Employee WHERE empId = 3"},
+      {3000, "SELECT * FROM Bugs WHERE assigned_to = NULL"},
+      {100000000, "SELECT name FROM Employee WHERE empId = 4"},
+      {100001000, "SELECT name FROM Employee WHERE empId = 5"},
+  });
+  // Mix supplied and missing ASTs across members and non-members.
+  for (size_t q = 0; q < parsed_.queries.size(); q += 2) parsed_.queries[q].facts.ast.reset();
+  std::vector<const sql::SelectStatement*> before;
+  for (const auto& query : parsed_.queries) before.push_back(query.facts.ast.get());
+
+  SolveOutcome outcome = SolveAntipatterns(log_, parsed_, report_);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.stats.instances_solved, 3u);
+  EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
+  // Missing ASTs were restored only while needed; supplied ones are the
+  // very same objects.
+  for (size_t q = 0; q < parsed_.queries.size(); ++q) {
+    EXPECT_EQ(parsed_.queries[q].facts.ast.get(), before[q]) << "query " << q;
+  }
+  ASSERT_EQ(outcome.clean_log.size(), 3u);
+  EXPECT_EQ(outcome.clean_log.records()[0].statement,
+            "select empid, name from employee where empid in (8, 1, 3)");
+  EXPECT_EQ(outcome.clean_log.records()[1].statement,
+            "select * from bugs where assigned_to is null");
+  EXPECT_EQ(outcome.clean_log.records()[2].statement,
+            "select empid, name from employee where empid in (4, 5)");
 }
 
 }  // namespace

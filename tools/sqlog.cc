@@ -15,11 +15,13 @@
 // The command list above, the Usage() text, and the main() dispatch are
 // all generated from the single kCommands table at the bottom.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "sqlog.h"
 
@@ -35,6 +37,21 @@ using namespace sqlog;
 // Usage() and main() render/dispatch the kCommands table below; the
 // command handlers only need the forward declaration.
 int Usage();
+
+/// Parses the whole of a numeric argument (`what` names it in the error)
+/// or exits 2: trailing bytes, a sign on an unsigned value, and overflow
+/// are all usage errors, never a silently truncated number.
+template <typename T>
+T ParseNumberOrExit(const char* what, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "error: %s must be a number, got '%s'\n", what, text);
+    std::exit(2);
+  }
+  return value;
+}
 
 /// --streaming / --batch-size=<n> / --no-parse-cache / --format=<f>,
 /// stripped from the argument list by ParseStreamFlags (remaining
@@ -58,7 +75,7 @@ int ParseStreamFlags(int argc, char** argv, StreamFlags* flags) {
       continue;
     }
     if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      flags->batch_size = std::strtoull(argv[i] + 13, nullptr, 10);
+      flags->batch_size = ParseNumberOrExit<size_t>("--batch-size", argv[i] + 13);
       flags->streaming = true;
       continue;
     }
@@ -145,7 +162,7 @@ Result<core::StreamingRunResult> RunStreamingPipeline(const StreamFlags& flags,
 int CmdGenerate(int argc, char** argv) {
   if (argc < 2) return Usage();
   log::GeneratorConfig config;
-  config.target_statements = static_cast<size_t>(std::strtoull(argv[0], nullptr, 10));
+  config.target_statements = ParseNumberOrExit<size_t>("<n>", argv[0]);
   log::QueryLog log = log::GenerateLog(config);
   Status s = log::LogIo::WriteFile(log, argv[1]);
   if (!s.ok()) {
@@ -320,7 +337,7 @@ int CmdStats(int argc, char** argv) {
 
 int CmdPatterns(int argc, char** argv) {
   if (argc < 1) return Usage();
-  size_t k = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 15;
+  size_t k = argc > 1 ? ParseNumberOrExit<size_t>("[k]", argv[1]) : 15;
   auto raw = Load(argv[0]);
   if (!raw.ok()) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
@@ -347,7 +364,7 @@ int CmdPatterns(int argc, char** argv) {
 
 int CmdAntipatterns(int argc, char** argv) {
   if (argc < 1) return Usage();
-  size_t k = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 15;
+  size_t k = argc > 1 ? ParseNumberOrExit<size_t>("[k]", argv[1]) : 15;
   auto raw = Load(argv[0]);
   if (!raw.ok()) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
@@ -437,7 +454,7 @@ int CmdReport(int argc, char** argv) {
     }
     std::printf("== %s (%s): %zu distinct, %llu queries\n", info.display_name.c_str(),
                 info.id.c_str(), groups.size(),
-                (unsigned long long)report.QueriesOf(static_cast<uint32_t>(d)));
+                (unsigned long long)report.QueriesOf(info.id));
     if (!info.description.empty()) std::printf("   %s\n", info.description.c_str());
     if (groups.empty()) continue;
 
@@ -475,7 +492,7 @@ int CmdReport(int argc, char** argv) {
 
 int CmdCluster(int argc, char** argv) {
   if (argc < 1) return Usage();
-  double threshold = argc > 1 ? std::strtod(argv[1], nullptr) : 0.9;
+  double threshold = argc > 1 ? ParseNumberOrExit<double>("[threshold]", argv[1]) : 0.9;
   auto raw = Load(argv[0]);
   if (!raw.ok()) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
