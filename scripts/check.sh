@@ -104,6 +104,33 @@ expect_exit_2 ./build/tools/sqlog clean --batch-size=-1 "$smoke_log" /tmp/sqlog_
 expect_exit_2 ./build/tools/sqlog clean --batch-size=12abc "$smoke_log" /tmp/sqlog_smoke_clean.x
 expect_exit_2 ./build/tools/sqlog generate -1 /tmp/sqlog_smoke_clean.x.csv
 
+# 3a2. No command truncates its own input: an output path naming the
+#      input fails before any writer opens, and `stats --streaming`
+#      parks its throwaway outputs outside the input's directory, so a
+#      file named like them survives.
+step "CLI outputs never overwrite an input"
+expect_failure_leaving() {  # <file> <command...>
+  local file=$1
+  shift
+  cp "$file" "$file.saved"
+  if "$@" >/dev/null 2>&1; then
+    echo "expected a failure: $*" >&2
+    exit 1
+  fi
+  cmp "$file.saved" "$file"
+  rm -f "$file.saved"
+}
+alias_prefix="${smoke_log%.csv}.alias"
+cp "$smoke_log" "$alias_prefix.clean.csv"
+expect_failure_leaving "$smoke_log" ./build/tools/sqlog convert "$smoke_log" "$smoke_log"
+expect_failure_leaving "$alias_prefix.clean.csv" \
+  ./build/tools/sqlog clean --streaming "$alias_prefix.clean.csv" "$alias_prefix"
+sentinel="$smoke_log.stats-tmp.clean.csv"
+echo "not a sqlog output" >"$sentinel"
+cp "$sentinel" "$sentinel.saved"
+./build/tools/sqlog stats --streaming "$smoke_log" >/dev/null
+cmp "$sentinel.saved" "$sentinel"
+
 # 3b. Binary-format smoke: convert to `.sqb`, clean from it (exercising
 #     the zero-parse ingest path), convert back, and require the result
 #     to be byte-identical to cleaning the CSV directly.

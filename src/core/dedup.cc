@@ -1,5 +1,6 @@
 #include "core/dedup.h"
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -12,33 +13,31 @@ namespace {
 uint64_t DedupKeyHash(const DedupOptions& options, std::string_view user,
                       std::string_view statement) {
   if (options.key_hash_for_test) return options.key_hash_for_test(user, statement);
-  return HashCombine(Fnv1a64(user), Fnv1a64(statement));
+  std::hash<std::string_view> hash;
+  return HashCombine(hash(user), hash(statement));
 }
 
-/// Key: (user, statement) → timestamp of the last kept-or-suppressed
-/// occurrence. Chaining on the last occurrence (not the last *kept*
-/// one) means a burst of reloads with sub-threshold gaps collapses
-/// entirely, which matches the web-form-reload interpretation.
-///
-/// The hash only buckets; `first_pos` points at the first occurrence so
-/// the full (user, statement) strings verify every match — a 64-bit
-/// collision between distinct keys lands in the same bucket but can
-/// never flag a non-duplicate (it used to silently delete the colliding
-/// query from the clean log).
+/// One (user, statement) chain. The hash only buckets: the full strings
+/// at `first_pos` verify every match, so a hash collision between
+/// distinct keys can never flag a non-duplicate.
 struct LastSeen {
   size_t first_pos;      // sorted-log position of the first occurrence
   int64_t timestamp_ms;  // last occurrence in the chain
 };
 
-/// Walks the records at `positions` (ascending sorted-log positions) and
-/// flags duplicates. Factored out so the parallel path can run it once
-/// per user shard over disjoint position sets.
-void MarkDuplicates(const std::vector<log::LogRecord>& records,
-                    const std::vector<size_t>& positions, const DedupOptions& options,
-                    std::vector<uint8_t>& duplicate) {
+}  // namespace
+
+log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& options,
+                               DedupStats* stats, util::ThreadPool* /*pool*/) {
+  log::QueryLog sorted = input;
+  sorted.SortByTime();
+  const auto& records = sorted.records();
+
+  log::QueryLog output;
+  size_t removed = 0;
   std::unordered_map<uint64_t, std::vector<LastSeen>> last_seen;
-  last_seen.reserve(positions.size() * 2);
-  for (size_t pos : positions) {
+  last_seen.reserve(records.size() * 2);
+  for (size_t pos = 0; pos < records.size(); ++pos) {
     const log::LogRecord& record = records[pos];
     uint64_t key = DedupKeyHash(options, record.user, record.statement);
     std::vector<LastSeen>& bucket = last_seen[key];
@@ -61,46 +60,11 @@ void MarkDuplicates(const std::vector<log::LogRecord>& records,
     } else {
       bucket.push_back(LastSeen{pos, record.timestamp_ms});
     }
-    duplicate[pos] = is_duplicate ? 1 : 0;
-  }
-}
-
-}  // namespace
-
-log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& options,
-                               DedupStats* stats, util::ThreadPool* pool) {
-  log::QueryLog sorted = input;
-  sorted.SortByTime();
-  const auto& records = sorted.records();
-
-  std::vector<uint8_t> duplicate(records.size(), 0);
-  const size_t num_shards = pool == nullptr ? 1 : pool->size() + 1;
-  if (num_shards <= 1) {
-    std::vector<size_t> all(records.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    MarkDuplicates(records, all, options, duplicate);
-  } else {
-    // Shard by user so every (user, statement) chain stays within one
-    // shard; each shard writes disjoint entries of `duplicate`.
-    std::vector<std::vector<size_t>> shard_positions(num_shards);
-    for (size_t i = 0; i < records.size(); ++i) {
-      shard_positions[Fnv1a64(records[i].user) % num_shards].push_back(i);
-    }
-    pool->ParallelFor(0, num_shards, 1, [&](size_t begin, size_t end) {
-      for (size_t shard = begin; shard < end; ++shard) {
-        MarkDuplicates(records, shard_positions[shard], options, duplicate);
-      }
-    });
-  }
-
-  log::QueryLog output;
-  size_t removed = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (duplicate[i] != 0) {
+    if (is_duplicate) {
       ++removed;
       continue;
     }
-    output.Append(records[i]);
+    output.Append(record);
   }
   output.Renumber();
 
@@ -112,32 +76,24 @@ log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& o
   return output;
 }
 
-StreamingDeduper::StreamingDeduper(const DedupOptions& options) : options_(options) {}
+size_t StreamingDeduper::KeyHash::operator()(const Key& key) const {
+  return DedupKeyHash(*options, key.first, key.second);
+}
+
+StreamingDeduper::StreamingDeduper(const DedupOptions& options)
+    : options_(options), last_seen_(0, KeyHash{&options_}) {}
 
 bool StreamingDeduper::IsDuplicate(const log::LogRecord& record) {
   ++records_seen_;
-  uint64_t key = DedupKeyHash(options_, record.user, record.statement);
-  std::vector<Entry>& bucket = last_seen_[key];
-  Entry* entry = nullptr;
-  for (Entry& candidate : bucket) {
-    if (candidate.user == record.user && candidate.statement == record.statement) {
-      entry = &candidate;
-      break;
-    }
-  }
-  if (entry == nullptr) {
-    Entry fresh;
-    fresh.user = arena_.Intern(record.user);
-    fresh.statement = arena_.Intern(record.statement);
-    fresh.timestamp_ms = record.timestamp_ms;
-    bucket.push_back(fresh);
-    ++distinct_keys_;
+  auto found = last_seen_.find(Key{record.user, record.statement});
+  if (found == last_seen_.end()) {
+    last_seen_.emplace(Key{arena_.Store(record.user), arena_.Store(record.statement)},
+                       record.timestamp_ms);
     return false;
   }
-  bool is_duplicate =
-      options_.unrestricted ||
-      record.timestamp_ms - entry->timestamp_ms <= options_.threshold_ms;
-  entry->timestamp_ms = record.timestamp_ms;
+  bool is_duplicate = options_.unrestricted ||
+                      record.timestamp_ms - found->second <= options_.threshold_ms;
+  found->second = record.timestamp_ms;
   if (is_duplicate) ++duplicates_seen_;
   return is_duplicate;
 }

@@ -5,7 +5,7 @@
 #include <functional>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "log/arena.h"
 #include "log/record.h"
@@ -23,9 +23,9 @@ struct DedupOptions {
   /// Table 4): every repeat of an identical statement is a duplicate.
   bool unrestricted = false;
   /// Test seam: overrides the (user, statement) key hash so collision
-  /// handling can be exercised without crafting real 64-bit FNV
-  /// collisions. Duplicate decisions must not change under any override
-  /// — keys are always verified against the full stored strings.
+  /// handling can be exercised without crafting real hash collisions.
+  /// Duplicate decisions must not change under any override — keys are
+  /// always verified against the full stored strings.
   std::function<uint64_t(std::string_view user, std::string_view statement)>
       key_hash_for_test;
 };
@@ -41,52 +41,51 @@ struct DedupStats {
 /// time threshold of the previous occurrence (chained — a burst of
 /// reloads collapses to its first statement). The input is sorted by
 /// time internally; the output preserves time order and is renumbered.
-///
-/// With a non-null `pool`, duplicate marking is sharded by user (every
-/// (user, statement) chain lives wholly inside one user's record set, so
-/// user partitioning cannot change which records are duplicates) and the
-/// kept records are appended in a serial pass — the output is
-/// byte-identical to the serial path.
+/// This is the reference the pipeline's StreamingDeduper is tested
+/// against; `pool` is ignored (dedup is one serial scan).
 log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& options,
                                DedupStats* stats = nullptr,
                                util::ThreadPool* pool = nullptr);
 
-/// Incremental duplicate detection for the streaming ingestion path:
-/// records are offered one at a time in (timestamp, seq) order and
-/// classified against a per-(user, statement) last-seen map that stores
-/// the *full* key strings (interned once into an arena), so a 64-bit
-/// hash collision can never flag a non-duplicate. Fed the time-sorted
-/// record sequence, the decisions are exactly RemoveDuplicates's.
+/// Incremental duplicate detection, the dedup step of both pipeline
+/// entry points: records are offered one at a time in (timestamp, seq)
+/// order and classified against a last-seen map keyed by the full
+/// (user, statement) pair. The map compares full key strings (copies
+/// stored in an arena), so a hash collision can never flag a
+/// non-duplicate. Fed the time-sorted record sequence, the decisions
+/// are exactly RemoveDuplicates's.
 ///
 /// Memory is O(distinct (user, statement) pairs) — independent of log
 /// length for the duplicate-heavy workloads the paper targets.
 class StreamingDeduper {
  public:
   explicit StreamingDeduper(const DedupOptions& options);
+  // The map's hasher points at options_.
+  StreamingDeduper(const StreamingDeduper&) = delete;
+  StreamingDeduper& operator=(const StreamingDeduper&) = delete;
 
   /// Classifies `record` and updates the chain state (the duplicate
   /// window chains on the last occurrence, duplicate or not).
   bool IsDuplicate(const log::LogRecord& record);
 
   /// Distinct (user, statement) keys seen.
-  size_t distinct_keys() const { return distinct_keys_; }
+  size_t distinct_keys() const { return last_seen_.size(); }
 
   /// Records offered / flagged so far.
   uint64_t records_seen() const { return records_seen_; }
   uint64_t duplicates_seen() const { return duplicates_seen_; }
 
  private:
-  struct Entry {
-    std::string_view user;       // arena-owned
-    std::string_view statement;  // arena-owned
-    int64_t timestamp_ms = 0;
+  using Key = std::pair<std::string_view, std::string_view>;  // (user, statement)
+  struct KeyHash {
+    const DedupOptions* options;
+    size_t operator()(const Key& key) const;
   };
 
   DedupOptions options_ SQLOG_CONST_AFTER_INIT;
-  log::StringArena arena_ SQLOG_SHARD_LOCAL;
-  /// key hash → entries (usually one; more only on a 64-bit collision).
-  std::unordered_map<uint64_t, std::vector<Entry>> last_seen_ SQLOG_SHARD_LOCAL;
-  size_t distinct_keys_ SQLOG_SHARD_LOCAL = 0;
+  log::StringArena arena_ SQLOG_SHARD_LOCAL;  // owns the stored keys' bytes
+  /// Key → timestamp of the key's last occurrence.
+  std::unordered_map<Key, int64_t, KeyHash> last_seen_ SQLOG_SHARD_LOCAL;
   uint64_t records_seen_ SQLOG_SHARD_LOCAL = 0;
   uint64_t duplicates_seen_ SQLOG_SHARD_LOCAL = 0;
 };

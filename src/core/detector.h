@@ -74,8 +74,8 @@ struct DetectorInfo {
   /// — the DW/DS/DF stifles share "stifle" to reproduce the paper's
   /// coupled classification. Empty = a pass of its own.
   std::string scan_group;
-  /// True when detection reads `facts.ast` (custom-rule adapters).
-  /// Such detectors disable the parse cache and cannot run streaming.
+  /// True when detection reads `facts.ast` (custom-rule adapters). The
+  /// pipeline then runs its parse with the cache off and keeps the ASTs.
   bool needs_ast = false;
   /// True when distinct groups below DetectorOptions::cth_min_support
   /// are dropped (the CTH support filter).
@@ -197,7 +197,7 @@ class DetectorSet {
   int IndexOf(const std::string& id) const;
 
   /// True when any member reads ASTs during detection — the parse cache
-  /// must stay off and streaming mode refuses the set.
+  /// stays off and the parser keeps every AST, in both pipeline modes.
   bool AnyNeedsAst() const;
 
   /// Solvability of the instance's producing detector.

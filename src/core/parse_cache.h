@@ -124,9 +124,8 @@ struct ParseCacheEntry {
 };
 
 /// Fingerprint-keyed template cache. NOT thread-safe: each parse shard
-/// owns a private cache; the streaming parser's persistent cache is only
-/// read (const Find) while shards are in flight and mutated after they
-/// join. Entries are kept in insertion order so merging shard caches
+/// owns a private cache; the parser's persistent cache is only read
+/// (const Find) while shards are in flight and mutated after they join. Entries are kept in insertion order so merging shard caches
 /// into a persistent one is deterministic.
 class ParseCache {
  public:

@@ -1,7 +1,10 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
-#include <unordered_set>
+#include <numeric>
+#include <utility>
 
 #include "core/parse_cache.h"
 #include "log/binlog.h"
@@ -54,27 +57,14 @@ Status ValidatePipelineOptions(const PipelineOptions& options) {
   }
   // Resolve the detector selection so unknown/duplicate ids surface at
   // validation time rather than mid-run.
-  Result<std::shared_ptr<const DetectorSet>> detectors = DetectorSet::Resolve(options.detector);
-  if (!detectors.ok()) return detectors.status();
+  SQLOG_RETURN_IF_ERROR(DetectorSet::Resolve(options.detector).status());
   if (options.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (options.streaming) {
-    if (options.extra_clean_passes > 0) {
-      return Status::InvalidArgument(
-          "streaming mode does not support extra_clean_passes (re-cleaning "
-          "needs the clean log in memory)");
-    }
-    if (!options.detector.custom_rules.empty()) {
-      return Status::InvalidArgument(
-          "streaming mode does not support custom rules (their hooks read "
-          "ASTs the streaming parser releases)");
-    }
-    if (detectors.value()->AnyNeedsAst()) {
-      return Status::InvalidArgument(
-          "streaming mode does not support detectors that read per-query "
-          "ASTs (the streaming parser releases them)");
-    }
+  if (options.streaming && options.extra_clean_passes > 0) {
+    return Status::InvalidArgument(
+        "streaming mode does not support extra_clean_passes (re-cleaning "
+        "needs the clean log in memory)");
   }
   return Status::OK();
 }
@@ -96,6 +86,123 @@ std::unique_ptr<util::ThreadPool> MakePool(size_t num_threads) {
   size_t threads = util::ResolveThreadCount(num_threads);
   if (threads <= 1) return nullptr;
   return std::make_unique<util::ThreadPool>(threads - 1);
+}
+
+/// Serves an in-memory log in stable (timestamp, seq) order — the order
+/// pass 1 requires — through an index permutation, so Run reads its
+/// input without copying it whole.
+class SortedLogReader final : public log::RecordReader {
+ public:
+  explicit SortedLogReader(const log::QueryLog& log)
+      : records_(log.records()), order_(records_.size()) {
+    std::iota(order_.begin(), order_.end(), size_t{0});
+    std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
+      return std::pair(records_[a].timestamp_ms, records_[a].seq) <
+             std::pair(records_[b].timestamp_ms, records_[b].seq);
+    });
+  }
+
+  Status Open(const std::string&) override { return Status::OK(); }
+  Status ReadRecord(log::LogRecord* record, bool* eof) override {
+    *eof = next_ == order_.size();
+    if (!*eof) *record = records_[order_[next_++]];
+    return Status::OK();
+  }
+  uint64_t records_read() const override { return next_; }
+
+ private:
+  const std::vector<log::LogRecord>& records_;
+  std::vector<size_t> order_;
+  size_t next_ = 0;
+};
+
+/// Pass 1 of both entry points, steps 1-2 of Fig. 1 (Sec. 5.2-5.3):
+/// reads `reader` to the end in the (timestamp, seq) order dedup relies
+/// on, strips the user/session columns when the options ignore them,
+/// drops duplicates, renumbers the kept records to their pre-clean
+/// positions, and parses them in batches of `batch_size`. Appends one
+/// kept flag per raw record to `kept` (nullable), leaves the last batch
+/// in `batch` — all of the pre-clean log when one batch holds it — and
+/// fills the dedup and parse statistics. The deduper, the parser and its
+/// cache are freed on return.
+Status DedupAndParse(const PipelineOptions& options, const DetectorSet& detectors,
+                     util::ThreadPool* pool, log::RecordReader& reader, size_t batch_size,
+                     TemplateStore& templates, ParsedLog& parsed, PipelineStats& stats,
+                     std::vector<uint8_t>* kept, std::vector<log::LogRecord>& batch) {
+  // AST-reading detectors (legacy custom rules) keep the ASTs the parser
+  // builds and force the cache off: cache hits never build ASTs.
+  const bool needs_ast = detectors.AnyNeedsAst();
+  ParseCacheOptions cache_options;
+  cache_options.enabled = options.parse_cache && !needs_ast;
+  StreamingParser parser(templates, options.max_parse_diagnostics, pool, cache_options,
+                         needs_ast);
+  const auto* bin = dynamic_cast<const log::BinLogReader*>(&reader);
+  if (bin != nullptr) {
+    // A binary input carries its template dictionary up front: seed the
+    // parser's persistent cache from the stored recipes, so every
+    // record whose template validated ingests without a full parse.
+    // Record shapes then let the parser skip lexing too (zero-lex path).
+    std::vector<std::unique_ptr<ParseCacheEntry>> seeds;
+    seeds.reserve(bin->dictionary().size());
+    for (const auto& entry : bin->dictionary()) {
+      seeds.push_back(DeserializeStatementRecipe(entry.text, entry.recipe));
+    }
+    parser.SeedCache(std::move(seeds));
+    // Upper bound (dedup may drop records), so the query vector never
+    // realloc-moves during ingest.
+    parser.ReserveQueries(bin->record_count());
+  }
+  StreamingDeduper deduper(options.dedup);
+  // Shape pool parallel to batch (`.sqb` only): the live prefix is
+  // overwritten in place so span vectors keep capacity across batches.
+  std::vector<log::RecordShape> shapes;
+  size_t shape_count = 0;
+  log::LogRecord record;
+  bool eof = false;
+  uint64_t pre_clean_count = 0;
+  std::pair<int64_t, uint64_t> previous(INT64_MIN, 0);  // (timestamp, seq)
+  while (true) {
+    SQLOG_RETURN_IF_ERROR(reader.ReadRecord(&record, &eof));
+    if (eof) break;
+    const std::pair<int64_t, uint64_t> position(record.timestamp_ms, record.seq);
+    if (position < previous) {
+      return Status::InvalidArgument(StrFormat(
+          "streaming mode requires a (timestamp, seq)-ordered input; record "
+          "%llu (seq %llu) is out of order — run the in-memory pipeline instead",
+          (unsigned long long)deduper.records_seen() + 1, (unsigned long long)record.seq));
+    }
+    previous = position;
+    if (!options.use_user_metadata) {
+      record.user.clear();
+      record.session.clear();
+    }
+    bool duplicate = deduper.IsDuplicate(record);
+    if (kept != nullptr) kept->push_back(duplicate ? 0 : 1);
+    if (duplicate) continue;
+    // Pre-clean seqs are positional (parse diagnostics echo them).
+    record.seq = pre_clean_count++;
+    if (bin != nullptr) {
+      if (shape_count == shapes.size()) shapes.emplace_back();
+      shapes[shape_count++].CopyFrom(bin->last_shape());
+    }
+    batch.push_back(std::move(record));
+    if (batch.size() >= batch_size) {
+      parser.FeedBatch(batch, bin != nullptr ? &shapes : nullptr);
+      batch.clear();
+      shape_count = 0;
+    }
+  }
+  parser.FeedBatch(batch, bin != nullptr ? &shapes : nullptr);
+  parsed = parser.Finish();
+
+  stats.original_size = deduper.records_seen();
+  stats.after_dedup_size = pre_clean_count;
+  stats.duplicates_removed = deduper.duplicates_seen();
+  stats.select_count = parsed.queries.size();
+  stats.non_select_count = parsed.non_select_count;
+  stats.syntax_error_count = parsed.syntax_error_count;
+  stats.parse_diagnostics = parsed.diagnostics;
+  return Status::OK();
 }
 
 /// Steps 3-4 + SWS, shared verbatim by the in-memory and streaming
@@ -142,45 +249,23 @@ void AnalyzeParsed(const PipelineOptions& options, const catalog::Schema* schema
 
 Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
   SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options_));
-  Result<std::shared_ptr<const DetectorSet>> detectors =
-      DetectorSet::Resolve(options_.detector);
-  if (!detectors.ok()) return detectors.status();  // unreachable post-validation
-
+  auto detectors = DetectorSet::Resolve(options_.detector);
+  SQLOG_RETURN_IF_ERROR_R(detectors.status());
   std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options_.num_threads);
   util::ThreadPool* pool = owned_pool.get();
 
+  // Steps 1-2: pass 1 over the time-sorted log as one parse batch, which
+  // leaves the whole pre-clean log in `result.pre_clean`.
   PipelineResult result;
-  result.stats.original_size = raw_log.size();
-
-  // Step 1 (Sec. 5.2): delete duplicates.
-  log::QueryLog working = raw_log;
-  if (!options_.use_user_metadata) {
-    for (auto& record : working.records()) {
-      record.user.clear();
-      record.session.clear();
-    }
-  }
-  DedupStats dedup_stats;
-  result.pre_clean = RemoveDuplicates(working, options_.dedup, &dedup_stats, pool);
-  result.stats.after_dedup_size = dedup_stats.output_count;
-  result.stats.duplicates_removed = dedup_stats.removed_count;
-
-  // Step 2 (Sec. 5.3): parse statements, build templates. AST-reading
-  // detectors (legacy custom rules) force the cache off: their hooks
-  // read per-query ASTs, which cache hits never build.
-  ParseCacheOptions cache_options;
-  cache_options.enabled = options_.parse_cache && !detectors.value()->AnyNeedsAst();
-  result.parsed = ParseLog(result.pre_clean, result.templates, pool,
-                           options_.max_parse_diagnostics, cache_options);
-  result.stats.select_count = result.parsed.queries.size();
-  result.stats.non_select_count = result.parsed.non_select_count;
-  result.stats.syntax_error_count = result.parsed.syntax_error_count;
-  result.stats.parse_diagnostics = result.parsed.diagnostics;
+  SortedLogReader reader(raw_log);
+  result.pre_clean.records().reserve(raw_log.size());
+  SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options_, **detectors, pool, reader, SIZE_MAX,
+                                        result.templates, result.parsed, result.stats,
+                                        /*kept=*/nullptr, result.pre_clean.records()));
 
   // Steps 3-4 + SWS (shared with the streaming path).
-  AnalyzeParsed(options_, schema_, pool, result.parsed, result.templates,
-                detectors.value(), result.patterns, result.antipatterns, result.sws,
-                result.stats);
+  AnalyzeParsed(options_, schema_, pool, result.parsed, result.templates, *detectors,
+                result.patterns, result.antipatterns, result.sws, result.stats);
 
   // Step 5 (Sec. 5.5): solve antipatterns.
   SolveOutcome outcome =
@@ -192,12 +277,14 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
 
   // Optional re-clean passes (Sec. 5.5). Statistics keep describing the
   // first pass — only the clean log is refined further.
+  ParseCacheOptions cache_options;
+  cache_options.enabled = options_.parse_cache && !(*detectors)->AnyNeedsAst();
   for (size_t pass = 0; pass < options_.extra_clean_passes; ++pass) {
     TemplateStore pass_templates;
     ParsedLog pass_parsed =
         ParseLog(result.clean_log, pass_templates, pool, /*max_diagnostics=*/0, cache_options);
     AntipatternReport pass_report = DetectAntipatterns(
-        pass_parsed, pass_templates, schema_, options_.detector, detectors.value(), pool);
+        pass_parsed, pass_templates, schema_, options_.detector, *detectors, pool);
     uint64_t solvable = 0;
     for (const auto& instance : pass_report.instances) {
       if (pass_report.detectors->Solvable(instance)) ++solvable;
@@ -218,121 +305,37 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
                                                   const std::string& clean_path,
                                                   const std::string& removal_path) const {
   PipelineOptions options = options_;
-  options.streaming = true;  // enforce the streaming-mode restrictions
+  options.streaming = true;  // enforce the streaming-mode restriction
   SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options));
-  Result<std::shared_ptr<const DetectorSet>> detectors =
-      DetectorSet::Resolve(options.detector);
-  if (!detectors.ok()) return detectors.status();  // unreachable post-validation
-
+  // Pass 2 opens the writers before it re-reads the input: an output
+  // that aliases the input (or the other output) would truncate it.
+  SQLOG_RETURN_IF_ERROR_R(log::RequireDistinctFiles(
+      {{"input", input_path}, {"clean output", clean_path}, {"removal output", removal_path}}));
+  auto detectors = DetectorSet::Resolve(options.detector);
+  SQLOG_RETURN_IF_ERROR_R(detectors.status());
   std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options.num_threads);
   util::ThreadPool* pool = owned_pool.get();
 
   StreamingRunResult result;
 
-  // Pass 1: read + dedup + parse, one batch at a time. The in-memory
-  // path sorts by (timestamp, seq) before dedup; streaming replays that
-  // scan in file order, so the file must already be sorted — generated
-  // and exported logs are, arbitrary inputs are checked.
+  // Pass 1: read + dedup + parse, one batch at a time. The input file
+  // must already be (timestamp, seq)-ordered — generated and exported
+  // logs are, arbitrary inputs are checked.
   auto input_format = log::ResolveReadFormat(options.input_format, input_path);
   SQLOG_RETURN_IF_ERROR_R(input_format.status());
-  StreamingDeduper deduper(options.dedup);
-  ParseCacheOptions cache_options;
-  // Validation rejected AST-reading detectors in streaming mode, so the
-  // cache can always be honoured here.
-  cache_options.enabled = options.parse_cache;
-  StreamingParser parser(result.templates, options.max_parse_diagnostics, pool,
-                         cache_options);
-  std::unique_ptr<log::RecordReader> reader_owned;
-  log::BinLogReader* bin_reader = nullptr;  // non-null: shaped fast ingest
-  if (*input_format == log::LogFormat::kSqb) {
-    // A binary input carries its template dictionary up front: seed the
-    // parser's persistent cache from the stored recipes, so every
-    // record whose template validated ingests without a full parse.
-    // Record shapes then let the parser skip lexing too (zero-lex path).
-    auto bin = std::make_unique<log::BinLogReader>();
-    SQLOG_RETURN_IF_ERROR_R(bin->Open(input_path));
-    std::vector<std::unique_ptr<ParseCacheEntry>> seeds;
-    seeds.reserve(bin->dictionary().size());
-    for (const auto& entry : bin->dictionary()) {
-      seeds.push_back(DeserializeStatementRecipe(entry.text, entry.recipe));
-    }
-    parser.SeedCache(std::move(seeds));
-    // Upper bound (dedup may drop records), so the query vector never
-    // realloc-moves during ingest.
-    parser.ReserveQueries(bin->record_count());
-    bin_reader = bin.get();
-    reader_owned = std::move(bin);
-  } else {
-    reader_owned = std::make_unique<log::LogReader>();
-    SQLOG_RETURN_IF_ERROR_R(reader_owned->Open(input_path));
-  }
-  log::RecordReader& reader = *reader_owned;
   std::vector<uint8_t> kept;  // per raw record, consulted by pass 2
-  std::vector<log::LogRecord> batch;
-  // Shape pool parallel to batch (`.sqb` only): the live prefix is
-  // overwritten in place so span vectors keep capacity across batches.
-  std::vector<log::RecordShape> batch_shapes;
-  size_t batch_shape_count = 0;
-  log::LogRecord record;
-  bool eof = false;
-  bool have_previous = false;
-  int64_t previous_ts = 0;
-  uint64_t previous_seq = 0;
-  uint64_t raw_count = 0;
-  uint64_t pre_clean_count = 0;
-  while (true) {
-    SQLOG_RETURN_IF_ERROR_R(reader.ReadRecord(&record, &eof));
-    if (eof) break;
-    ++raw_count;
-    if (!options.use_user_metadata) {
-      record.user.clear();
-      record.session.clear();
-    }
-    if (have_previous &&
-        (record.timestamp_ms < previous_ts ||
-         (record.timestamp_ms == previous_ts && record.seq < previous_seq))) {
-      return Status::InvalidArgument(StrFormat(
-          "streaming mode requires a (timestamp, seq)-ordered input; record "
-          "%llu (seq %llu) is out of order — run the in-memory pipeline instead",
-          (unsigned long long)raw_count, (unsigned long long)record.seq));
-    }
-    previous_ts = record.timestamp_ms;
-    previous_seq = record.seq;
-    have_previous = true;
-    bool duplicate = deduper.IsDuplicate(record);
-    kept.push_back(duplicate ? 0 : 1);
-    if (duplicate) continue;
-    // Replicate RemoveDuplicates's Renumber(): pre-clean seqs are
-    // positional (parse diagnostics echo them).
-    record.seq = pre_clean_count++;
-    if (bin_reader != nullptr) {
-      if (batch_shape_count == batch_shapes.size()) batch_shapes.emplace_back();
-      batch_shapes[batch_shape_count++].CopyFrom(bin_reader->last_shape());
-    }
-    batch.push_back(std::move(record));
-    if (batch.size() >= options.batch_size) {
-      parser.FeedBatch(batch, bin_reader != nullptr ? &batch_shapes : nullptr);
-      batch.clear();
-      batch_shape_count = 0;
-    }
+  {
+    auto reader = log::LogIo::OpenLogReader(input_path, *input_format);
+    SQLOG_RETURN_IF_ERROR_R(reader.status());
+    std::vector<log::LogRecord> batch;
+    SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options, **detectors, pool, **reader,
+                                          options.batch_size, result.templates,
+                                          result.parsed, result.stats, &kept, batch));
   }
-  parser.FeedBatch(batch, bin_reader != nullptr ? &batch_shapes : nullptr);
-  batch.clear();
-  batch.shrink_to_fit();
-  result.parsed = parser.Finish();
 
-  result.stats.original_size = raw_count;
-  result.stats.after_dedup_size = pre_clean_count;
-  result.stats.duplicates_removed = deduper.duplicates_seen();
-  result.stats.select_count = result.parsed.queries.size();
-  result.stats.non_select_count = result.parsed.non_select_count;
-  result.stats.syntax_error_count = result.parsed.syntax_error_count;
-  result.stats.parse_diagnostics = result.parsed.diagnostics;
-
-  // Steps 3-4 + SWS run on the compact AST-free state, unchanged.
-  AnalyzeParsed(options, schema_, pool, result.parsed, result.templates,
-                detectors.value(), result.patterns, result.antipatterns, result.sws,
-                result.stats);
+  // Steps 3-4 + SWS run on the compact parsed state, unchanged.
+  AnalyzeParsed(options, schema_, pool, result.parsed, result.templates, *detectors,
+                result.patterns, result.antipatterns, result.sws, result.stats);
 
   // Pass 2: re-read the input, skip the duplicates found in pass 1, and
   // solve + emit the clean/removal logs incrementally. Output format
@@ -349,26 +352,23 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   SQLOG_RETURN_IF_ERROR_R(removal_writer->Open(removal_path));
   StreamingSolver solver(result.parsed, result.antipatterns, *clean_writer,
                          *removal_writer);
-  auto second_reader_owned = log::LogIo::OpenLogReader(input_path, *input_format);
-  SQLOG_RETURN_IF_ERROR_R(second_reader_owned.status());
-  log::RecordReader& second_reader = **second_reader_owned;
-  uint64_t second_count = 0;
+  auto reader = log::LogIo::OpenLogReader(input_path, *input_format);
+  SQLOG_RETURN_IF_ERROR_R(reader.status());
+  log::LogRecord record;
+  bool eof = false;
+  uint64_t count = 0;
   while (true) {
-    SQLOG_RETURN_IF_ERROR_R(second_reader.ReadRecord(&record, &eof));
+    SQLOG_RETURN_IF_ERROR_R((*reader)->ReadRecord(&record, &eof));
     if (eof) break;
-    if (second_count >= raw_count) {
-      return Status::Internal("input grew between streaming passes");
-    }
+    if (count == kept.size()) return Status::Internal("input grew between streaming passes");
+    if (kept[count++] == 0) continue;
     if (!options.use_user_metadata) {
       record.user.clear();
       record.session.clear();
     }
-    if (kept[second_count] != 0) {
-      SQLOG_RETURN_IF_ERROR_R(solver.Feed(record));
-    }
-    ++second_count;
+    SQLOG_RETURN_IF_ERROR_R(solver.Feed(record));
   }
-  if (second_count != raw_count) {
+  if (count != kept.size()) {
     return Status::Internal("input shrank between streaming passes");
   }
   SQLOG_RETURN_IF_ERROR_R(solver.Finish());

@@ -58,11 +58,11 @@ struct PipelineOptions {
   /// held in memory — records are read, deduplicated, and parsed in
   /// batches of `batch_size`, and the clean/removal logs are written
   /// incrementally. Peak memory is bounded by the batch plus the
-  /// template/pattern state, not the log size. Output is byte-identical
-  /// to the in-memory path at any batch size and thread count, but the
-  /// input must already be (timestamp, seq)-ordered and the mode
-  /// supports neither extra_clean_passes nor custom rules (their detect
-  /// hooks read ASTs the streaming parser releases).
+  /// template/pattern state (and the kept ASTs, for a detector set that
+  /// needs them), not the log size. Output is byte-identical to the
+  /// in-memory path at any batch size and thread count, but the input
+  /// must already be (timestamp, seq)-ordered and extra_clean_passes is
+  /// unsupported (re-cleaning needs the clean log in memory).
   bool streaming = false;
   /// Records per streaming batch; larger batches parallelize better,
   /// smaller ones bound memory tighter.
@@ -99,10 +99,10 @@ struct PipelineResult {
 };
 
 /// What Pipeline::RunStreaming returns: the analysis state (templates,
-/// parsed log with ASTs released, patterns, reports) plus the overview
-/// statistics. The clean and removal logs live on disk — the streaming
-/// path never materializes them; stats.final_size / stats.removal_size
-/// carry their record counts.
+/// parsed log — ASTs released unless the detector set reads them —
+/// patterns, reports) plus the overview statistics. The clean and
+/// removal logs live on disk — the streaming path never materializes
+/// them; stats.final_size / stats.removal_size carry their record counts.
 struct StreamingRunResult {
   TemplateStore templates;
   ParsedLog parsed;
@@ -134,13 +134,15 @@ class Pipeline {
 
   /// Executes the workflow with bounded memory: reads the raw log from
   /// `input_path` twice (pass 1 dedups + parses in batches of
-  /// options().batch_size; pass 2 re-reads to solve + write), and emits
-  /// the clean and removal logs straight to `clean_path`/`removal_path`.
+  /// options().batch_size, the same pass Run makes over its sorted log
+  /// in one batch; pass 2 re-reads to solve + write), and emits the
+  /// clean and removal logs straight to `clean_path`/`removal_path`.
   /// The output files and the returned statistics are byte-identical to
   /// Run() + LogIo::WriteFile of the same input at any batch size and
   /// thread count. The input file must be (timestamp, seq)-ordered and
-  /// must not change between the passes. Streaming-mode restrictions
-  /// (no extra_clean_passes, no custom rules) are validated up front.
+  /// must not change between the passes. InvalidArgument, before any
+  /// file is written, when an output path names the input or the other
+  /// output, or when extra_clean_passes is set.
   Result<StreamingRunResult> RunStreaming(const std::string& input_path,
                                           const std::string& clean_path,
                                           const std::string& removal_path) const;

@@ -78,32 +78,31 @@ struct ParseShard {
 constexpr uint64_t kUnmapped = ~uint64_t{0};
 
 /// Classifies + parses the records at [begin, end) of `records` into a
-/// shard; record_index values are shard-relative — MergeShards rebases
-/// them by its `index_base` (the records' position in the whole
-/// pre-clean log, used by the batch path).
+/// shard; record_index values are shard-relative — FeedBatch rebases
+/// them by the batch's position in the whole pre-clean log.
 ///
 /// With `cache_options.enabled`, statements are lexed and fingerprinted
 /// first; repeats of a known template skip the parser and have their
-/// facts rendered from the cached recipes. `shared_cache` (nullable) is
-/// the streaming parser's persistent cache — read-only here, it is
-/// frozen while shards run. Every outcome (queries, counts, diagnostics)
-/// is byte-identical to the uncached path.
+/// facts rendered from the cached recipes. `shared_cache` is the
+/// parser's persistent cache — read-only here, it is frozen while shards
+/// run. Every outcome (queries, counts, diagnostics) is byte-identical to
+/// the uncached path.
 ///
-/// `shapes`/`seed_table` (both nullable, always together) enable the
-/// `.sqb` zero-lex path: shapes[i] is records[i]'s on-disk encoding and
-/// seed_table maps its dictionary ordinal to the seeded cache entry. A
-/// shaped record with a cacheable seeded entry renders its facts from
-/// the constant spans — no lex, no key, no fingerprint. The writer-side
-/// canonical-span contract (binlog.cc RawSpanIsCanonical) makes the
-/// derived slot texts byte-equal to the lexed ones, so every observable
-/// outcome still matches the unshaped path; anything the contract does
-/// not cover falls through to it.
+/// `shapes` (nullable) enables the `.sqb` zero-lex path: shapes[i] is
+/// records[i]'s on-disk encoding and `seed_table` maps its dictionary
+/// ordinal to the seeded cache entry. A shaped record with a cacheable
+/// seeded entry renders its facts from the constant spans — no lex, no
+/// key, no fingerprint. The writer-side canonical-span contract
+/// (binlog.cc RawSpanIsCanonical) makes the derived slot texts
+/// byte-equal to the lexed ones, so every observable outcome still
+/// matches the unshaped path; anything the contract does not cover
+/// falls through to it.
 ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t end,
                            size_t max_diagnostics,
                            const ParseCacheOptions& cache_options,
-                           const ParseCache* shared_cache,
+                           const ParseCache& shared_cache,
                            const log::RecordShape* shapes,
-                           const std::vector<const ParseCacheEntry*>* seed_table) {
+                           const std::vector<const ParseCacheEntry*>& seed_table) {
   ParseShard shard;
   shard.queries.reserve(end - begin);
   if (cache_options.fingerprint_for_test) {
@@ -116,8 +115,8 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
   std::vector<std::string> slot_texts;  // reused fast-path slot buffer
   // Fast-path memo: dictionary ordinal → local template id. An indexed
   // vector, not a hash probe — this runs once per record.
-  std::vector<uint64_t> ordinal_template_id(
-      seed_table != nullptr ? seed_table->size() : 0, kUnmapped);
+  std::vector<uint64_t> ordinal_template_id(shapes != nullptr ? seed_table.size() : 0,
+                                            kUnmapped);
 
   auto record_failure = [&](size_t i, const log::LogRecord& record, std::string message) {
     ++shard.syntax_error_count;
@@ -150,11 +149,10 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
     // the statement's normalized key by construction (the writer interns
     // by key and splice-verifies), so classification and lexing are
     // already answered.
-    if (shapes != nullptr && seed_table != nullptr &&
-        shapes[i].template_ordinal != log::RecordShape::kVerbatim &&
-        shapes[i].template_ordinal < seed_table->size()) {
+    if (shapes != nullptr && shapes[i].template_ordinal != log::RecordShape::kVerbatim &&
+        shapes[i].template_ordinal < seed_table.size()) {
       const log::RecordShape& shape = shapes[i];
-      const ParseCacheEntry* entry = (*seed_table)[shape.template_ordinal];
+      const ParseCacheEntry* entry = seed_table[shape.template_ordinal];
       if (entry != nullptr) {
         if (!entry->parse_ok) {
           // Seeded failure: short-circuit exactly like a failure hit —
@@ -220,8 +218,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
     key.clear();
     sql::AppendNormalizedKey(tokens, &key);
     const sql::TokenFingerprint fp = shard.cache.Fingerprint(key);
-    const ParseCacheEntry* entry =
-        shared_cache != nullptr ? shared_cache->Find(fp, key) : nullptr;
+    const ParseCacheEntry* entry = shared_cache.Find(fp, key);
     if (entry == nullptr) entry = shard.cache.Find(fp, key);
 
     if (entry == nullptr) {
@@ -424,8 +421,7 @@ void BuildUserStreams(const TemplateStore& store, ParsedLog& parsed,
   }
 }
 
-/// Shard count for parsing `count` records on `pool` (ParseLog's
-/// historical formula — reused by the batch path for byte-stability).
+/// Shard count for parsing `count` records on `pool`.
 size_t ParseShardCount(util::ThreadPool* pool, size_t count) {
   size_t num_shards = 1;
   if (pool != nullptr && pool->size() > 0) {
@@ -440,39 +436,20 @@ size_t ParseShardCount(util::ThreadPool* pool, size_t count) {
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool, size_t max_diagnostics,
                    const ParseCacheOptions& cache_options) {
-  ParsedLog parsed;
-  parsed.queries.reserve(log.size());
-
-  const log::LogRecord* records = log.records().data();
-  size_t num_shards = ParseShardCount(pool, log.size());
-
-  // Map: parse + skeletonize each contiguous record shard into a local
-  // TemplateStore (the expensive part — runs in parallel).
-  std::vector<ParseShard> shards = util::MapShards<ParseShard>(
-      num_shards > 1 ? pool : nullptr, log.size(), num_shards,
-      [&](size_t, size_t begin, size_t end) {
-        return ParseShardRange(records, begin, end, max_diagnostics,
-                               cache_options, /*shared_cache=*/nullptr,
-                               /*shapes=*/nullptr, /*seed_table=*/nullptr);
-      });
-
-  // Reduce: merge shards in order, then build the per-user streams.
-  MergeShards(shards, store, max_diagnostics, parsed, pool);
-  for (const ParseShard& shard : shards) {
-    parsed.parse_stats.templates_cached += shard.cache.size();
-    parsed.parse_stats.cache_bytes += shard.cache.bytes();
-  }
-  BuildUserStreams(store, parsed, pool);
-  return parsed;
+  StreamingParser parser(store, max_diagnostics, pool, cache_options, /*keep_asts=*/true);
+  parser.ReserveQueries(log.size());
+  parser.FeedBatch(log.records());
+  return parser.Finish();
 }
 
 StreamingParser::StreamingParser(TemplateStore& store, size_t max_diagnostics,
                                  util::ThreadPool* pool,
-                                 const ParseCacheOptions& cache_options)
+                                 const ParseCacheOptions& cache_options, bool keep_asts)
     : store_(store),
       max_diagnostics_(max_diagnostics),
       pool_(pool),
-      cache_options_(cache_options) {
+      cache_options_(cache_options),
+      keep_asts_(keep_asts) {
   if (cache_options_.fingerprint_for_test) {
     cache_.set_fingerprint_for_test(cache_options_.fingerprint_for_test);
   }
@@ -507,24 +484,19 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
   const log::LogRecord* data = records.data();
   size_t num_shards = ParseShardCount(pool_, records.size());
 
-  // The persistent cache is frozen (read-only) while shards are in
-  // flight; templates discovered this batch land in the shard-local
-  // caches and are promoted below, after the shards join.
-  const ParseCache* shared_cache = cache_options_.enabled ? &cache_ : nullptr;
-  // Shapes ride only with an enabled cache and a seeded dictionary (the
-  // ordinal table is frozen alongside the cache while shards run).
+  // The persistent cache and its ordinal table are frozen (read-only)
+  // while shards are in flight; templates discovered this batch land in
+  // the shard-local caches and are promoted below, after the shards join.
+  // Shapes ride only with a seeded dictionary (SeedCache is a no-op with
+  // the cache off).
   const log::RecordShape* shape_data =
-      shared_cache != nullptr && shapes != nullptr && !seed_by_ordinal_.empty()
-          ? shapes->data()
-          : nullptr;
-  const std::vector<const ParseCacheEntry*>* seed_table =
-      shape_data != nullptr ? &seed_by_ordinal_ : nullptr;
+      shapes != nullptr && !seed_by_ordinal_.empty() ? shapes->data() : nullptr;
   std::vector<ParseShard> shards = util::MapShards<ParseShard>(
       num_shards > 1 ? pool_ : nullptr, records.size(), num_shards,
       [&](size_t, size_t begin, size_t end) {
         ParseShard shard = ParseShardRange(data, begin, end, max_diagnostics_,
-                                           cache_options_, shared_cache,
-                                           shape_data, seed_table);
+                                           cache_options_, cache_, shape_data,
+                                           seed_by_ordinal_);
         // Shard-local record indices → global pre-clean positions.
         for (ParsedQuery& query : shard.queries) query.record_index += index_base;
         for (ParseDiagnostic& diagnostic : shard.diagnostics) {
@@ -550,11 +522,13 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
     }
   }
 
-  // Bound memory: the AST is only needed until the template is interned
-  // (detection works off the retained clause facts). The streaming
-  // solver re-parses the statements it rewrites.
-  for (size_t i = first_new; i < parsed_.queries.size(); ++i) {
-    parsed_.queries[i].facts.ast.reset();
+  // Bound memory: unless the caller keeps them, ASTs are only needed
+  // until the template is interned (detection works off the retained
+  // clause facts; the solver re-parses the statements it rewrites).
+  if (!keep_asts_) {
+    for (size_t i = first_new; i < parsed_.queries.size(); ++i) {
+      parsed_.queries[i].facts.ast.reset();
+    }
   }
   records_fed_ += records.size();
 }

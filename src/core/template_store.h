@@ -112,48 +112,42 @@ class TemplateStore {
   std::unordered_map<std::string, uint32_t> user_ids_ SQLOG_SHARD_LOCAL;
 };
 
-/// Runs the parse step over a (deduplicated) log: classifies statements,
-/// drops non-SELECTs (counting syntax errors as diagnostics, capped at
-/// `max_diagnostics`), analyzes the rest, interns templates, and builds
-/// per-user time-ordered streams.
-///
-/// With a non-null `pool`, parse + skeletonize is sharded over
-/// contiguous record ranges into per-shard TemplateStores, then merged
-/// into `store` by canonical skeleton key in shard order — which visits
-/// queries in exactly the serial order, so template ids, user ids, and
-/// every statistic are byte-identical to the serial path.
-/// With `cache_options.enabled`, each shard carries a template
-/// fingerprint cache: statements whose normalized token stream was seen
-/// before skip the parser entirely and have their facts rendered from
-/// the cached template's recipes. The output is byte-identical either
-/// way; only `parse_stats` differs.
+/// Runs the parse step over a (deduplicated) log: one FeedBatch of a
+/// StreamingParser that keeps every AST it builds (see there for the
+/// sharding and the template fingerprint cache), then Finish().
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool = nullptr, size_t max_diagnostics = 0,
                    const ParseCacheOptions& cache_options = {});
 
-/// Batch-incremental flavour of ParseLog for the streaming ingestion
-/// path: feed the deduplicated records batch by batch (in pre-clean
-/// order), then Finish(). Produces the identical ParsedLog/TemplateStore
-/// a single ParseLog call over the concatenated records would — template
-/// ids, user ids, first_query indices, diagnostics, and user streams are
-/// all byte-stable against the in-memory path at any batch size.
+/// The parse step (paper Sec. 5.3), fed the deduplicated records batch
+/// by batch in pre-clean order, then Finish(): classifies statements,
+/// drops non-SELECTs (counting syntax errors as diagnostics, capped at
+/// `max_diagnostics`), analyzes the rest, interns templates, and builds
+/// per-user time-ordered streams — the same at any batch size and
+/// thread count.
 ///
-/// To keep peak memory bounded by batch size, each query's `facts.ast`
-/// is released once its template is interned — the detector and miner
-/// never touch ASTs, and the streaming solver re-parses the few
-/// statements it must rewrite. Everything else in QueryFacts (clause
-/// texts, predicates) is retained, so detection is unaffected.
+/// With a non-null `pool`, each batch is sharded over contiguous record
+/// ranges into per-shard TemplateStores, merged into `store` in shard
+/// order (exactly the serial visit order). With `cache_options.enabled`,
+/// statements whose normalized token stream was seen before skip the
+/// parser and render their facts from the cached template's recipes;
+/// only `parse_stats` differs.
+///
+/// `keep_asts` keeps the `facts.ast` each full parse builds (cache hits
+/// never build one) for detectors that read ASTs
+/// (DetectorSet::AnyNeedsAst). The default releases them after each
+/// batch, bounding memory by the batch: the miner and the built-in
+/// detectors read only the retained clause facts, and the solver
+/// re-parses the few statements it rewrites.
 class StreamingParser {
  public:
-  /// Diagnostics are capped at `max_diagnostics` like ParseLog. With a
-  /// non-null `pool`, each batch is parsed with the same sharded
-  /// map-reduce as ParseLog. The parse cache persists across batches:
-  /// shards read it concurrently (it is frozen while they run) and the
-  /// templates they discover are merged back in deterministic shard
-  /// order after each batch.
+  /// The parse cache persists across batches: shards read it
+  /// concurrently (it is frozen while they run) and the templates they
+  /// discover are merged back in deterministic shard order after each
+  /// batch.
   StreamingParser(TemplateStore& store, size_t max_diagnostics = 0,
                   util::ThreadPool* pool = nullptr,
-                  const ParseCacheOptions& cache_options = {});
+                  const ParseCacheOptions& cache_options = {}, bool keep_asts = false);
 
   /// Seeds the persistent cache with pre-built entries (deserialized
   /// from a `.sqb` dictionary) before the first batch. Entries whose key
@@ -168,7 +162,7 @@ class StreamingParser {
   void SeedCache(std::vector<std::unique_ptr<ParseCacheEntry>> entries);
 
   /// Parses one batch of records appended at the current pre-clean
-  /// position (records_fed() before the call).
+  /// position.
   ///
   /// `shapes` (optional) holds one log::RecordShape per record (a longer
   /// pooled vector is fine; the tail is ignored), as produced by
@@ -194,14 +188,12 @@ class StreamingParser {
   /// parser must not be fed afterwards.
   ParsedLog Finish();
 
-  /// Pre-clean records fed so far (= the record_index of the next one).
-  size_t records_fed() const { return records_fed_; }
-
  private:
   TemplateStore& store_ SQLOG_SHARD_LOCAL;
   size_t max_diagnostics_ SQLOG_CONST_AFTER_INIT;
   util::ThreadPool* pool_ SQLOG_CONST_AFTER_INIT;
   ParseCacheOptions cache_options_ SQLOG_CONST_AFTER_INIT;
+  bool keep_asts_ SQLOG_CONST_AFTER_INIT;
   /// Persistent across batches: frozen (const reads only) while shards
   /// are in flight, mutated between batches on the feeding thread.
   ParseCache cache_ SQLOG_SHARD_LOCAL;

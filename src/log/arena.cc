@@ -8,15 +8,8 @@ namespace sqlog::log {
 StringArena::StringArena(size_t chunk_bytes)
     : chunk_bytes_(std::max<size_t>(chunk_bytes, 64)) {}
 
-std::string_view StringArena::Intern(std::string_view s) {
-  auto it = interned_.find(s);
-  if (it != interned_.end()) return *it;
-  std::string_view stored = Store(s);
-  interned_.insert(stored);
-  return stored;
-}
-
 std::string_view StringArena::Store(std::string_view s) {
+  ++size_;
   // Oversized strings get a dedicated chunk so the common chunk size
   // stays small; empty strings need no storage at all.
   if (s.empty()) return std::string_view();

@@ -3,18 +3,16 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace sqlog::log {
 
-/// Append-only interning arena for the strings that repeat massively
-/// across query-log batches — user ids, session labels, and the
-/// statements held by streaming dedup state. Equal strings are stored
-/// once; callers get stable string_views into chunked arena storage, so
-/// per-record cost collapses from one heap string each to one pointer.
+/// Append-only string storage for state that outlives the records it
+/// came from — the (user, statement) keys of streaming dedup. Callers
+/// get stable string_views into chunked arena storage, so a stored
+/// string costs its bytes plus no per-string heap block. The arena
+/// does not deduplicate: callers store each string they need once.
 ///
 /// Views stay valid for the arena's lifetime (chunks are never moved or
 /// freed before destruction). Not thread-safe; each streaming stage owns
@@ -26,33 +24,23 @@ class StringArena {
   StringArena(const StringArena&) = delete;
   StringArena& operator=(const StringArena&) = delete;
 
-  /// Returns a view of an arena-owned copy of `s`; equal inputs return
-  /// the same view.
-  std::string_view Intern(std::string_view s);
+  /// Copies `s` into chunk storage and returns a view of the copy.
+  std::string_view Store(std::string_view s);
 
-  /// Distinct strings stored.
-  size_t size() const { return interned_.size(); }
+  /// Strings stored.
+  size_t size() const { return size_; }
 
-  /// Bytes of string payload held (excluding index overhead).
+  /// Bytes of string payload held (excluding chunk slack).
   size_t payload_bytes() const { return payload_bytes_; }
 
   static constexpr size_t kDefaultChunkBytes = 64 * 1024;
 
  private:
-  /// Copies `s` into chunk storage (no dedup) and returns the view.
-  std::string_view Store(std::string_view s);
-
-  struct ViewHash {
-    size_t operator()(std::string_view v) const {
-      return std::hash<std::string_view>{}(v);
-    }
-  };
-
   size_t chunk_bytes_;
   std::vector<std::unique_ptr<char[]>> chunks_;
   size_t chunk_used_ = 0;  // bytes used in chunks_.back()
+  size_t size_ = 0;
   size_t payload_bytes_ = 0;
-  std::unordered_set<std::string_view, ViewHash> interned_;
 };
 
 }  // namespace sqlog::log

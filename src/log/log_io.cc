@@ -1,7 +1,9 @@
 #include "log/log_io.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "log/binlog.h"
 #include "log/binlog_format.h"
@@ -57,6 +59,26 @@ LogFormat ResolveWriteFormat(LogFormat format, const std::string& path) {
     return LogFormat::kSqb;
   }
   return LogFormat::kCsv;
+}
+
+Status RequireDistinctFiles(
+    std::initializer_list<std::pair<const char*, std::string>> files) {
+  namespace fs = std::filesystem;
+  auto same_file = [](const fs::path& a, const fs::path& b) {
+    std::error_code ec;
+    if (fs::equivalent(a, b, ec)) return true;  // one existing file, two names
+    // Neither exists yet (or one cannot be inspected): compare the paths.
+    return ec && fs::weakly_canonical(a, ec) == fs::weakly_canonical(b, ec);
+  };
+  for (auto a = files.begin(); a != files.end(); ++a) {
+    for (auto b = a + 1; b != files.end(); ++b) {
+      if (!same_file(a->second, b->second)) continue;
+      return Status::InvalidArgument(StrFormat("%s '%s' and %s '%s' are the same file",
+                                               b->first, b->second.c_str(), a->first,
+                                               a->second.c_str()));
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<RecordReader>> LogIo::OpenLogReader(const std::string& path,

@@ -2,9 +2,11 @@
 #define SQLOG_LOG_LOG_IO_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "log/log_stream.h"
 #include "log/record.h"
@@ -41,6 +43,14 @@ Result<LogFormat> ResolveReadFormat(LogFormat format, const std::string& path);
 /// Resolves kAuto for a write to `path`: a ".sqb" extension means kSqb,
 /// anything else kCsv.
 LogFormat ResolveWriteFormat(LogFormat format, const std::string& path);
+
+/// InvalidArgument naming both paths when two of `files` — (role, path)
+/// pairs such as {"input", in} — are one file: an existing file reached
+/// under two names (std::filesystem::equivalent), or the same
+/// not-yet-existing path. Commands check this before opening any
+/// writer, so an output never truncates an input or another output.
+Status RequireDistinctFiles(
+    std::initializer_list<std::pair<const char*, std::string>> files);
 
 /// Builds the serialized template recipe stored with each dictionary
 /// entry of a `.sqb` file (core::BuildStatementRecipe has this shape —

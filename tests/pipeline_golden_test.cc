@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "catalog/schema.h"
 #include "core/parse_cache.h"
 #include "core/pipeline.h"
+#include "core/rules.h"
 #include "log/generator.h"
 #include "log/log_io.h"
 
@@ -266,6 +269,77 @@ TEST(PipelineGoldenTest, StreamingSqbFormatsAreByteIdenticalToTheCsvReference) {
   }
   std::remove(csv_input.c_str());
   std::remove(sqb_input.c_str());
+}
+
+TEST(PipelineGoldenTest, RunSortsAShuffledLogIntoTheSameOutputs) {
+  // Run reads its input in (timestamp, seq) order whatever order the
+  // records arrive in: a shuffled copy of the log must reproduce the
+  // sorted log's pre-clean, clean and removal logs and statistics.
+  const log::QueryLog raw = FixedLog();
+  const catalog::Schema schema = catalog::MakeSkyServerSchema();
+  log::QueryLog shuffled = raw;
+  std::mt19937_64 rng(7);
+  std::shuffle(shuffled.records().begin(), shuffled.records().end(), rng);
+  ASSERT_NE(log::LogIo::ToCsv(shuffled), log::LogIo::ToCsv(raw));
+
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    core::PipelineResult want = RunAt(threads, raw, schema);
+    core::PipelineResult got = RunAt(threads, shuffled, schema);
+    EXPECT_EQ(got.stats.ToTable(), want.stats.ToTable());
+    EXPECT_EQ(log::LogIo::ToCsv(got.pre_clean), log::LogIo::ToCsv(want.pre_clean));
+    EXPECT_EQ(log::LogIo::ToCsv(got.clean_log), log::LogIo::ToCsv(want.clean_log));
+    EXPECT_EQ(log::LogIo::ToCsv(got.removal_log), log::LogIo::ToCsv(want.removal_log));
+  }
+}
+
+TEST(PipelineGoldenTest, StreamingWithCustomRulesMatchesRun) {
+  // Legacy custom rules may read per-query ASTs: missing-where's detect
+  // hook dereferences the AST of every parsed query. Both entry points
+  // keep the ASTs for such a detector set, so streaming accepts the
+  // rules and reproduces Run's outputs and Table 5 rows byte for byte.
+  const log::QueryLog raw = FixedLog();
+  const catalog::Schema schema = catalog::MakeSkyServerSchema();
+  core::DetectorOptions detector;
+  detector.custom_rules = {core::MakeSelectStarRule(), core::MakeMissingWhereRule()};
+  auto in_memory = core::PipelineBuilder().WithSchema(&schema).WithDetector(detector).Build();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  auto reference = in_memory->Run(raw);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->antipatterns.InstancesOf("custom-rule-0"), 0u);
+  const std::string want_table = reference->stats.ToTable();
+  const std::string want_clean = log::LogIo::ToCsv(reference->clean_log);
+  const std::string want_removal = log::LogIo::ToCsv(reference->removal_log);
+
+  const std::string input_path = ::testing::TempDir() + "/golden_rule_input.csv";
+  const std::string clean_path = ::testing::TempDir() + "/golden_rule_clean.csv";
+  const std::string removal_path = ::testing::TempDir() + "/golden_rule_removal.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(raw, input_path).ok());
+  for (size_t batch_size : {size_t{97}, core::PipelineOptions().batch_size}) {
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch_size) +
+                   " threads=" + std::to_string(threads));
+      auto streaming = core::PipelineBuilder()
+                           .WithSchema(&schema)
+                           .WithDetector(detector)
+                           .NumThreads(threads)
+                           .Streaming(true)
+                           .BatchSize(batch_size)
+                           .Build();
+      ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
+      auto run = streaming->RunStreaming(input_path, clean_path, removal_path);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->stats.ToTable(), want_table);
+      EXPECT_EQ(ReadAll(clean_path), want_clean);
+      EXPECT_EQ(ReadAll(removal_path), want_removal);
+      for (const core::ParsedQuery& query : run->parsed.queries) {
+        ASSERT_NE(query.facts.ast, nullptr) << "record " << query.record_index;
+      }
+      std::remove(clean_path.c_str());
+      std::remove(removal_path.c_str());
+    }
+  }
+  std::remove(input_path.c_str());
 }
 
 }  // namespace

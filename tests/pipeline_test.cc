@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 #include "catalog/schema.h"
+#include "log/log_io.h"
 #include "util/string_util.h"
 
 namespace sqlog::core {
@@ -230,6 +235,45 @@ TEST(PipelineTest, DiagnosticCapBoundsSamplesNotCounts) {
   // Samples are the *first* failures in record order.
   EXPECT_EQ(result.stats.parse_diagnostics[0].record_index, 0u);
   EXPECT_EQ(result.stats.parse_diagnostics[2].record_index, 2u);
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(PipelineTest, StreamingRefusesOutputsThatAliasTheInputOrEachOther) {
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/pipeline_alias_input.csv";
+  const std::string clean = dir + "/pipeline_alias_clean.csv";
+  const std::string removal = dir + "/pipeline_alias_removal.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(CraftedLog(), input).ok());
+  const std::string before = ReadAll(input);
+  ASSERT_FALSE(before.empty());
+  auto pipeline = PipelineBuilder().Streaming(true).Build();
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+
+  // The input under its own name and under another one, then the two
+  // outputs onto one not-yet-existing path; each error names the alias.
+  const std::string other_name = dir + "/./pipeline_alias_input.csv";
+  struct Case {
+    std::string clean_path, removal_path, named;
+  };
+  for (const Case& c : {Case{input, removal, input}, Case{clean, other_name, other_name},
+                        Case{clean, clean, clean}}) {
+    SCOPED_TRACE(c.clean_path + " + " + c.removal_path);
+    auto run = pipeline->RunStreaming(input, c.clean_path, c.removal_path);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find(c.named), std::string::npos)
+        << run.status().ToString();
+    EXPECT_EQ(ReadAll(input), before) << "the input must be left untouched";
+    EXPECT_FALSE(std::ifstream(clean).good()) << "no writer may have opened";
+    EXPECT_FALSE(std::ifstream(removal).good()) << "no writer may have opened";
+  }
+  std::remove(input.c_str());
 }
 
 TEST(PipelineBuilderTest, BuildsConfiguredPipeline) {

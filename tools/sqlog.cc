@@ -16,10 +16,12 @@
 // all generated from the single kCommands table at the bottom.
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <system_error>
 
@@ -197,6 +199,11 @@ int CmdConvert(int argc, char** argv) {
   const std::string in_path = argv[0];
   const std::string out_path = argv[1];
   target = log::ResolveWriteFormat(target, out_path);
+  Status distinct = log::RequireDistinctFiles({{"input", in_path}, {"output", out_path}});
+  if (!distinct.ok()) {
+    std::fprintf(stderr, "error: %s\n", distinct.ToString().c_str());
+    return 1;
+  }
 
   auto reader = log::LogIo::OpenLogReader(in_path);
   if (!reader.ok()) {
@@ -304,13 +311,18 @@ int CmdStats(int argc, char** argv) {
   if (argc < 1) return Usage();
   if (flags.streaming) {
     // stats has no output files of its own; the streaming pass still
-    // writes the clean/removal logs, so park them next to the input and
-    // remove them afterwards.
-    std::string clean_path = std::string(argv[0]) + ".stats-tmp.clean.csv";
-    std::string removal_path = std::string(argv[0]) + ".stats-tmp.removal.csv";
-    auto run = RunStreamingPipeline(flags, argv[0], clean_path, removal_path);
-    std::remove(clean_path.c_str());
-    std::remove(removal_path.c_str());
+    // writes the clean/removal logs, so put them in a fresh private
+    // directory and remove it afterwards.
+    std::error_code ec;
+    std::string dir =
+        (std::filesystem::temp_directory_path(ec) / "sqlog-stats-XXXXXX").string();
+    if (ec || mkdtemp(dir.data()) == nullptr) {
+      std::fprintf(stderr, "error: cannot create a temporary directory: %s\n",
+                   ec ? ec.message().c_str() : std::strerror(errno));
+      return 1;
+    }
+    auto run = RunStreamingPipeline(flags, argv[0], dir + "/clean.csv", dir + "/removal.csv");
+    std::filesystem::remove_all(dir, ec);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
       return 1;
