@@ -147,7 +147,11 @@ cmp /tmp/sqlog_smoke_clean.a.removal.csv /tmp/sqlog_smoke_clean.b.removal.csv
 
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in
-#     both the in-memory and streaming pipelines.
+#     both the in-memory and streaming pipelines. From a `.sqb` input the
+#     writers re-encode pass-through records from the input's template
+#     shapes instead of lexing them; the `.sqb` bytes must not change:
+#     cleaning the `.sqb` input writes the files cleaning the CSV input
+#     writes, and `convert` from `.sqb` to `.sqb` reproduces its input.
 step "sqb clean-output smoke"
 ./build/tools/sqlog clean --out-format=sqb "$smoke_log" /tmp/sqlog_smoke_clean.c >/dev/null
 ./build/tools/sqlog convert --to-csv /tmp/sqlog_smoke_clean.c.clean.sqb \
@@ -161,6 +165,27 @@ cmp /tmp/sqlog_smoke_clean.a.removal.csv /tmp/sqlog_smoke_clean.c.removal.back.c
 ./build/tools/sqlog convert --to-csv /tmp/sqlog_smoke_clean.d.clean.sqb \
   /tmp/sqlog_smoke_clean.d.clean.back.csv >/dev/null
 cmp /tmp/sqlog_smoke_clean.a.clean.csv /tmp/sqlog_smoke_clean.d.clean.back.csv
+./build/tools/sqlog clean --streaming --out-format=sqb "$smoke_sqb" \
+  /tmp/sqlog_smoke_clean.e >/dev/null
+cmp /tmp/sqlog_smoke_clean.d.clean.sqb /tmp/sqlog_smoke_clean.e.clean.sqb
+cmp /tmp/sqlog_smoke_clean.d.removal.sqb /tmp/sqlog_smoke_clean.e.removal.sqb
+smoke_resqb="${smoke_log%.csv}.re.sqb"
+./build/tools/sqlog convert "$smoke_sqb" "$smoke_resqb" >/dev/null
+cmp "$smoke_sqb" "$smoke_resqb"
+
+# 3c2. A write failure names the file: converting onto a full device
+#      must fail, and the message must say which file.
+if [[ -e /dev/full ]]; then
+  step "CLI write failure names the file"
+  if full_err=$(./build/tools/sqlog convert "$smoke_log" /dev/full --to-sqb 2>&1); then
+    echo "convert onto /dev/full succeeded" >&2
+    exit 1
+  fi
+  if [[ "$full_err" != *"/dev/full"* ]]; then
+    echo "convert onto /dev/full failed without naming it: $full_err" >&2
+    exit 1
+  fi
+fi
 
 # 3d. Storage-engine smoke: the Sec 6.3 out-of-core sweep at a tiny row
 #     count runs all four {memory,paged} x {scan,index} cells (each cell

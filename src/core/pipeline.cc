@@ -341,7 +341,9 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   // solve + emit the clean/removal logs incrementally. Output format
   // resolves per path (kAuto: by extension), so `clean.sqb` +
   // `removal.csv` is a valid combination; `.sqb` outputs store recipes
-  // so they re-ingest parse-free.
+  // so they re-ingest parse-free. A `.sqb` input hands each record's
+  // shape to the solver, so `.sqb` outputs re-encode pass-through
+  // records without lexing them.
   std::unique_ptr<log::RecordWriter> clean_writer = log::LogIo::MakeLogWriter(
       log::ResolveWriteFormat(options.output_format, clean_path),
       /*renumber=*/true, BuildStatementRecipe);  // outputs are renumbered
@@ -354,6 +356,12 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
                          *removal_writer);
   auto reader = log::LogIo::OpenLogReader(input_path, *input_format);
   SQLOG_RETURN_IF_ERROR_R(reader.status());
+  const auto* bin = dynamic_cast<const log::BinLogReader*>(reader->get());
+  for (log::RecordWriter* writer : {clean_writer.get(), removal_writer.get()}) {
+    if (auto* bin_writer = dynamic_cast<log::BinLogWriter*>(writer)) {
+      bin_writer->SetSource(bin);
+    }
+  }
   log::LogRecord record;
   bool eof = false;
   uint64_t count = 0;
@@ -366,7 +374,8 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
       record.user.clear();
       record.session.clear();
     }
-    SQLOG_RETURN_IF_ERROR_R(solver.Feed(record));
+    SQLOG_RETURN_IF_ERROR_R(
+        solver.Feed(record, bin != nullptr ? bin->last_shape() : nullptr));
   }
   if (count != kept.size()) {
     return Status::Internal("input shrank between streaming passes");

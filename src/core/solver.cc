@@ -307,7 +307,7 @@ StreamingSolver::~StreamingSolver() {
   }
 }
 
-Status StreamingSolver::Feed(const log::LogRecord& record) {
+Status StreamingSolver::Feed(const log::LogRecord& record, const log::RecordShape* shape) {
   const size_t r = next_record_++;
   // Non-SELECTs and syntax errors have no parsed query and never reach
   // the output logs.
@@ -361,6 +361,7 @@ Status StreamingSolver::Feed(const log::LogRecord& record) {
     }
   }
   slot.record = record;
+  slot.shape.CopyFrom(shape);
   slots_.push_back(std::move(slot));
 
   for (uint32_t id : completed) ResolveInstance(id);
@@ -395,6 +396,7 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
     if (rewrite.ok()) {
       if (slot.is_first) {
         slot.record.statement = rewrite.value();
+        slot.shape.CopyFrom(nullptr);  // the source shape describes the old text
         slot.to_clean = true;
       }
       // Non-first members of solved instances reach neither log.
@@ -419,8 +421,12 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
 Status StreamingSolver::Drain() {
   while (!slots_.empty() && slots_.front().resolved) {
     Slot& slot = slots_.front();
-    if (slot.to_clean) SQLOG_RETURN_IF_ERROR(clean_writer_.Append(slot.record));
-    if (slot.to_removal) SQLOG_RETURN_IF_ERROR(removal_writer_.Append(slot.record));
+    if (slot.to_clean) {
+      SQLOG_RETURN_IF_ERROR(clean_writer_.AppendShaped(slot.record, &slot.shape));
+    }
+    if (slot.to_removal) {
+      SQLOG_RETURN_IF_ERROR(removal_writer_.AppendShaped(slot.record, &slot.shape));
+    }
     slots_.pop_front();
   }
   return Status::OK();

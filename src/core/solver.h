@@ -77,6 +77,11 @@ SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed
 /// in-memory writers, so both paths emit the same rows, order, and
 /// SolveStats.
 ///
+/// A record fed with its `.sqb` source shape keeps that shape through
+/// the output queue and reaches the writers by AppendShaped, so a
+/// `.sqb` writer can re-encode it without lexing; a rewritten statement
+/// loses its shape. Shapes never change the bytes written.
+///
 /// Rewriting needs member ASTs. A member that carries none (the
 /// streaming parser released it, or a parse-cache hit never built it)
 /// is re-parsed as it streams past — the parser is deterministic, so the
@@ -105,9 +110,10 @@ class StreamingSolver {
   StreamingSolver& operator=(const StreamingSolver&) = delete;
 
   /// Feeds the next pre-clean record (call in pre-clean order, starting
-  /// at position 0). Fails, naming the record, when a member statement no
-  /// longer parses.
-  Status Feed(const log::LogRecord& record);
+  /// at position 0), with its shape in the `.sqb` file it was read from
+  /// (BinLogReader::last_shape(); copied) or null. Fails, naming the
+  /// record, when a member statement no longer parses.
+  Status Feed(const log::LogRecord& record, const log::RecordShape* shape = nullptr);
 
   /// Flushes remaining output. Every parsed query must have been fed;
   /// call after the last record.
@@ -119,6 +125,7 @@ class StreamingSolver {
   /// One output slot, queued until every earlier slot is resolved.
   struct Slot {
     log::LogRecord record;
+    log::RecordShape shape;    // the record's source shape; verbatim when none
     uint32_t instance_id = 0;  // pending claiming instance; 0 once resolved
     bool is_first = false;     // first member of the claiming instance
     bool resolved = false;

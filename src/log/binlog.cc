@@ -1,13 +1,14 @@
 #include "log/binlog.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
 #include "log/binlog_format.h"
 #include "sql/fingerprint.h"
 #include "sql/lexer.h"
+#include "util/byte_class.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -83,18 +84,21 @@ bool ParsePaddedDecimal(std::string_view digits, uint64_t* value) {
   return true;
 }
 
-void RenderUnsigned(uint64_t value, std::string* out) {
+/// Appends the decimal text of `value` ("%lld" / "%llu").
+template <typename Int>
+void RenderDecimal(Int value, std::string* out) {
   char buffer[24];
-  int written = std::snprintf(buffer, sizeof buffer, "%llu",
-                              static_cast<unsigned long long>(value));
-  out->append(buffer, static_cast<size_t>(written));
+  const char* end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+  out->append(buffer, static_cast<size_t>(end - buffer));
 }
 
+/// Appends `value` zero-padded to at least `width` digits ("%0*llu").
 void RenderPaddedFraction(uint64_t value, size_t width, std::string* out) {
   char buffer[24];
-  int written = std::snprintf(buffer, sizeof buffer, "%0*llu", static_cast<int>(width),
-                              static_cast<unsigned long long>(value));
-  out->append(buffer, static_cast<size_t>(written));
+  const char* end = std::to_chars(buffer, buffer + sizeof buffer, value).ptr;
+  const size_t digits = static_cast<size_t>(end - buffer);
+  if (digits < width) out->append(width - digits, '0');
+  out->append(buffer, digits);
 }
 
 /// Appends `span` as a packed constant. Falls back to the raw encoding
@@ -124,7 +128,7 @@ void AppendPackedConstant(std::string_view span, std::string* scratch,
       // is a future edit breaking an invariant — cheap insurance.
       scratch->clear();
       if (negative) scratch->push_back('-');
-      RenderUnsigned(int_part, scratch);
+      RenderDecimal(int_part, scratch);
       scratch->push_back('.');
       RenderPaddedFraction(fraction, frac_digits.size(), scratch);
       if (*scratch == span) {
@@ -159,10 +163,7 @@ Status ReadPackedConstant(ByteReader& reader, std::string* out) {
       if (payload != 0) return reader.Error("malformed integer constant header");
       int64_t value = 0;
       SQLOG_RETURN_IF_ERROR(reader.ReadZigzag(&value));
-      char buffer[24];
-      int written = std::snprintf(buffer, sizeof buffer, "%lld",
-                                  static_cast<long long>(value));
-      out->append(buffer, static_cast<size_t>(written));
+      RenderDecimal(value, out);
       return Status::OK();
     }
     default: {  // kConstFixed / kConstNegFixed
@@ -174,7 +175,7 @@ Status ReadPackedConstant(ByteReader& reader, std::string* out) {
       SQLOG_RETURN_IF_ERROR(reader.ReadVarint(&int_part));
       SQLOG_RETURN_IF_ERROR(reader.ReadVarint(&fraction));
       if (kind == kConstNegFixed) out->push_back('-');
-      RenderUnsigned(int_part, out);
+      RenderDecimal(int_part, out);
       out->push_back('.');
       RenderPaddedFraction(fraction, payload, out);
       return Status::OK();
@@ -206,6 +207,51 @@ bool RawSpanIsCanonical(const sql::Token& token, std::string_view raw) {
   return i == body.size();
 }
 
+/// True when no literal token can extend across `c` or be extended by
+/// it: whitespace and the punctuation bytes that always end a token.
+/// Literals start with a digit, '.' or '\'' and never with '-', '*',
+/// '=' or '>', so these bytes also cannot fuse with one into a comment
+/// or a two-byte operator.
+bool DelimitsLiteral(char c) {
+  if (IsSpaceByte(c)) return true;
+  switch (c) {
+    case ',': case '(': case ')': case ';': case '=': case '<': case '>':
+    case '!': case '+': case '-': case '*': case '/': case '%':
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Digits, optionally split once by an interior '.' ("42", "0.736808"):
+/// text that always lexes as exactly one number token, in any context
+/// where DelimitsLiteral bytes surround it.
+bool IsPlainDecimal(std::string_view text) {
+  if (text.empty() || text.front() == '.' || text.back() == '.') return false;
+  bool seen_dot = false;
+  for (char c : text) {
+    if (c == '.' && !seen_dot) {
+      seen_dot = true;
+    } else if (!IsDigitByte(c)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True when `text`, lexed on its own, is exactly one literal token of
+/// the slot's kind (a string when `string_slot`, else a number) whose
+/// raw bytes are its canonical rendering.
+bool IsCanonicalLiteral(std::string_view text, bool string_slot) {
+  if (!string_slot && IsPlainDecimal(text)) return true;
+  auto lexed = sql::Lex(text);
+  if (!lexed.ok() || lexed.value().size() != 2) return false;  // the literal + kEnd
+  const sql::Token& token = lexed.value()[0];
+  const sql::TokenType kind = string_slot ? sql::TokenType::kString : sql::TokenType::kNumber;
+  return token.type == kind && token.offset == 0 && token.end == text.size() &&
+         RawSpanIsCanonical(token, text);
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- BinLogWriter
@@ -219,12 +265,15 @@ BinLogWriter::~BinLogWriter() {
 }
 
 Status BinLogWriter::Open(const std::string& path) {
+  path_ = path;
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) return Status::IoError("cannot open for writing: " + path);
   open_ = true;
   records_written_ = 0;
   verbatim_records_ = 0;
+  shaped_records_ = 0;
   bytes_written_ = 0;
+  source_templates_.clear();
   dictionary_.clear();
   dict_ids_.clear();
   strings_.clear();
@@ -338,7 +387,108 @@ void BinLogWriter::EncodeStatement(const std::string& statement) {
   }
 }
 
-Status BinLogWriter::Append(const LogRecord& record) {
+void BinLogWriter::SetSource(const BinLogReader* source) {
+  source_ = source;
+  source_templates_.clear();
+}
+
+void BinLogWriter::MapSourceTemplate(uint32_t ordinal) {
+  SourceTemplate& mapping = source_templates_[ordinal];
+  mapping.dict_id = SourceTemplate::kUnmappable;
+  const BinLogReader::DictionaryEntry& source = source_->dictionary()[ordinal];
+  auto lexed = sql::Lex(source.text);
+  if (!lexed.ok()) return;
+  const sql::TokenStream& tokens = lexed.value();
+  // The source spans must be exactly the tokens the key placeholders.
+  const std::vector<size_t> lit_idx = sql::PlaceholderedTokenIndices(tokens);
+  if (lit_idx.size() != source.spans.size()) return;
+  for (size_t j = 0; j < lit_idx.size(); ++j) {
+    const sql::Token& token = tokens[lit_idx[j]];
+    if (token.offset != source.spans[j].first || token.raw_size() != source.spans[j].second) {
+      return;
+    }
+  }
+  key_buffer_.clear();
+  sql::AppendNormalizedKey(tokens, &key_buffer_);
+  auto it = dict_ids_.find(key_buffer_);
+  if (it == dict_ids_.end()) return;
+  // Equal keys give equal slot kinds; the bytes between constants must
+  // match too, and every constant must sit between bytes that cannot
+  // join a literal token, so each record is checked constant by
+  // constant instead of lexed whole.
+  const DictEntry& entry = dictionary_[it->second];
+  const size_t slots = source.spans.size();
+  if (entry.spans.size() != slots) return;
+  size_t source_pos = 0;
+  size_t entry_pos = 0;
+  for (size_t j = 0; j <= slots; ++j) {
+    const size_t source_end = j < slots ? source.spans[j].first : source.text.size();
+    const size_t entry_end = j < slots ? entry.spans[j].first : entry.text.size();
+    if (source.text.compare(source_pos, source_end - source_pos, entry.text, entry_pos,
+                            entry_end - entry_pos) != 0) {
+      return;
+    }
+    const bool after_constant = j > 0;
+    const bool before_constant = j < slots;
+    if (source_end == source_pos) {
+      if (after_constant && before_constant) return;  // two constants abut
+    } else if ((after_constant && !DelimitsLiteral(source.text[source_pos])) ||
+               (before_constant && !DelimitsLiteral(source.text[source_end - 1]))) {
+      return;
+    }
+    if (j < slots) {
+      source_pos = source.spans[j].first + source.spans[j].second;
+      entry_pos = entry.spans[j].first + entry.spans[j].second;
+    }
+  }
+  mapping.string_slots.resize(slots);
+  for (size_t j = 0; j < slots; ++j) {
+    mapping.string_slots[j] = tokens[lit_idx[j]].Is(sql::TokenType::kString);
+  }
+  mapping.dict_id = it->second;
+}
+
+bool BinLogWriter::EncodeShaped(const std::string& statement, const RecordShape& shape,
+                                const SourceTemplate& mapping) {
+  const DictEntry& entry = dictionary_[mapping.dict_id];
+  if (shape.constants.size() != entry.spans.size()) return false;
+  // Splice self-check: the statement must be the output template text
+  // with this record's constants in place of the template's.
+  size_t pos = 0;
+  size_t template_pos = 0;
+  for (size_t j = 0; j < entry.spans.size(); ++j) {
+    const size_t piece = entry.spans[j].first - template_pos;
+    const auto [start, length] = shape.constants[j];
+    if (start != pos + piece || start > statement.size() ||
+        length > statement.size() - start ||
+        statement.compare(pos, piece, entry.text, template_pos, piece) != 0) {
+      return false;
+    }
+    pos = start + length;
+    template_pos = entry.spans[j].first + entry.spans[j].second;
+  }
+  if (statement.size() - pos != entry.text.size() - template_pos ||
+      statement.compare(pos, std::string::npos, entry.text, template_pos) != 0) {
+    return false;
+  }
+  const std::string_view text(statement);
+  for (size_t j = 0; j < shape.constants.size(); ++j) {
+    const auto [start, length] = shape.constants[j];
+    if (!IsCanonicalLiteral(text.substr(start, length), mapping.string_slots[j])) {
+      return false;
+    }
+  }
+
+  AppendVarint(static_cast<uint64_t>(mapping.dict_id) + 1, &statements_);
+  for (const auto& [start, length] : shape.constants) {
+    AppendPackedConstant(text.substr(start, length), &scratch_, &statements_);
+  }
+  return true;
+}
+
+Status BinLogWriter::Append(const LogRecord& record) { return AppendShaped(record, nullptr); }
+
+Status BinLogWriter::AppendShaped(const LogRecord& record, const RecordShape* shape) {
   if (!open_) return Status::Internal("BinLogWriter::Append on a closed writer");
   seqs_.push_back(options_.renumber ? records_written_ : record.seq);
   timestamps_.push_back(record.timestamp_ms);
@@ -346,7 +496,25 @@ Status BinLogWriter::Append(const LogRecord& record) {
   sessions_.push_back(InternString(record.session));
   row_counts_.push_back(record.row_count);
   truths_.push_back(static_cast<uint8_t>(record.truth));
-  EncodeStatement(record.statement);
+
+  SourceTemplate* mapping = nullptr;
+  if (source_ != nullptr && shape != nullptr &&
+      shape->template_ordinal < source_->dictionary().size()) {
+    // Sized on first use: the source may be opened after SetSource.
+    if (source_templates_.size() != source_->dictionary().size()) {
+      source_templates_.resize(source_->dictionary().size());
+    }
+    mapping = &source_templates_[shape->template_ordinal];
+  }
+  if (mapping != nullptr && mapping->dict_id < SourceTemplate::kUnmappable &&
+      EncodeShaped(record.statement, *shape, *mapping)) {
+    ++shaped_records_;
+  } else {
+    EncodeStatement(record.statement);
+    if (mapping != nullptr && mapping->dict_id == SourceTemplate::kUnseen) {
+      MapSourceTemplate(shape->template_ordinal);
+    }
+  }
   ++records_written_;
   if (seqs_.size() >= options_.block_records) return FlushBlock();
   return Status::OK();
@@ -387,7 +555,7 @@ Status BinLogWriter::FlushBlock() {
   AppendU64(Fnv1a64(payload), &frame);
   frame.append(payload);
   out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  if (!out_) return Status::IoError("write failed");
+  if (!out_) return Status::IoError("write failed: " + path_);
 
   index_.push_back({bytes_written_, n, timestamps_[0]});
   bytes_written_ += frame.size();
@@ -418,7 +586,7 @@ Status BinLogWriter::Close() {
     AppendU64(Fnv1a64(payload), &frame);
     frame.append(payload);
     out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    if (!out_) return Status::IoError("write failed");
+    if (!out_) return Status::IoError("write failed: " + path_);
     bytes_written_ += frame.size();
     return Status::OK();
   };
@@ -495,7 +663,7 @@ Status BinLogWriter::Close() {
   out_.write(tail.data(), static_cast<std::streamsize>(tail.size()));
   open_ = false;
   out_.close();
-  if (out_.fail()) return Status::IoError("close failed");
+  if (out_.fail()) return Status::IoError("close failed: " + path_);
   return Status::OK();
 }
 
@@ -531,6 +699,7 @@ void BinLogReader::ResetState() {
 
 Status BinLogReader::Open(const std::string& path) {
   ResetState();
+  path_ = path;
 #if SQLOG_BINLOG_HAVE_MMAP
   if (options_.use_mmap) {
     int fd = ::open(path.c_str(), O_RDONLY);
@@ -575,6 +744,7 @@ Status BinLogReader::Open(const std::string& path) {
 
 Status BinLogReader::OpenFromBuffer(std::string_view data) {
   ResetState();
+  path_ = "<buffer>";
   borrowed_ = data;
   Status status = OpenCommon(data, false);
   if (!status.ok()) {
@@ -598,7 +768,7 @@ Status BinLogReader::LoadSection(std::string_view whole, uint64_t offset, uint64
     owned->resize(static_cast<size_t>(end - offset));
     in_.seekg(static_cast<std::streamoff>(offset));
     in_.read(owned->data(), static_cast<std::streamsize>(owned->size()));
-    if (!in_) return Status::IoError("read failed");
+    if (!in_) return Status::IoError("read failed: " + path_);
     frame = *owned;
   } else {
     frame = whole.substr(static_cast<size_t>(offset), static_cast<size_t>(end - offset));
@@ -636,7 +806,7 @@ Status BinLogReader::OpenCommon(std::string_view whole, bool streaming) {
   if (streaming) {
     in_.seekg(0);
     in_.read(header_buf, sizeof(header_buf));
-    if (!in_) return Status::IoError("read failed");
+    if (!in_) return Status::IoError("read failed: " + path_);
     header = std::string_view(header_buf, sizeof(header_buf));
   } else {
     header = whole.substr(0, binfmt::kHeaderBytes);
@@ -666,7 +836,7 @@ Status BinLogReader::OpenCommon(std::string_view whole, bool streaming) {
   if (streaming) {
     in_.seekg(static_cast<std::streamoff>(footer_offset));
     in_.read(footer_buf, sizeof(footer_buf));
-    if (!in_) return Status::IoError("read failed");
+    if (!in_) return Status::IoError("read failed: " + path_);
     footer_bytes = std::string_view(footer_buf, sizeof(footer_buf));
   } else {
     footer_bytes = whole.substr(static_cast<size_t>(footer_offset));
@@ -853,7 +1023,7 @@ Status BinLogReader::DecodeBlock(size_t block_index) {
     block_buffer_.resize(static_cast<size_t>(end - offset));
     in_.seekg(static_cast<std::streamoff>(offset));
     in_.read(block_buffer_.data(), static_cast<std::streamsize>(block_buffer_.size()));
-    if (!in_) return Status::IoError("read failed");
+    if (!in_) return Status::IoError("read failed: " + path_);
     frame = block_buffer_;
   } else {
     std::string_view whole =

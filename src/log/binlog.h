@@ -19,7 +19,7 @@
 namespace sqlog::log {
 
 /// `.sqb`: the template-dictionary binary query-log format. The writer
-/// lexes every statement, interns its normalized template into a
+/// lexes each statement, interns its normalized template into a
 /// dictionary, and stores each record as (template id, constant bytes)
 /// plus delta/varint-coded metadata columns — the Xie et al. template
 /// compression idea applied to the repo's own fingerprint machinery. The
@@ -27,6 +27,12 @@ namespace sqlog::log {
 /// `.sqb` → CSV round trip is byte-identical (the writer verifies each
 /// encoded statement against its reconstruction and falls back to a
 /// verbatim encoding on any mismatch).
+///
+/// A `.sqb` → `.sqb` copy need not lex: a writer given the source reader
+/// (BinLogWriter::SetSource) re-encodes a record handed to AppendShaped
+/// straight from the reader's RecordShape, once that source template is
+/// mapped onto an output template. The bytes are the ones the lexing
+/// path writes; any record the mapping cannot vouch for takes that path.
 ///
 /// Dictionary entries also carry an opaque serialized facts *recipe*
 /// (core::BuildStatementRecipe) so a reader-side parse cache can be
@@ -36,6 +42,8 @@ namespace sqlog::log {
 ///
 /// Wire layout, versioning and checksum scheme: binlog_format.h and
 /// DESIGN.md "Binary log format".
+
+class BinLogReader;
 
 struct BinLogWriterOptions {
   /// Records per columnar block. Blocks are the checksum, compression
@@ -59,8 +67,30 @@ class BinLogWriter : public RecordWriter {
   BinLogWriter(BinLogWriter&&) = default;
   BinLogWriter& operator=(BinLogWriter&&) = default;
 
+  /// Opens `path` (truncating it); every IoError names `path`. Forgets
+  /// the source-template mappings, which refer to output templates.
   Status Open(const std::string& path) override;
   Status Append(const LogRecord& record) override;
+
+  /// Names the reader whose records reach AppendShaped; null detaches.
+  /// The reader must outlive the writes. Each source dictionary ordinal
+  /// is mapped once: its first shaped record is lexed as Append lexes
+  /// it, then the source template text is lexed and the ordinal maps
+  /// onto the output template only if the source spans are exactly its
+  /// literal tokens, its normalized key names an output template with
+  /// the same bytes between constants, and every constant sits between
+  /// bytes that cannot join a literal token (whitespace, punctuation,
+  /// the statement's ends).
+  void SetSource(const BinLogReader* source);
+
+  /// Appends `record` as Append would, but without lexing when `shape`
+  /// is the source reader's shape of a mapped ordinal and the record
+  /// passes two checks: splicing its constants into the output
+  /// template reproduces the statement, and each constant is one
+  /// canonical literal of its slot's kind (a plain decimal in a numeric
+  /// slot, else lexed alone). Anything else takes the lexing path, so
+  /// the bytes never depend on the shape.
+  Status AppendShaped(const LogRecord& record, const RecordShape* shape) override;
 
   /// Flushes the current block, writes the dictionary/strings/index
   /// sections and the footer, and closes the file.
@@ -72,6 +102,8 @@ class BinLogWriter : public RecordWriter {
   /// not lex) and were stored verbatim. The round-trip stays exact; the
   /// ratio is a compression health signal surfaced by `sqlog convert`.
   uint64_t verbatim_records() const { return verbatim_records_; }
+  /// Records AppendShaped encoded from their shape, without lexing.
+  uint64_t shaped_records() const { return shaped_records_; }
   /// Templates interned so far.
   uint64_t dictionary_size() const { return dictionary_.size(); }
 
@@ -82,18 +114,39 @@ class BinLogWriter : public RecordWriter {
     std::string recipe;                                 // opaque serialized facts recipe
   };
 
+  /// What one source dictionary ordinal maps onto (see SetSource).
+  struct SourceTemplate {
+    static constexpr uint32_t kUnseen = ~uint32_t{0};
+    static constexpr uint32_t kUnmappable = kUnseen - 1;
+    uint32_t dict_id = kUnseen;      // output template, or kUnseen / kUnmappable
+    std::vector<bool> string_slots;  // per constant: a string (else a number) literal
+  };
+
   Status FlushBlock();
   uint32_t InternString(const std::string& value);
   /// Encodes `statement` into statements_ as a template reference or a
   /// verbatim payload.
   void EncodeStatement(const std::string& statement);
+  /// Decides what source ordinal `ordinal` maps onto (see SetSource).
+  void MapSourceTemplate(uint32_t ordinal);
+  /// Encodes `statement` from `shape`, whose ordinal maps as `mapping`
+  /// says, when the checks of AppendShaped pass; false (nothing
+  /// written) sends it to EncodeStatement.
+  bool EncodeShaped(const std::string& statement, const RecordShape& shape,
+                    const SourceTemplate& mapping);
 
   BinLogWriterOptions options_ SQLOG_CONST_AFTER_INIT;
+  std::string path_ SQLOG_SHARD_LOCAL;  // named by every IoError
   std::ofstream out_ SQLOG_SHARD_LOCAL;
   bool open_ SQLOG_SHARD_LOCAL = false;
   uint64_t records_written_ SQLOG_SHARD_LOCAL = 0;
   uint64_t verbatim_records_ SQLOG_SHARD_LOCAL = 0;
+  uint64_t shaped_records_ SQLOG_SHARD_LOCAL = 0;
   uint64_t bytes_written_ SQLOG_SHARD_LOCAL = 0;
+
+  // AppendShaped's source reader and its per-ordinal mappings.
+  const BinLogReader* source_ SQLOG_SHARD_LOCAL = nullptr;
+  std::vector<SourceTemplate> source_templates_ SQLOG_SHARD_LOCAL;
 
   // Template dictionary + user/session string table (insertion-ordered;
   // the maps are lookup indices only and are never iterated, so the
@@ -144,7 +197,8 @@ class BinLogReader : public RecordReader {
   /// Opens and validates `path`: header, footer, dictionary, string
   /// table and block index are checked (magics, version, checksums,
   /// bounds) before the first record is produced. Any corruption is a
-  /// ParseError naming the offset and section.
+  /// ParseError naming the offset and section; every IoError names
+  /// `path`.
   Status Open(const std::string& path) override;
 
   /// Borrow-the-buffer flavour for tests and the fuzz harness: decodes
@@ -203,6 +257,7 @@ class BinLogReader : public RecordReader {
   void ResetState();
 
   BinLogReaderOptions options_ SQLOG_CONST_AFTER_INIT;
+  std::string path_ SQLOG_SHARD_LOCAL;  // named by every IoError
 
   // Exactly one source is active: a borrowed buffer, an mmap, or the
   // streaming file handle.

@@ -91,6 +91,7 @@ LogReader::LogReader(LogReaderOptions options) : options_(options) {
 }
 
 Status LogReader::Open(const std::string& path) {
+  path_ = path;
   in_.open(path, std::ios::binary);
   if (!in_) return Status::IoError("cannot open for reading: " + path);
   chunk_.resize(options_.chunk_bytes);
@@ -122,7 +123,7 @@ Status LogReader::NextLine(std::string* line, bool* got) {
                       (unsigned long long)(line_number_ + 1)));
       }
     } else if (!in_) {
-      return Status::IoError("read failed");
+      return Status::IoError("read failed: " + path_);
     }
   }
 }
@@ -185,6 +186,7 @@ LogWriter::~LogWriter() {
 }
 
 Status LogWriter::Open(const std::string& path) {
+  path_ = path;
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) return Status::IoError("cannot open for writing: " + path);
   open_ = true;
@@ -210,7 +212,7 @@ Status LogWriter::Flush() {
   if (!buffer_.empty()) {
     out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
     buffer_.clear();
-    if (!out_) return Status::IoError("write failed");
+    if (!out_) return Status::IoError("write failed: " + path_);
   }
   return Status::OK();
 }
@@ -221,7 +223,7 @@ Status LogWriter::Close() {
   open_ = false;
   out_.close();
   if (!flushed.ok()) return flushed;
-  if (out_.fail()) return Status::IoError("close failed");
+  if (out_.fail()) return Status::IoError("close failed: " + path_);
   return Status::OK();
 }
 

@@ -67,6 +67,17 @@ class RecordWriter {
   /// Appends one record.
   virtual Status Append(const LogRecord& record) = 0;
 
+  /// Appends one record whose statement may still be a `.sqb` source
+  /// reader's rendering of a dictionary template: `shape` is the shape
+  /// that reader reported for it (BinLogReader::last_shape()), or null.
+  /// The bytes written are always those Append would write; a writer
+  /// that cannot use the shape (every writer but a BinLogWriter given
+  /// the reader through SetSource) simply calls Append.
+  virtual Status AppendShaped(const LogRecord& record, const RecordShape* shape) {
+    (void)shape;
+    return Append(record);
+  }
+
   /// Finalizes and closes the output. Append afterwards is an error;
   /// Open may be called again.
   virtual Status Close() = 0;
@@ -97,7 +108,8 @@ class LogReader : public RecordReader {
   LogReader(LogReader&&) = default;
   LogReader& operator=(LogReader&&) = default;
 
-  /// Opens `path` for reading; IoError when it cannot be opened.
+  /// Opens `path` for reading; IoError when it cannot be opened. Every
+  /// later IoError names `path` too.
   Status Open(const std::string& path) override;
 
   /// Reads the next record into `*record`. Sets `*eof` (and leaves
@@ -119,6 +131,7 @@ class LogReader : public RecordReader {
   Status NextLine(std::string* line, bool* got);
 
   LogReaderOptions options_ SQLOG_CONST_AFTER_INIT;
+  std::string path_ SQLOG_SHARD_LOCAL;  // named by every IoError
   std::ifstream in_ SQLOG_SHARD_LOCAL;
   std::vector<char> chunk_ SQLOG_SHARD_LOCAL;
   Csv::LineSplitter splitter_ SQLOG_SHARD_LOCAL;
@@ -151,7 +164,8 @@ class LogWriter : public RecordWriter {
   LogWriter(LogWriter&&) = default;
   LogWriter& operator=(LogWriter&&) = default;
 
-  /// Opens `path` for writing (truncates); IoError on failure.
+  /// Opens `path` for writing (truncates); IoError on failure. Every
+  /// later IoError names `path` too.
   Status Open(const std::string& path) override;
 
   /// Appends one record.
@@ -168,6 +182,7 @@ class LogWriter : public RecordWriter {
 
  private:
   LogWriterOptions options_ SQLOG_CONST_AFTER_INIT;
+  std::string path_ SQLOG_SHARD_LOCAL;  // named by every IoError
   std::ofstream out_ SQLOG_SHARD_LOCAL;
   std::string buffer_ SQLOG_SHARD_LOCAL;
   bool open_ SQLOG_SHARD_LOCAL = false;

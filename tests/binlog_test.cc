@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -499,6 +500,348 @@ TEST(BinLogCorruptionTest, StreamingReaderRejectsCorruptionToo) {
     ASSERT_FALSE(status.ok()) << "mmap=" << use_mmap;
     EXPECT_EQ(status.code(), StatusCode::kParseError);
   }
+}
+
+
+// --- I/O failures name the file ----------------------------------------
+
+TEST(BinLogIoTest, WriteFailureNamesTheFile) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is not available";
+  const QueryLog log = GeneratorLog(2000);
+  BinLogWriter writer;
+  Status status = writer.Open("/dev/full");
+  for (const LogRecord& record : log.records()) {
+    if (!status.ok()) break;
+    status = writer.Append(record);
+  }
+  if (status.ok()) status = writer.Close();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("/dev/full"), std::string::npos) << status.ToString();
+}
+
+TEST(BinLogIoTest, StreamedReadFailureNamesTheFile) {
+  // Streamed mode reads blocks on demand, so a file truncated after Open
+  // fails at the first block read: an IoError naming the file.
+  const std::string bytes = WriteSqb(GeneratorLog(500), 64);
+  const std::string path = TempPath("binlog_truncated_after_open.sqb");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  BinLogReaderOptions options;
+  options.use_mmap = false;
+  BinLogReader reader(options);
+  ASSERT_TRUE(reader.Open(path).ok());
+  fs::resize_file(path, binfmt::kHeaderBytes);
+  LogRecord record;
+  bool eof = false;
+  Status status = reader.ReadRecord(&record, &eof);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find(path), std::string::npos) << status.ToString();
+}
+
+// --- Re-encoding from the reader's shapes -------------------------------
+//
+// BinLogWriter::AppendShaped must write exactly the bytes Append writes.
+// Each case below re-encodes a source file both ways and compares; the
+// fallback cases also pin that their records took the lexing path. The
+// malformed sources are writer-produced files patched through SqbParts,
+// which recomputes every checksum, offset and count.
+
+/// A `.sqb` file split into the parts a test edits; Join() re-frames them.
+struct SqbParts {
+  std::string header;
+  std::vector<std::string> blocks;  // block payloads
+  std::vector<uint32_t> block_records;
+  std::vector<int64_t> first_timestamps;
+  std::string dictionary;  // section payloads
+  std::string strings;
+  binfmt::Footer footer;
+
+  static SqbParts Split(const std::string& file) {
+    SqbParts parts;
+    const size_t footer_at = file.size() - binfmt::kFooterBytes;
+    auto footer = binfmt::Footer::Parse(std::string_view(file).substr(footer_at), footer_at);
+    EXPECT_TRUE(footer.ok()) << footer.status().ToString();
+    parts.footer = *footer;
+    parts.header = file.substr(0, binfmt::kHeaderBytes);
+    auto section = [&](uint64_t begin, uint64_t end) {
+      return file.substr(begin + binfmt::kSectionFrameBytes,
+                         end - begin - binfmt::kSectionFrameBytes);
+    };
+    parts.dictionary = section(footer->dict_offset, footer->strings_offset);
+    parts.strings = section(footer->strings_offset, footer->index_offset);
+    const std::string index = section(footer->index_offset, footer_at);
+    binfmt::ByteReader reader(index, 0, "index");
+    uint64_t rows = 0;
+    EXPECT_TRUE(reader.ReadVarint(&rows).ok());
+    uint64_t offset = binfmt::kHeaderBytes;
+    int64_t timestamp = 0;
+    for (uint64_t i = 0; i < rows; ++i) {
+      uint64_t offset_delta = 0;
+      uint64_t records = 0;
+      int64_t ts_delta = 0;
+      EXPECT_TRUE(reader.ReadVarint(&offset_delta).ok());
+      EXPECT_TRUE(reader.ReadVarint(&records).ok());
+      EXPECT_TRUE(reader.ReadZigzag(&ts_delta).ok());
+      offset += offset_delta;
+      timestamp += ts_delta;
+      binfmt::ByteReader frame(std::string_view(file).substr(offset + 4, 4), 0, "block");
+      uint32_t payload_len = 0;
+      EXPECT_TRUE(frame.ReadU32(&payload_len).ok());
+      parts.blocks.push_back(file.substr(offset + binfmt::kBlockFrameBytes, payload_len));
+      parts.block_records.push_back(static_cast<uint32_t>(records));
+      parts.first_timestamps.push_back(timestamp);
+    }
+    return parts;
+  }
+
+  std::string Join() const {
+    std::string out = header;
+    std::string index;
+    binfmt::AppendVarint(blocks.size(), &index);
+    uint64_t previous_offset = binfmt::kHeaderBytes;
+    int64_t previous_ts = 0;
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      binfmt::AppendVarint(out.size() - previous_offset, &index);
+      binfmt::AppendVarint(block_records[i], &index);
+      binfmt::AppendZigzag(first_timestamps[i] - previous_ts, &index);
+      previous_offset = out.size();
+      previous_ts = first_timestamps[i];
+      binfmt::AppendU32(binfmt::kBlockMagic, &out);
+      binfmt::AppendU32(static_cast<uint32_t>(blocks[i].size()), &out);
+      binfmt::AppendU32(block_records[i], &out);
+      binfmt::AppendU64(Fnv1a64(blocks[i]), &out);
+      out += blocks[i];
+    }
+    auto append_section = [&](uint32_t magic, const std::string& payload) {
+      binfmt::AppendU32(magic, &out);
+      binfmt::AppendU64(payload.size(), &out);
+      binfmt::AppendU64(Fnv1a64(payload), &out);
+      out += payload;
+    };
+    binfmt::Footer joined = footer;
+    joined.dict_offset = out.size();
+    append_section(binfmt::kDictMagic, dictionary);
+    joined.strings_offset = out.size();
+    append_section(binfmt::kStringsMagic, strings);
+    joined.index_offset = out.size();
+    append_section(binfmt::kIndexMagic, index);
+    joined.AppendTo(&out);
+    return out;
+  }
+
+  /// Replaces the last block's trailing bytes — the statement encoding
+  /// of the file's last record — `old_tail` with `new_tail`.
+  void ReplaceLastStatement(std::string_view old_tail, std::string_view new_tail) {
+    std::string& block = blocks.back();
+    ASSERT_GE(block.size(), old_tail.size());
+    ASSERT_EQ(std::string_view(block).substr(block.size() - old_tail.size()), old_tail);
+    block.replace(block.size() - old_tail.size(), old_tail.size(), new_tail);
+  }
+};
+
+/// The dictionary section payload for `entries`, as BinLogWriter::Close
+/// encodes it.
+std::string EncodeDictionary(const std::vector<BinLogReader::DictionaryEntry>& entries) {
+  std::string payload;
+  binfmt::AppendVarint(entries.size(), &payload);
+  for (const auto& entry : entries) {
+    binfmt::AppendVarint(entry.text.size(), &payload);
+    payload += entry.text;
+    binfmt::AppendVarint(entry.spans.size(), &payload);
+    uint32_t previous_end = 0;
+    for (const auto& [start, length] : entry.spans) {
+      binfmt::AppendVarint(start - previous_end, &payload);
+      binfmt::AppendVarint(length, &payload);
+      previous_end = start + length;
+    }
+    binfmt::AppendVarint(entry.recipe.size(), &payload);
+    payload += entry.recipe;
+  }
+  return payload;
+}
+
+QueryLog StatementLog(std::initializer_list<const char*> statements) {
+  QueryLog log;
+  for (const char* statement : statements) {
+    LogRecord record;
+    record.seq = log.size();
+    record.timestamp_ms = 1000 + static_cast<int64_t>(log.size());
+    record.user = "u";
+    record.statement = statement;
+    log.Append(record);
+  }
+  return log;
+}
+
+/// Packed-constant encodings, as AppendPackedConstant writes them.
+std::string PackedInt(int64_t value) {
+  std::string out;
+  binfmt::AppendVarint(1, &out);  // kind 1: integer
+  binfmt::AppendZigzag(value, &out);
+  return out;
+}
+std::string PackedRaw(std::string_view text) {
+  std::string out;
+  binfmt::AppendVarint(static_cast<uint64_t>(text.size()) << 2, &out);  // kind 0: raw
+  out += text;
+  return out;
+}
+/// A template reference to dictionary entry `dict_id` followed by its
+/// packed constants.
+std::string TemplateRef(uint64_t dict_id, std::string_view constants) {
+  std::string out;
+  binfmt::AppendVarint(dict_id + 1, &out);
+  out += constants;
+  return out;
+}
+
+struct Reencoded {
+  std::string lexed;   // every record through Append
+  std::string shaped;  // every record through AppendShaped(record, last_shape())
+  uint64_t shaped_records = 0;
+};
+
+/// Re-encodes `source` both ways. `prelude` is appended first (through
+/// Append) to both outputs; `edit` may change a record before it is
+/// appended, while the shaped leg still passes the record's source shape.
+Reencoded ReencodeBothWays(const std::string& source, const QueryLog& prelude = {},
+                           const std::function<void(LogRecord&)>& edit = {}) {
+  Reencoded out;
+  for (bool shaped : {false, true}) {
+    BinLogReader reader;
+    Status status = reader.OpenFromBuffer(source);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    BinLogWriter writer;
+    if (shaped) writer.SetSource(&reader);
+    const std::string path = TempPath(shaped ? "binlog_shaped.sqb" : "binlog_lexed.sqb");
+    EXPECT_TRUE(writer.Open(path).ok());
+    for (const LogRecord& record : prelude.records()) EXPECT_TRUE(writer.Append(record).ok());
+    LogRecord record;
+    bool eof = false;
+    while (status.ok()) {
+      status = reader.ReadRecord(&record, &eof);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      if (eof) break;
+      if (edit) edit(record);
+      status = shaped ? writer.AppendShaped(record, reader.last_shape()) : writer.Append(record);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    EXPECT_TRUE(writer.Close().ok());
+    (shaped ? out.shaped : out.lexed) = Slurp(path);
+    if (shaped) out.shaped_records = writer.shaped_records();
+  }
+  return out;
+}
+
+TEST(BinLogShapedTest, PassThroughRecordsSkipTheLexer) {
+  const QueryLog log = GeneratorLog(3000);
+  BinLogWriter source_writer;
+  const std::string source = WriteSqb(log, 4096, &source_writer);
+  const Reencoded got = ReencodeBothWays(source);
+  EXPECT_EQ(got.shaped, got.lexed);
+  ExpectSameRecords(log, ReadSqbBuffer(got.shaped));
+  // Each template's first record is lexed; every later one is re-encoded
+  // from its shape.
+  EXPECT_EQ(got.shaped_records,
+            log.size() - source_writer.dictionary_size() - source_writer.verbatim_records());
+  EXPECT_TRUE(oracle::CheckBinLogRobustness(source).ok);
+}
+
+TEST(BinLogShapedTest, AlignedSpansBesideNonDelimitersFallBack) {
+  // `a.5` lexes as `a` then the number `.5`, so the span is one token,
+  // but a constant `7` spliced there reads `a7`: one identifier. The
+  // writer never maps a slot whose neighbours could join a literal.
+  SqbParts parts = SqbParts::Split(
+      WriteSqb(StatementLog({"SELECT a.5 FROM t", "SELECT a.6 FROM t", "SELECT a.7 FROM t"}),
+               4096));
+  parts.ReplaceLastStatement(TemplateRef(0, PackedRaw(".7")), TemplateRef(0, PackedInt(7)));
+  const std::string source = parts.Join();
+  ASSERT_EQ(ReadSqbBuffer(source).records().back().statement, "SELECT a7 FROM t");
+  const Reencoded got = ReencodeBothWays(source);
+  EXPECT_EQ(got.shaped, got.lexed);
+  EXPECT_EQ(got.shaped_records, 0u);
+}
+
+TEST(BinLogShapedTest, SpanCoveringPartOfATokenFallsBack) {
+  // The template text is rewritten so its key, slot kinds and bytes
+  // between constants still match the records', but its spans no longer
+  // sit on its literal tokens: the first covers `'p' AND c = 'q`, the
+  // second only the closing quote of `'q AND c = '`.
+  const std::string first = "SELECT a FROM t WHERE b = 'p' AND c = 'q'";
+  SqbParts parts = SqbParts::Split(
+      WriteSqb(StatementLog({first.c_str(), "SELECT a FROM t WHERE b = 'r' AND c = 's'"}), 4096));
+  BinLogReader reader;
+  ASSERT_TRUE(reader.OpenFromBuffer(parts.Join()).ok());
+  std::vector<BinLogReader::DictionaryEntry> entries = reader.dictionary();
+  ASSERT_EQ(entries.size(), 1u);
+  const uint32_t b = static_cast<uint32_t>(first.find("'p'"));
+  const uint32_t c = static_cast<uint32_t>(first.find("'q'"));
+  entries[0].text = first.substr(0, c) + "'q AND c = '";
+  entries[0].spans = {{b, c + 2 - b}, {static_cast<uint32_t>(entries[0].text.size() - 1), 1}};
+  parts.dictionary = EncodeDictionary(entries);
+  const std::string source = parts.Join();
+  const Reencoded got = ReencodeBothWays(source);
+  EXPECT_EQ(got.shaped, got.lexed);
+  EXPECT_EQ(got.shaped_records, 0u);
+}
+
+TEST(BinLogShapedTest, StringConstantInANumericSlotFallsBack) {
+  SqbParts parts = SqbParts::Split(WriteSqb(
+      StatementLog({"SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b = 2",
+                    "SELECT a FROM t WHERE b = 3"}),
+      4096));
+  parts.ReplaceLastStatement(TemplateRef(0, PackedInt(3)), TemplateRef(0, PackedRaw("'z'")));
+  const std::string source = parts.Join();
+  ASSERT_EQ(ReadSqbBuffer(source).records().back().statement, "SELECT a FROM t WHERE b = 'z'");
+  const Reencoded got = ReencodeBothWays(source);
+  EXPECT_EQ(got.shaped, got.lexed);
+  EXPECT_EQ(got.shaped_records, 1u);  // record 1 only
+}
+
+TEST(BinLogShapedTest, RawConstantLexingAsTwoTokensFallsBack) {
+  SqbParts parts = SqbParts::Split(WriteSqb(
+      StatementLog({"SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b = 2",
+                    "SELECT a FROM t WHERE b = 3"}),
+      4096));
+  parts.ReplaceLastStatement(TemplateRef(0, PackedInt(3)), TemplateRef(0, PackedRaw("7 8")));
+  const std::string source = parts.Join();
+  ASSERT_EQ(ReadSqbBuffer(source).records().back().statement, "SELECT a FROM t WHERE b = 7 8");
+  const Reencoded got = ReencodeBothWays(source);
+  EXPECT_EQ(got.shaped, got.lexed);
+  EXPECT_EQ(got.shaped_records, 1u);  // record 1 only
+}
+
+TEST(BinLogShapedTest, KeyFirstSeenWithOtherBytesBetweenConstantsFallsBack) {
+  // The output writer first meets the key through a lexed statement
+  // spelled with one space; the source template has two. The lexing path
+  // stores the source's records verbatim, so the shaped path must too.
+  const std::string source = WriteSqb(
+      StatementLog({"SELECT  a FROM t WHERE b = 1", "SELECT  a FROM t WHERE b = 2"}), 4096);
+  const Reencoded got =
+      ReencodeBothWays(source, StatementLog({"SELECT a FROM t WHERE b = 9"}));
+  EXPECT_EQ(got.shaped, got.lexed);
+  EXPECT_EQ(got.shaped_records, 0u);
+  BinLogReader reader;
+  ASSERT_TRUE(reader.OpenFromBuffer(got.shaped).ok());
+  EXPECT_EQ(reader.dictionary().size(), 1u);
+}
+
+TEST(BinLogShapedTest, StaleShapeAfterAnEditFallsBack) {
+  const std::string source = WriteSqb(
+      StatementLog({"SELECT a FROM t WHERE b = 1", "SELECT a FROM t WHERE b = 2",
+                    "SELECT a FROM t WHERE b = 3"}),
+      4096);
+  const Reencoded got = ReencodeBothWays(source, {}, [](LogRecord& record) {
+    if (record.seq == 2) record.statement = "SELECT a FROM t WHERE b = 3 OR b = 4";
+  });
+  EXPECT_EQ(got.shaped, got.lexed);
+  EXPECT_EQ(got.shaped_records, 1u);  // record 1 only
+  EXPECT_EQ(ReadSqbBuffer(got.shaped).records().back().statement,
+            "SELECT a FROM t WHERE b = 3 OR b = 4");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -219,6 +220,35 @@ TEST(LogStreamTest, HeaderInsideQuotedStatementIsData) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->records()[0].statement, log.records()[0].statement);
   std::remove(path.c_str());
+}
+
+TEST(LogStreamTest, WriteFailureNamesTheFile) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "/dev/full is not available";
+  const QueryLog log = AwkwardLog();
+  LogWriter writer;
+  Status status = writer.Open("/dev/full");
+  for (const LogRecord& record : log.records()) {
+    if (!status.ok()) break;
+    status = writer.Append(record);
+  }
+  if (status.ok()) status = writer.Close();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("/dev/full"), std::string::npos) << status.ToString();
+}
+
+TEST(LogStreamTest, ReadFailureNamesTheFile) {
+  // A directory opens like a file but fails at the first read.
+  const std::string dir = TempPath("log_stream_read_dir");
+  std::filesystem::create_directories(dir);
+  LogReader reader;
+  Status status = reader.Open(dir);
+  LogRecord record;
+  bool eof = false;
+  if (status.ok()) status = reader.ReadRecord(&record, &eof);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find(dir), std::string::npos) << status.ToString();
 }
 
 TEST(LineSplitterTest, AnyChunkingMatchesWholeInput) {

@@ -2,9 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/dedup.h"
 #include "core/solver.h"
@@ -515,6 +520,68 @@ Status DrainBinLog(std::string_view input, std::vector<log::LogRecord>* records)
   }
 }
 
+/// Re-encodes every record of the `.sqb` bytes `input` through a fresh
+/// BinLogWriter — by Append, or by AppendShaped with the reader as the
+/// writer's source when `shaped` — and returns the file written.
+Result<std::string> ReencodeBinLog(std::string_view input, bool shaped) {
+  std::error_code ec;
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path(ec) /
+      StrFormat("sqlog_oracle_reencode_%ld_%d.sqb", static_cast<long>(::getpid()),
+                static_cast<int>(shaped));
+  if (ec) return Status::IoError("no temp directory: " + ec.message());
+  log::BinLogReader reader;
+  SQLOG_RETURN_IF_ERROR_R(reader.OpenFromBuffer(input));
+  log::BinLogWriter writer;
+  if (shaped) writer.SetSource(&reader);
+  SQLOG_RETURN_IF_ERROR_R(writer.Open(path.string()));
+  log::LogRecord record;
+  bool eof = false;
+  while (true) {
+    SQLOG_RETURN_IF_ERROR_R(reader.ReadRecord(&record, &eof));
+    if (eof) break;
+    SQLOG_RETURN_IF_ERROR_R(shaped ? writer.AppendShaped(record, reader.last_shape())
+                                   : writer.Append(record));
+  }
+  SQLOG_RETURN_IF_ERROR_R(writer.Close());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  std::filesystem::remove(path, ec);
+  return bytes;
+}
+
+/// The writer's two paths must agree on everything the reader accepts:
+/// re-encoding by Append (lexing every statement) and by AppendShaped
+/// (re-encoding from the reader's shapes) write the same bytes, which
+/// decode to `records`.
+OracleResult CheckBinLogReencoding(std::string_view input,
+                                   const std::vector<log::LogRecord>& records) {
+  auto lexed = ReencodeBinLog(input, /*shaped=*/false);
+  auto shaped = ReencodeBinLog(input, /*shaped=*/true);
+  if (!lexed.ok() || !shaped.ok()) {
+    return Fail("re-encoding an accepted binlog failed: " +
+                (lexed.ok() ? shaped.status() : lexed.status()).ToString());
+  }
+  if (*lexed != *shaped) {
+    return Fail(StrFormat("shaped re-encoding (%zu bytes) differs from the lexed one (%zu bytes)",
+                          shaped->size(), lexed->size()));
+  }
+  std::vector<log::LogRecord> decoded;
+  Status status = DrainBinLog(*shaped, &decoded);
+  if (!status.ok()) return Fail("re-encoded binlog does not decode: " + status.ToString());
+  if (decoded.size() != records.size()) {
+    return Fail(StrFormat("re-encoded binlog decodes to %zu records, not %zu", decoded.size(),
+                          records.size()));
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (!SameRecord(decoded[i], records[i])) {
+      return Fail(StrFormat("re-encoded binlog differs at record %zu", i));
+    }
+  }
+  return Ok();
+}
+
 }  // namespace
 
 OracleResult CheckBinLogRobustness(std::string_view input) {
@@ -548,7 +615,8 @@ OracleResult CheckBinLogRobustness(std::string_view input) {
       return Fail(StrFormat("binlog decode is nondeterministic at record %zu", i));
     }
   }
-  return Ok();
+  if (!first.ok()) return Ok();
+  return CheckBinLogReencoding(input, first_records);
 }
 
 OracleResult RunFrontEndOracles(std::string_view input, uint64_t seed) {

@@ -65,7 +65,10 @@ OracleResult CheckSolverEngineEquivalence(uint64_t seed);
 /// section; acceptance must decode within the footer's record count.
 /// Either way the outcome must be deterministic (two independent
 /// readers agree byte-for-byte) — and never a crash, hang, or silent
-/// short read.
+/// short read. An accepted input is also re-encoded twice, by
+/// BinLogWriter::Append and by SetSource + AppendShaped with the
+/// reader's shapes: the two files must be byte-identical and decode to
+/// the records read.
 OracleResult CheckBinLogRobustness(std::string_view input);
 
 /// Every front-end oracle in sequence; stops at the first failure.

@@ -214,7 +214,11 @@ TEST(PipelineGoldenTest, StreamingSqbFormatsAreByteIdenticalToTheCsvReference) {
   // Format must be output-invisible exactly like thread count: a `.sqb`
   // input (ingested via dictionary recipes, zero full parses) and `.sqb`
   // outputs (decoded back to CSV) reproduce the CSV reference byte for
-  // byte at 1 and 8 threads.
+  // byte at 1 and 8 threads. The `.sqb` outputs themselves must not
+  // depend on the input format either: from a `.sqb` input the writers
+  // re-encode pass-through records from the input's template shapes
+  // instead of lexing them, and must write the bytes the CSV input's
+  // run writes, at the default batch size and at 97.
   const log::QueryLog raw = FixedLog();
   const catalog::Schema schema = catalog::MakeSkyServerSchema();
 
@@ -230,40 +234,58 @@ TEST(PipelineGoldenTest, StreamingSqbFormatsAreByteIdenticalToTheCsvReference) {
                                     core::BuildStatementRecipe)
                   .ok());
 
-  for (const std::string& input : {csv_input, sqb_input}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (bool sqb_output : {false, true}) {
-        SCOPED_TRACE("input=" + input + " threads=" + std::to_string(threads) +
-                     " sqb_output=" + (sqb_output ? "yes" : "no"));
-        const char* ext = sqb_output ? ".sqb" : ".csv";
-        const std::string clean_path =
-            ::testing::TempDir() + "/golden_fmt_clean" + ext;
-        const std::string removal_path =
-            ::testing::TempDir() + "/golden_fmt_removal" + ext;
-        auto pipeline = core::PipelineBuilder()
-                            .WithSchema(&schema)
-                            .NumThreads(threads)
-                            .Streaming(true)
-                            .Build();
-        ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-        // Input/output formats resolve from the extensions (kAuto).
-        auto run = pipeline->RunStreaming(input, clean_path, removal_path);
-        ASSERT_TRUE(run.ok()) << run.status().ToString();
-        EXPECT_EQ(run->stats.ToTable(), want_table);
+  const size_t default_batch = core::PipelineOptions{}.batch_size;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    std::string sqb_clean_from_csv;  // the CSV input's `.sqb` outputs
+    std::string sqb_removal_from_csv;
+    for (const std::string& input : {csv_input, sqb_input}) {
+      const bool sqb_input_leg = input == sqb_input;
+      for (size_t batch : {default_batch, size_t{97}}) {
+        if (batch != default_batch && !sqb_input_leg) continue;
+        for (bool sqb_output : {false, true}) {
+          SCOPED_TRACE("input=" + input + " threads=" + std::to_string(threads) +
+                       " batch=" + std::to_string(batch) +
+                       " sqb_output=" + (sqb_output ? "yes" : "no"));
+          const char* ext = sqb_output ? ".sqb" : ".csv";
+          const std::string clean_path =
+              ::testing::TempDir() + "/golden_fmt_clean" + ext;
+          const std::string removal_path =
+              ::testing::TempDir() + "/golden_fmt_removal" + ext;
+          auto pipeline = core::PipelineBuilder()
+                              .WithSchema(&schema)
+                              .NumThreads(threads)
+                              .Streaming(true)
+                              .BatchSize(batch)
+                              .Build();
+          ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+          // Input/output formats resolve from the extensions (kAuto).
+          auto run = pipeline->RunStreaming(input, clean_path, removal_path);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          EXPECT_EQ(run->stats.ToTable(), want_table);
 
-        if (sqb_output) {
-          auto clean = log::LogIo::ReadFile(clean_path);
-          auto removal = log::LogIo::ReadFile(removal_path);
-          ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-          ASSERT_TRUE(removal.ok()) << removal.status().ToString();
-          EXPECT_EQ(log::LogIo::ToCsv(*clean), want_clean);
-          EXPECT_EQ(log::LogIo::ToCsv(*removal), want_removal);
-        } else {
-          EXPECT_EQ(ReadAll(clean_path), want_clean);
-          EXPECT_EQ(ReadAll(removal_path), want_removal);
+          if (sqb_output) {
+            auto clean = log::LogIo::ReadFile(clean_path);
+            auto removal = log::LogIo::ReadFile(removal_path);
+            ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+            ASSERT_TRUE(removal.ok()) << removal.status().ToString();
+            EXPECT_EQ(log::LogIo::ToCsv(*clean), want_clean);
+            EXPECT_EQ(log::LogIo::ToCsv(*removal), want_removal);
+            if (sqb_input_leg) {
+              EXPECT_TRUE(ReadAll(clean_path) == sqb_clean_from_csv)
+                  << "clean .sqb bytes depend on the input format";
+              EXPECT_TRUE(ReadAll(removal_path) == sqb_removal_from_csv)
+                  << "removal .sqb bytes depend on the input format";
+            } else {
+              sqb_clean_from_csv = ReadAll(clean_path);
+              sqb_removal_from_csv = ReadAll(removal_path);
+            }
+          } else {
+            EXPECT_EQ(ReadAll(clean_path), want_clean);
+            EXPECT_EQ(ReadAll(removal_path), want_removal);
+          }
+          std::remove(clean_path.c_str());
+          std::remove(removal_path.c_str());
         }
-        std::remove(clean_path.c_str());
-        std::remove(removal_path.c_str());
       }
     }
   }

@@ -179,7 +179,9 @@ int CmdGenerate(int argc, char** argv) {
 /// `sqlog convert`: re-encodes a log between CSV and the binary `.sqb`
 /// container. The direction comes from --to-csv/--to-sqb or, absent
 /// both, the output extension; the input format is probed. A CSV →
-/// `.sqb` → CSV round trip is byte-identical.
+/// `.sqb` → CSV round trip is byte-identical, and `.sqb` → `.sqb`
+/// re-encodes from the input's template shapes without lexing, writing
+/// the bytes the CSV → `.sqb` conversion writes.
 int CmdConvert(int argc, char** argv) {
   log::LogFormat target = log::LogFormat::kAuto;
   int kept = 0;
@@ -210,6 +212,7 @@ int CmdConvert(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", reader.status().ToString().c_str());
     return 1;
   }
+  const auto* bin = dynamic_cast<const log::BinLogReader*>(reader->get());
   auto copy_all = [&](log::RecordWriter& writer) -> Status {
     SQLOG_RETURN_IF_ERROR(writer.Open(out_path));
     log::LogRecord record;
@@ -217,7 +220,8 @@ int CmdConvert(int argc, char** argv) {
     while (true) {
       SQLOG_RETURN_IF_ERROR((*reader)->ReadRecord(&record, &eof));
       if (eof) break;
-      SQLOG_RETURN_IF_ERROR(writer.Append(record));
+      SQLOG_RETURN_IF_ERROR(
+          writer.AppendShaped(record, bin != nullptr ? bin->last_shape() : nullptr));
     }
     return writer.Close();
   };
@@ -228,15 +232,18 @@ int CmdConvert(int argc, char** argv) {
     // parse cache from the dictionary and runs with zero full parses.
     options.recipe_builder = core::BuildStatementRecipe;
     log::BinLogWriter writer(options);
+    writer.SetSource(bin);
     Status s = copy_all(writer);
     if (!s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s (%llu records, %llu templates, %llu stored verbatim)\n",
+    std::printf("wrote %s (%llu records, %llu templates, %llu stored verbatim, "
+                "%llu re-encoded without lexing)\n",
                 out_path.c_str(), (unsigned long long)writer.records_written(),
                 (unsigned long long)writer.dictionary_size(),
-                (unsigned long long)writer.verbatim_records());
+                (unsigned long long)writer.verbatim_records(),
+                (unsigned long long)writer.shaped_records());
   } else {
     log::LogWriter writer;
     Status s = copy_all(writer);
