@@ -3,12 +3,10 @@
 // and wall time. Paper: 10222 queries → 254 after rewriting (≈40×
 // fewer), running 29.27× faster.
 
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -16,107 +14,11 @@
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/table_heap.h"
-#include "log/log_io.h"
 #include "sql/skeleton.h"
 
 namespace {
 
 using sqlog::bench::SelfPeakRssBytes;
-
-/// Re-runs this binary with the given arguments and reports the child's
-/// wall time and peak RSS. The child measures its own peak (see
-/// SelfPeakRssBytes) and reports it over a pipe; a fresh exec'd process
-/// per configuration keeps each row's footprint independent.
-bool RunChildConfig(const char* exe, const std::vector<std::string>& args,
-                    double* seconds, size_t* peak_rss_bytes) {
-  int fds[2];
-  if (pipe(fds) != 0) return false;
-  std::vector<char*> child_argv;
-  child_argv.push_back(const_cast<char*>(exe));
-  for (const std::string& arg : args)
-    child_argv.push_back(const_cast<char*>(arg.c_str()));
-  child_argv.push_back(nullptr);
-  sqlog::Timer timer;
-  pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return false;
-  }
-  if (pid == 0) {
-    close(fds[0]);
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[1]);
-    execv(exe, child_argv.data());
-    _exit(127);
-  }
-  close(fds[1]);
-  FILE* in = fdopen(fds[0], "r");
-  size_t peak = 0;
-  bool got = false;
-  if (in != nullptr) {
-    char line[256];
-    while (std::fgets(line, sizeof line, in) != nullptr)
-      if (std::sscanf(line, "rss-child peak_bytes=%zu", &peak) == 1) got = true;
-    std::fclose(in);
-  } else {
-    close(fds[0]);
-  }
-  int status = 0;
-  if (waitpid(pid, &status, 0) != pid) return false;
-  *seconds = timer.ElapsedSeconds();
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || !got) return false;
-  *peak_rss_bytes = peak;
-  return true;
-}
-
-/// Child mode: runs one ingestion configuration against an existing CSV,
-/// then prints its own peak RSS on stdout for the parent to collect.
-/// argv: --rss-child <mem|stream> <batch_size> <threads> <in> <clean> <removal>
-int RunRssChild(int argc, char** argv) {
-  using namespace sqlog;
-  if (argc != 8) return 2;
-  const bool streaming = std::string(argv[2]) == "stream";
-  const size_t batch_size = std::strtoull(argv[3], nullptr, 10);
-  const size_t threads = std::strtoull(argv[4], nullptr, 10);
-  const std::string input_path = argv[5];
-  const std::string clean_path = argv[6];
-  const std::string removal_path = argv[7];
-
-  static catalog::Schema schema = catalog::MakeSkyServerSchema();
-  core::PipelineOptions options;
-  options.num_threads = threads;
-  options.streaming = streaming;
-  if (streaming) options.batch_size = batch_size;
-  core::Pipeline pipeline(options);
-  pipeline.SetSchema(&schema);
-  if (streaming) {
-    auto run = pipeline.RunStreaming(input_path, clean_path, removal_path);
-    if (!run.ok()) {
-      std::fprintf(stderr, "streaming run failed: %s\n",
-                   run.status().ToString().c_str());
-      return 1;
-    }
-  } else {
-    auto loaded = log::LogIo::ReadFile(input_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "read failed: %s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    auto result = pipeline.Run(*loaded);
-    if (!result.ok()) {
-      std::fprintf(stderr, "run failed: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    // Write the outputs too, so both modes do the same I/O work.
-    if (!log::LogIo::WriteFile(result->clean_log, clean_path).ok() ||
-        !log::LogIo::WriteFile(result->removal_log, removal_path).ok()) {
-      return 1;
-    }
-  }
-  std::printf("rss-child peak_bytes=%zu\n", SelfPeakRssBytes());
-  return 0;
-}
 
 /// Strips `--name=<uint>` from argv, returning its value or `def`.
 size_t StripUintFlag(int* argc, char** argv, const char* name, size_t def) {
@@ -359,8 +261,6 @@ bool RunOocChildConfig(const char* exe, const char* storage, const char* access,
 
 int main(int argc, char** argv) {
   using namespace sqlog;
-  if (argc > 1 && std::string(argv[1]) == "--rss-child")
-    return RunRssChild(argc, argv);
   if (argc > 1 && std::string(argv[1]) == "--ooc-child")
     return RunOocChild(argc, argv);
   const size_t ooc_rows = StripUintFlag(&argc, argv, "--rows", 200000);
@@ -540,88 +440,6 @@ int main(int argc, char** argv) {
               "inside one instance deduplicate in the IN-list — the rewrite returns\n"
               "each object once, which is the intended semantics.\n");
 
-  // Threads sweep: the same end-to-end pipeline runtime question at
-  // scale, over the study log, for the parallel engine. Output is
-  // byte-identical across rows (pipeline_parallel_test proves it); only
-  // wall time may change with the hardware's core count.
-  std::printf("\nPipeline runtime vs num_threads (study log, %zu statements, "
-              "%u hardware threads):\n",
-              bench::StudySize(), std::thread::hardware_concurrency());
-  log::QueryLog study = bench::GenerateStudyLog();
-  double serial_seconds = 0.0;
-  std::vector<std::pair<size_t, double>> thread_sweep;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    core::PipelineOptions options;
-    options.num_threads = threads;
-    Timer timer;
-    core::PipelineResult result = bench::RunStudyPipeline(study, options);
-    double seconds = timer.ElapsedSeconds();
-    if (threads == 1) serial_seconds = seconds;
-    thread_sweep.emplace_back(threads, seconds);
-    std::printf("  num_threads=%zu  %8.2fs  speedup %.2fx  (clean log %s)\n", threads,
-                seconds, bench::SafeDiv(serial_seconds, seconds),
-                bench::Thousands(result.stats.final_size).c_str());
-  }
-
-  // Streaming vs in-memory ingestion over the same study log read from a
-  // CSV file. Each configuration re-runs this binary (--rss-child) in a
-  // fresh process so the peak-RSS column is that run's own footprint.
-  const char* tmpdir = std::getenv("TMPDIR");
-  std::string input_path =
-      std::string(tmpdir != nullptr ? tmpdir : "/tmp") + "/sqlog_bench_stream_input.csv";
-  std::string clean_path = input_path + ".clean";
-  std::string removal_path = input_path + ".removal";
-  Status written = log::LogIo::WriteFile(study, input_path);
-  if (!written.ok()) {
-    std::fprintf(stderr, "write failed: %s\n", written.ToString().c_str());
-    return 1;
-  }
-  study = log::QueryLog();
-
-  std::printf("\nStreaming vs in-memory ingestion (study log from CSV, "
-              "fresh process per run):\n");
-  std::printf("  %-28s %10s %14s\n", "configuration", "seconds", "peak RSS MiB");
-  struct SweepConfig {
-    const char* label;
-    const char* mode;
-    size_t batch_size;
-    size_t threads;
-  };
-  const SweepConfig sweep[] = {
-      {"in-memory, 1 thread", "mem", 0, 1},
-      {"in-memory, 8 threads", "mem", 0, 8},
-      {"streaming b=1024, 1 thread", "stream", 1024, 1},
-      {"streaming b=4096, 8 threads", "stream", 4096, 8},
-      {"streaming b=65536, 8 threads", "stream", 65536, 8},
-  };
-  struct SweepRow {
-    const SweepConfig* config;
-    double seconds;
-    size_t peak_rss;
-  };
-  std::vector<SweepRow> sweep_rows;
-  for (const SweepConfig& config : sweep) {
-    double seconds = 0.0;
-    size_t peak_rss = 0;
-    std::vector<std::string> args = {"--rss-child",
-                                     config.mode,
-                                     std::to_string(config.batch_size),
-                                     std::to_string(config.threads),
-                                     input_path,
-                                     clean_path,
-                                     removal_path};
-    if (!RunChildConfig(argv[0], args, &seconds, &peak_rss)) {
-      std::fprintf(stderr, "child run failed for %s\n", config.label);
-      return 1;
-    }
-    sweep_rows.push_back({&config, seconds, peak_rss});
-    std::printf("  %-28s %9.2fs %14.1f\n", config.label, seconds,
-                static_cast<double>(peak_rss) / (1024.0 * 1024.0));
-  }
-  std::remove(input_path.c_str());
-  std::remove(clean_path.c_str());
-  std::remove(removal_path.c_str());
-
   if (!json_path.empty()) {
     FILE* out = std::fopen(json_path.c_str(), "w");
     if (out == nullptr) {
@@ -636,24 +454,6 @@ int main(int argc, char** argv) {
     std::fprintf(out, "    \"rewritten_seconds\": %.6f,\n", rewritten_seconds);
     std::fprintf(out, "    \"speedup\": %.3f\n  },\n",
                  bench::SafeDiv(original_seconds, rewritten_seconds));
-    std::fprintf(out, "  \"pipeline_thread_sweep\": [\n");
-    for (size_t i = 0; i < thread_sweep.size(); ++i) {
-      std::fprintf(out,
-                   "    {\"threads\": %zu, \"seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                   thread_sweep[i].first, thread_sweep[i].second,
-                   bench::SafeDiv(serial_seconds, thread_sweep[i].second),
-                   i + 1 < thread_sweep.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"ingestion_sweep\": [\n");
-    for (size_t i = 0; i < sweep_rows.size(); ++i) {
-      const SweepRow& row = sweep_rows[i];
-      std::fprintf(out,
-                   "    {\"label\": \"%s\", \"seconds\": %.6f, "
-                   "\"peak_rss_bytes\": %zu}%s\n",
-                   row.config->label, row.seconds, row.peak_rss,
-                   i + 1 < sweep_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
     WriteOocJson(out, ooc_cells, ooc_rows, ooc_pages, ooc_speedup, ooc_rss_bounded);
     std::fprintf(out, ",\n  \"peak_rss_bytes\": %zu\n}\n", SelfPeakRssBytes());
     std::fclose(out);

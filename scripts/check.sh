@@ -125,6 +125,8 @@ cp "$smoke_log" "$alias_prefix.clean.csv"
 expect_failure_leaving "$smoke_log" ./build/tools/sqlog convert "$smoke_log" "$smoke_log"
 expect_failure_leaving "$alias_prefix.clean.csv" \
   ./build/tools/sqlog clean --streaming "$alias_prefix.clean.csv" "$alias_prefix"
+expect_failure_leaving "$alias_prefix.clean.csv" \
+  ./build/tools/sqlog clean "$alias_prefix.clean.csv" "$alias_prefix"
 sentinel="$smoke_log.stats-tmp.clean.csv"
 echo "not a sqlog output" >"$sentinel"
 cp "$sentinel" "$sentinel.saved"

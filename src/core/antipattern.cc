@@ -1,7 +1,6 @@
 #include "core/antipattern.h"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_map>
 
 #include "util/hash.h"
@@ -273,18 +272,6 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
     }
   }
   return report;
-}
-
-AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStore& store,
-                                     const catalog::Schema* schema,
-                                     const DetectorOptions& options,
-                                     util::ThreadPool* pool) {
-  Result<std::shared_ptr<const DetectorSet>> set = DetectorSet::Resolve(options);
-  // The ids in options.detector_ids must resolve (the default empty
-  // list always does). Callers with user-supplied ids validate them via
-  // ValidatePipelineOptions and use the explicit-set overload.
-  assert(set.ok() && "DetectAntipatterns with unresolvable detector ids");
-  return DetectAntipatterns(parsed, store, schema, options, std::move(set.value()), pool);
 }
 
 }  // namespace sqlog::core

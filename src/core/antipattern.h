@@ -69,14 +69,6 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
                                      std::shared_ptr<const DetectorSet> detectors,
                                      util::ThreadPool* pool = nullptr);
 
-/// Deprecated compat overload: resolves the detector set from `options`
-/// itself (options.detector_ids must be valid — the default empty list
-/// always is).
-AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStore& store,
-                                     const catalog::Schema* schema,
-                                     const DetectorOptions& options,
-                                     util::ThreadPool* pool = nullptr);
-
 /// True when `query` can be a Stifle member (Def. 11 per-query axioms):
 /// exactly one predicate, equality against a constant, conjunctive
 /// WHERE, and (when enforced) a key filter column.

@@ -308,8 +308,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
 /// serial path.
 ///
 /// The join runs in two phases so the per-query work scales with the
-/// pool (the serial merge was the sublinear stage BENCH_scaling.json
-/// exposed):
+/// pool (a serial merge of every query would not):
 ///  1. Serial id assignment over each shard's *distinct* templates and
 ///     users only. Within a shard, local ids are dense in first-use
 ///     order, so walking local ids ascending inside an in-order shard

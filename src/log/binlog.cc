@@ -12,14 +12,6 @@
 #include "util/hash.h"
 #include "util/string_util.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SQLOG_BINLOG_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace sqlog::log {
 
 namespace {
@@ -250,6 +242,30 @@ bool IsCanonicalLiteral(std::string_view text, bool string_slot) {
   const sql::TokenType kind = string_slot ? sql::TokenType::kString : sql::TokenType::kNumber;
   return token.type == kind && token.offset == 0 && token.end == text.size() &&
          RawSpanIsCanonical(token, text);
+}
+
+/// Verifies the section frame `frame`, read from file offset `offset`,
+/// and points `*payload` at its body.
+Status CheckSectionFrame(std::string_view frame, uint64_t offset, uint32_t magic,
+                         const char* name, std::string_view* payload) {
+  ByteReader reader(frame, offset, name);
+  if (frame.size() > binfmt::kMaxSectionPayload + binfmt::kSectionFrameBytes) {
+    return reader.Error("section exceeds the format's size ceiling");
+  }
+  uint32_t stored_magic = 0;
+  uint64_t payload_len = 0;
+  uint64_t checksum = 0;
+  SQLOG_RETURN_IF_ERROR(reader.ReadU32(&stored_magic));
+  if (stored_magic != magic) return reader.Error("bad section magic");
+  SQLOG_RETURN_IF_ERROR(reader.ReadU64(&payload_len));
+  SQLOG_RETURN_IF_ERROR(reader.ReadU64(&checksum));
+  if (payload_len != frame.size() - binfmt::kSectionFrameBytes) {
+    return reader.Error("section length disagrees with the footer offsets");
+  }
+  std::string_view body = frame.substr(binfmt::kSectionFrameBytes);
+  if (Fnv1a64(body) != checksum) return reader.Error("section checksum mismatch");
+  *payload = body;
+  return Status::OK();
 }
 
 }  // namespace
@@ -669,21 +685,11 @@ Status BinLogWriter::Close() {
 
 // ------------------------------------------------------------- BinLogReader
 
-BinLogReader::BinLogReader(BinLogReaderOptions options) : options_(options) {}
-
-BinLogReader::~BinLogReader() { ResetState(); }
-
 void BinLogReader::ResetState() {
-#if SQLOG_BINLOG_HAVE_MMAP
-  if (mapped_data_ != nullptr) munmap(mapped_data_, mapped_size_);
-#endif
-  mapped_data_ = nullptr;
-  mapped_size_ = 0;
   borrowed_ = {};
   if (in_.is_open()) in_.close();
   in_.clear();
   file_size_ = 0;
-  streaming_ = false;
   dictionary_.clear();
   templates_.clear();
   strings_.clear();
@@ -700,45 +706,14 @@ void BinLogReader::ResetState() {
 Status BinLogReader::Open(const std::string& path) {
   ResetState();
   path_ = path;
-#if SQLOG_BINLOG_HAVE_MMAP
-  if (options_.use_mmap) {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IoError("cannot open for reading: " + path);
-    struct stat st;
-    if (fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      return Status::IoError("cannot stat: " + path);
-    }
-    const size_t size = static_cast<size_t>(st.st_size);
-    void* map = size == 0 ? MAP_FAILED : mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (map != MAP_FAILED) {
-      mapped_data_ = map;
-      mapped_size_ = size;
-      Status status =
-          OpenCommon(std::string_view(static_cast<const char*>(map), size), false);
-      if (!status.ok()) ResetState();
-      return status;
-    }
-    // mmap unavailable (or an empty file): fall through to streaming,
-    // which reports the structural error with the same message shape.
-  }
-#endif
   in_.open(path, std::ios::binary);
   if (!in_) return Status::IoError("cannot open for reading: " + path);
   in_.seekg(0, std::ios::end);
   const std::streamoff end = in_.tellg();
   if (end < 0) return Status::IoError("cannot stat: " + path);
   file_size_ = static_cast<uint64_t>(end);
-  streaming_ = true;
-  Status status = OpenCommon({}, true);
-  if (!status.ok()) {
-    // Keep the diagnosis, drop the half-open state.
-    std::string message(status.message());
-    StatusCode code = status.code();
-    ResetState();
-    return Status(code, std::move(message));
-  }
+  Status status = OpenCommon();
+  if (!status.ok()) ResetState();  // keep the diagnosis, drop the half-open state
   return status;
 }
 
@@ -746,71 +721,37 @@ Status BinLogReader::OpenFromBuffer(std::string_view data) {
   ResetState();
   path_ = "<buffer>";
   borrowed_ = data;
-  Status status = OpenCommon(data, false);
-  if (!status.ok()) {
-    std::string message(status.message());
-    StatusCode code = status.code();
-    ResetState();
-    return Status(code, std::move(message));
-  }
+  file_size_ = data.size();
+  Status status = OpenCommon();
+  if (!status.ok()) ResetState();
   return status;
 }
 
-Status BinLogReader::LoadSection(std::string_view whole, uint64_t offset, uint64_t end,
-                                 uint32_t magic, const char* name,
-                                 std::string_view* payload, std::string* owned) {
-  std::string_view frame;
-  if (streaming_) {
-    if (end - offset > binfmt::kMaxSectionPayload + binfmt::kSectionFrameBytes) {
-      ByteReader reader({}, offset, name);
-      return reader.Error("section exceeds the format's size ceiling");
-    }
-    owned->resize(static_cast<size_t>(end - offset));
-    in_.seekg(static_cast<std::streamoff>(offset));
-    in_.read(owned->data(), static_cast<std::streamsize>(owned->size()));
-    if (!in_) return Status::IoError("read failed: " + path_);
-    frame = *owned;
-  } else {
-    frame = whole.substr(static_cast<size_t>(offset), static_cast<size_t>(end - offset));
+Status BinLogReader::Fetch(uint64_t offset, uint64_t size, std::string_view* bytes) {
+  if (offset > file_size_ || size > file_size_ - offset) {
+    return Status::IoError("read failed: " + path_);
   }
-
-  ByteReader reader(frame, offset, name);
-  uint32_t stored_magic = 0;
-  uint64_t payload_len = 0;
-  uint64_t checksum = 0;
-  SQLOG_RETURN_IF_ERROR(reader.ReadU32(&stored_magic));
-  if (stored_magic != magic) return reader.Error("bad section magic");
-  SQLOG_RETURN_IF_ERROR(reader.ReadU64(&payload_len));
-  SQLOG_RETURN_IF_ERROR(reader.ReadU64(&checksum));
-  if (payload_len != frame.size() - binfmt::kSectionFrameBytes) {
-    return reader.Error("section length disagrees with the footer offsets");
+  if (!in_.is_open()) {
+    *bytes = borrowed_.substr(static_cast<size_t>(offset), static_cast<size_t>(size));
+    return Status::OK();
   }
-  std::string_view body = frame.substr(binfmt::kSectionFrameBytes);
-  if (Fnv1a64(body) != checksum) return reader.Error("section checksum mismatch");
-  *payload = body;
+  buffer_.resize(static_cast<size_t>(size));
+  in_.seekg(static_cast<std::streamoff>(offset));
+  in_.read(buffer_.data(), static_cast<std::streamsize>(size));
+  if (!in_) return Status::IoError("read failed: " + path_);
+  *bytes = buffer_;
   return Status::OK();
 }
 
-Status BinLogReader::OpenCommon(std::string_view whole, bool streaming) {
-  const uint64_t size = streaming ? file_size_ : whole.size();
-  {
-    ByteReader reader(whole.substr(0, 0), 0, "header");
-    if (size < binfmt::kHeaderBytes + binfmt::kFooterBytes) {
-      return reader.Error("file too small for a binary log");
-    }
+Status BinLogReader::OpenCommon() {
+  const uint64_t size = file_size_;
+  if (size < binfmt::kHeaderBytes + binfmt::kFooterBytes) {
+    return ByteReader({}, 0, "header").Error("file too small for a binary log");
   }
 
   // Header: magic, version, flags.
-  char header_buf[binfmt::kHeaderBytes];
   std::string_view header;
-  if (streaming) {
-    in_.seekg(0);
-    in_.read(header_buf, sizeof(header_buf));
-    if (!in_) return Status::IoError("read failed: " + path_);
-    header = std::string_view(header_buf, sizeof(header_buf));
-  } else {
-    header = whole.substr(0, binfmt::kHeaderBytes);
-  }
+  SQLOG_RETURN_IF_ERROR(Fetch(0, binfmt::kHeaderBytes, &header));
   ByteReader header_reader(header, 0, "header");
   if (std::memcmp(header.data(), binfmt::kFileMagic, sizeof(binfmt::kFileMagic)) != 0) {
     return header_reader.Error("bad file magic");
@@ -831,20 +772,12 @@ Status BinLogReader::OpenCommon(std::string_view whole, bool streaming) {
 
   // Footer, from the end.
   const uint64_t footer_offset = size - binfmt::kFooterBytes;
-  char footer_buf[binfmt::kFooterBytes];
   std::string_view footer_bytes;
-  if (streaming) {
-    in_.seekg(static_cast<std::streamoff>(footer_offset));
-    in_.read(footer_buf, sizeof(footer_buf));
-    if (!in_) return Status::IoError("read failed: " + path_);
-    footer_bytes = std::string_view(footer_buf, sizeof(footer_buf));
-  } else {
-    footer_bytes = whole.substr(static_cast<size_t>(footer_offset));
-  }
+  SQLOG_RETURN_IF_ERROR(Fetch(footer_offset, binfmt::kFooterBytes, &footer_bytes));
   auto footer = binfmt::Footer::Parse(footer_bytes, footer_offset);
   SQLOG_RETURN_IF_ERROR(footer.status());
 
-  ByteReader footer_reader(footer_bytes, footer_offset, "footer");
+  const ByteReader footer_reader({}, footer_offset, "footer");
   if (footer->dict_offset < binfmt::kHeaderBytes ||
       footer->dict_offset > footer->strings_offset ||
       footer->strings_offset > footer->index_offset ||
@@ -852,28 +785,31 @@ Status BinLogReader::OpenCommon(std::string_view whole, bool streaming) {
     return footer_reader.Error("section offsets out of bounds");
   }
 
-  // Sections, each verified against its frame checksum.
-  std::string dict_owned;
-  std::string strings_owned;
-  std::string index_owned;
-  std::string_view dict_payload;
-  std::string_view strings_payload;
-  std::string_view index_payload;
+  // Sections, each verified against its frame checksum. They are
+  // adjacent, so one fetch reads all three.
   const uint64_t min_frame = binfmt::kSectionFrameBytes;
   if (footer->strings_offset - footer->dict_offset < min_frame ||
       footer->index_offset - footer->strings_offset < min_frame ||
       footer_offset - footer->index_offset < min_frame) {
     return footer_reader.Error("section offsets out of bounds");
   }
-  SQLOG_RETURN_IF_ERROR(LoadSection(whole, footer->dict_offset, footer->strings_offset,
-                                    binfmt::kDictMagic, "dictionary", &dict_payload,
-                                    &dict_owned));
-  SQLOG_RETURN_IF_ERROR(LoadSection(whole, footer->strings_offset, footer->index_offset,
-                                    binfmt::kStringsMagic, "strings", &strings_payload,
-                                    &strings_owned));
-  SQLOG_RETURN_IF_ERROR(LoadSection(whole, footer->index_offset, footer_offset,
-                                    binfmt::kIndexMagic, "index", &index_payload,
-                                    &index_owned));
+  std::string_view sections;
+  SQLOG_RETURN_IF_ERROR(
+      Fetch(footer->dict_offset, footer_offset - footer->dict_offset, &sections));
+  auto section = [&](uint64_t offset, uint64_t end, uint32_t magic, const char* name,
+                     std::string_view* payload) {
+    return CheckSectionFrame(sections.substr(offset - footer->dict_offset, end - offset),
+                             offset, magic, name, payload);
+  };
+  std::string_view dict_payload;
+  std::string_view strings_payload;
+  std::string_view index_payload;
+  SQLOG_RETURN_IF_ERROR(section(footer->dict_offset, footer->strings_offset,
+                                binfmt::kDictMagic, "dictionary", &dict_payload));
+  SQLOG_RETURN_IF_ERROR(section(footer->strings_offset, footer->index_offset,
+                                binfmt::kStringsMagic, "strings", &strings_payload));
+  SQLOG_RETURN_IF_ERROR(section(footer->index_offset, footer_offset, binfmt::kIndexMagic,
+                                "index", &index_payload));
   SQLOG_RETURN_IF_ERROR(DecodeMetadata(dict_payload, strings_payload, index_payload,
                                        footer->dict_offset, footer->strings_offset,
                                        footer->index_offset));
@@ -1019,19 +955,7 @@ Status BinLogReader::DecodeBlock(size_t block_index) {
   const std::string section_name = StrFormat("block %zu", block_index);
 
   std::string_view frame;
-  if (streaming_) {
-    block_buffer_.resize(static_cast<size_t>(end - offset));
-    in_.seekg(static_cast<std::streamoff>(offset));
-    in_.read(block_buffer_.data(), static_cast<std::streamsize>(block_buffer_.size()));
-    if (!in_) return Status::IoError("read failed: " + path_);
-    frame = block_buffer_;
-  } else {
-    std::string_view whole =
-        mapped_data_ != nullptr
-            ? std::string_view(static_cast<const char*>(mapped_data_), mapped_size_)
-            : borrowed_;
-    frame = whole.substr(static_cast<size_t>(offset), static_cast<size_t>(end - offset));
-  }
+  SQLOG_RETURN_IF_ERROR(Fetch(offset, end - offset, &frame));
 
   ByteReader frame_reader(frame, offset, section_name);
   uint32_t magic = 0;

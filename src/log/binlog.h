@@ -177,22 +177,18 @@ class BinLogWriter : public RecordWriter {
   std::string scratch_ SQLOG_SHARD_LOCAL;     // reused encode scratch
 };
 
-struct BinLogReaderOptions {
-  /// Map the file and decode in place (fastest). When off — or when the
-  /// platform has no mmap — the reader streams: footer and sections are
-  /// read up front, blocks one at a time, so memory stays O(block).
-  bool use_mmap = true;
-};
-
+/// Streams a `.sqb` file: Open reads the header, footer and sections,
+/// ReadRecord reads one block at a time into a reused buffer, so memory
+/// is O(block) plus the decoded dictionary and string table. A file cut
+/// short after Open fails the next block read with an IoError naming it.
 class BinLogReader : public RecordReader {
  public:
-  explicit BinLogReader(BinLogReaderOptions options = {});
-  ~BinLogReader() override;
+  BinLogReader() = default;
 
-  // Not movable: the mmap handle would double-unmap. Use via
-  // std::unique_ptr (LogIo::OpenLogReader) when ownership must move.
-  BinLogReader(BinLogReader&&) = delete;
-  BinLogReader& operator=(BinLogReader&&) = delete;
+  /// Moving keeps last_shape() valid; a writer given this reader through
+  /// SetSource keeps the old address.
+  BinLogReader(BinLogReader&&) = default;
+  BinLogReader& operator=(BinLogReader&&) = default;
 
   /// Opens and validates `path`: header, footer, dictionary, string
   /// table and block index are checked (magics, version, checksums,
@@ -202,7 +198,7 @@ class BinLogReader : public RecordReader {
   Status Open(const std::string& path) override;
 
   /// Borrow-the-buffer flavour for tests and the fuzz harness: decodes
-  /// straight from `data`, which must outlive the reader. Never mmaps.
+  /// straight from `data`, which must outlive the reader.
   Status OpenFromBuffer(std::string_view data);
 
   Status ReadRecord(LogRecord* record, bool* eof) override;
@@ -234,8 +230,6 @@ class BinLogReader : public RecordReader {
 
   uint64_t record_count() const { return record_count_; }
   uint64_t block_count() const { return index_.size(); }
-  /// True when Open() decoded via a memory map (false: streamed reads).
-  bool mapped() const { return mapped_data_ != nullptr; }
 
  private:
   struct IndexRow {
@@ -244,29 +238,24 @@ class BinLogReader : public RecordReader {
     int64_t first_timestamp = 0;
   };
 
-  Status OpenCommon(std::string_view whole, bool streaming);
+  Status OpenCommon();
+  /// Points `*bytes` at the `size` bytes at `offset`: a view of the
+  /// OpenFromBuffer data, or a read from the file into buffer_, which the
+  /// next call reuses. Every byte the reader decodes comes through here.
+  Status Fetch(uint64_t offset, uint64_t size, std::string_view* bytes);
   Status DecodeMetadata(std::string_view dict, std::string_view strings,
                         std::string_view index, uint64_t dict_offset,
                         uint64_t strings_offset, uint64_t index_offset);
-  /// Reads + verifies the section frame at `offset`, returning the
-  /// payload (view into `whole` or into an owned buffer when streaming).
-  Status LoadSection(std::string_view whole, uint64_t offset, uint64_t end,
-                     uint32_t magic, const char* name, std::string_view* payload,
-                     std::string* owned);
   Status DecodeBlock(size_t block_index);
   void ResetState();
 
-  BinLogReaderOptions options_ SQLOG_CONST_AFTER_INIT;
   std::string path_ SQLOG_SHARD_LOCAL;  // named by every IoError
 
-  // Exactly one source is active: a borrowed buffer, an mmap, or the
-  // streaming file handle.
+  // The source: the file while in_ is open, else the borrowed buffer.
   std::string_view borrowed_ SQLOG_SHARD_LOCAL;
-  void* mapped_data_ SQLOG_SHARD_LOCAL = nullptr;
-  size_t mapped_size_ SQLOG_SHARD_LOCAL = 0;
   std::ifstream in_ SQLOG_SHARD_LOCAL;
-  uint64_t file_size_ SQLOG_SHARD_LOCAL = 0;
-  bool streaming_ SQLOG_SHARD_LOCAL = false;
+  uint64_t file_size_ SQLOG_SHARD_LOCAL = 0;  // bytes in the source
+  std::string buffer_ SQLOG_SHARD_LOCAL;      // Fetch's file-read scratch
 
   // Decoded metadata.
   struct DecodedTemplate {
@@ -288,7 +277,6 @@ class BinLogReader : public RecordReader {
   RecordShape* last_shape_ SQLOG_SHARD_LOCAL = nullptr;
   size_t next_record_ SQLOG_SHARD_LOCAL = 0;
   uint64_t records_read_ SQLOG_SHARD_LOCAL = 0;
-  std::string block_buffer_ SQLOG_SHARD_LOCAL;  // streaming-mode block scratch
 };
 
 }  // namespace sqlog::log

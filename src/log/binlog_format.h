@@ -26,8 +26,8 @@ namespace sqlog::log::binfmt {
 ///
 /// The header is validated first (magic, version, flags); the footer is
 /// located from the end of the file and carries the section offsets plus
-/// its own checksum, so a reader can mmap the file and skip straight to
-/// any block via the index.
+/// its own checksum, so a reader can seek straight to any block via the
+/// index.
 inline constexpr char kFileMagic[8] = {'\x89', 'S', 'Q', 'B', '\r', '\n', '\x1a', '\n'};
 inline constexpr char kFooterMagic[8] = {'S', 'Q', 'B', 'E', 'N', 'D', '\r', '\n'};
 inline constexpr uint32_t kVersion = 1;

@@ -8,7 +8,6 @@
 #include "log/binlog.h"
 #include "log/binlog_format.h"
 #include "log/log_stream.h"
-#include "util/csv.h"
 #include "util/string_util.h"
 
 namespace sqlog::log {
@@ -115,34 +114,6 @@ std::string LogIo::ToCsv(const QueryLog& log) {
     AppendCsvRow(record, record.seq, out);
   }
   return out;
-}
-
-Result<QueryLog> LogIo::FromCsv(const std::string& csv_text) {
-  std::vector<std::string> lines = Csv::SplitLogicalLines(csv_text);
-  QueryLog log;
-  uint64_t line_number = 0;
-  for (auto& line : lines) {
-    ++line_number;
-    if (Trim(line).empty()) continue;
-    if (IsLogCsvHeaderLine(line)) {
-      // Only the first logical line may be the header; a header-shaped
-      // line later in the file signals concatenated or corrupted input
-      // and must not be swallowed as data.
-      if (line_number == 1) continue;
-      return Status::ParseError(
-          StrFormat("line %llu: stray header row", (unsigned long long)line_number));
-    }
-    auto fields = Csv::ParseLine(line);
-    if (!fields.ok()) {
-      return Status::ParseError(StrFormat("line %llu: %s",
-                                          (unsigned long long)line_number,
-                                          fields.status().message().c_str()));
-    }
-    auto record = RecordFromCsvFields(std::move(fields.value()), line_number);
-    if (!record.ok()) return record.status();
-    log.Append(std::move(record.value()));
-  }
-  return log;
 }
 
 Status LogIo::WriteFile(const QueryLog& log, const std::string& path, LogFormat format,

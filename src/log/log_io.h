@@ -67,10 +67,6 @@ class LogIo {
   /// Serializes a log to CSV text.
   static std::string ToCsv(const QueryLog& log);
 
-  /// Parses CSV text produced by ToCsv (or hand-written with the same
-  /// header). Rows with the wrong field count produce an error.
-  static Result<QueryLog> FromCsv(const std::string& csv_text);
-
   /// Writes a log to a file. kAuto picks the format from the extension;
   /// `recipe_builder` (used only for kSqb) adds parse-cache recipes to
   /// the dictionary so readers can ingest with zero full parses.
@@ -78,7 +74,8 @@ class LogIo {
                           LogFormat format = LogFormat::kCsv,
                           RecipeBuilder recipe_builder = nullptr);
 
-  /// Reads a log from a file; kAuto probes the content.
+  /// Reads a log from a file, record by record through OpenLogReader's
+  /// reader; kAuto probes the content.
   static Result<QueryLog> ReadFile(const std::string& path,
                                    LogFormat format = LogFormat::kAuto);
 

@@ -1,6 +1,7 @@
 #include "log/log_stream.h"
 
 #include <charconv>
+#include <string_view>
 
 #include "util/string_util.h"
 
@@ -40,12 +41,18 @@ Status ParseIntField(const std::string& field, const char* name,
   return Status::OK();
 }
 
-}  // namespace
+constexpr size_t kLogCsvFieldCount = 7;
 
+/// True when `line` looks like the file-format header (first column name
+/// in place of a numeric seq).
 bool IsLogCsvHeaderLine(std::string_view line) {
   return StartsWithIgnoreCase(line, "seq,");
 }
 
+/// Assembles a LogRecord from one parsed CSV row, validating every
+/// numeric field strictly: non-numeric, partially-numeric, and
+/// overflowing values are ParseErrors naming the 1-based `line_number`
+/// and the offending field — never silently read as 0.
 Result<LogRecord> RecordFromCsvFields(std::vector<std::string>&& fields,
                                       uint64_t line_number) {
   if (fields.size() != kLogCsvFieldCount) {
@@ -65,6 +72,8 @@ Result<LogRecord> RecordFromCsvFields(std::vector<std::string>&& fields,
   record.statement = std::move(fields[6]);
   return record;
 }
+
+}  // namespace
 
 void AppendCsvRow(const LogRecord& record, uint64_t seq, std::string& out) {
   out += std::to_string(seq);
@@ -86,7 +95,6 @@ void AppendCsvRow(const LogRecord& record, uint64_t seq, std::string& out) {
 // ---------------------------------------------------------------- LogReader
 
 LogReader::LogReader(LogReaderOptions options) : options_(options) {
-  if (options_.batch_size == 0) options_.batch_size = 1;
   if (options_.chunk_bytes == 0) options_.chunk_bytes = 4096;
 }
 
@@ -160,19 +168,6 @@ Status LogReader::ReadRecord(LogRecord* record, bool* eof) {
     ++records_read_;
     return Status::OK();
   }
-}
-
-Status LogReader::ReadBatch(std::vector<LogRecord>* batch) {
-  batch->clear();
-  if (batch->capacity() < options_.batch_size) batch->reserve(options_.batch_size);
-  LogRecord record;
-  bool eof = false;
-  while (batch->size() < options_.batch_size) {
-    SQLOG_RETURN_IF_ERROR(ReadRecord(&record, &eof));
-    if (eof) break;
-    batch->push_back(std::move(record));
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------- LogWriter

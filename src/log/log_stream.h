@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "log/record.h"
@@ -18,18 +17,6 @@ namespace sqlog::log {
 /// streaming reader/writer).
 inline constexpr const char* kLogCsvHeader =
     "seq,timestamp_ms,user,session,row_count,truth,statement";
-inline constexpr size_t kLogCsvFieldCount = 7;
-
-/// True when `line` looks like the file-format header (first column name
-/// in place of a numeric seq).
-bool IsLogCsvHeaderLine(std::string_view line);
-
-/// Assembles a LogRecord from one parsed CSV row, validating every
-/// numeric field strictly: non-numeric, partially-numeric, and
-/// overflowing values are ParseErrors naming the 1-based `line_number`
-/// and the offending field — never silently read as 0.
-Result<LogRecord> RecordFromCsvFields(std::vector<std::string>&& fields,
-                                      uint64_t line_number);
 
 /// Appends one CSV row (no trailing work left to the caller: includes
 /// the '\n') for `record`, with `seq` written in place of record.seq.
@@ -87,15 +74,14 @@ class RecordWriter {
 
 /// Options for LogReader.
 struct LogReaderOptions {
-  /// Records per ReadBatch call.
-  size_t batch_size = 4096;
   /// File-read granularity; memory held by the reader is O(chunk_bytes +
   /// longest logical line).
   size_t chunk_bytes = 1 << 20;
 };
 
-/// Chunked, bounded-memory CSV log reader: records are decoded
-/// incrementally from fixed-size file reads, so peak memory is
+/// Chunked, bounded-memory CSV log reader, and the only CSV read path
+/// (LogIo::ReadFile and LogIo::OpenLogReader use it): records are
+/// decoded incrementally from fixed-size file reads, so peak memory is
 /// independent of file size. Quoted multi-line statements are handled
 /// across chunk boundaries (util::Csv::LineSplitter). The header is
 /// recognized only on the first logical line; a stray header mid-file is
@@ -115,10 +101,6 @@ class LogReader : public RecordReader {
   /// Reads the next record into `*record`. Sets `*eof` (and leaves
   /// `*record` untouched) when the input is exhausted.
   Status ReadRecord(LogRecord* record, bool* eof) override;
-
-  /// Clears `*batch` and fills it with up to options.batch_size records.
-  /// An empty batch after an OK return means end of input.
-  Status ReadBatch(std::vector<LogRecord>* batch);
 
   /// True once the underlying file is fully consumed.
   bool exhausted() const { return exhausted_; }

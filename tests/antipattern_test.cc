@@ -29,7 +29,15 @@ class AntipatternTest : public ::testing::Test {
     log.Renumber();
     parsed_ = ParseLog(log, store_);
     schema_ = catalog::MakeSkyServerSchema();
-    return DetectAntipatterns(parsed_, store_, &schema_, options);
+    return DetectWith(&schema_, options);
+  }
+
+  /// Resolves `options`' detector set and detects with it over parsed_,
+  /// as the pipeline does.
+  AntipatternReport DetectWith(const catalog::Schema* schema, const DetectorOptions& options) {
+    auto detectors = DetectorSet::Resolve(options);
+    EXPECT_TRUE(detectors.ok()) << detectors.status().ToString();
+    return DetectAntipatterns(parsed_, store_, schema, options, *detectors);
   }
 
   static DetectorOptions MakeOptions() {
@@ -270,7 +278,7 @@ TEST_F(AntipatternTest, NullSchemaSkipsKeyAxiom) {
   }
   log.Renumber();
   parsed_ = ParseLog(log, store_);
-  auto report = DetectAntipatterns(parsed_, store_, nullptr, MakeOptions());
+  auto report = DetectWith(nullptr, MakeOptions());
   EXPECT_EQ(report.InstancesOf("dw-stifle"), 1u);
 }
 

@@ -3,8 +3,8 @@
 // Round-trip: CSV → .sqb → CSV must be byte-identical — for the
 // calibrated generator log and for logs built from the checked-in fuzz
 // corpus statements (hostile quoting, newlines, non-lexing bytes) — at
-// block sizes 1, 7, 4096 and one-block-per-file, through all three
-// reader sources (borrowed buffer, mmap, streamed file).
+// block sizes 1, 7, 4096 and one-block-per-file, through both reader
+// sources (borrowed buffer, file).
 //
 // Corruption: every single-bit flip and every truncation of a valid
 // file must either decode deterministically or fail with a structured
@@ -170,7 +170,7 @@ TEST_P(BinLogRoundTripTest, FuzzCorpusStatementsAreByteIdentical) {
   EXPECT_EQ(LogIo::ToCsv(decoded), LogIo::ToCsv(original));
 }
 
-TEST(BinLogTest, AllReaderSourcesAgree) {
+TEST(BinLogTest, FileAndBufferReadersAgree) {
   const QueryLog original = GeneratorLog(500);
   const std::string bytes = WriteSqb(original, 64);
   const std::string path = TempPath("binlog_sources.sqb");
@@ -180,29 +180,30 @@ TEST(BinLogTest, AllReaderSourcesAgree) {
   }
 
   const QueryLog from_buffer = ReadSqbBuffer(bytes);
-
-  BinLogReader mapped;  // default: mmap when the platform has it
-  ASSERT_TRUE(mapped.Open(path).ok());
-
-  BinLogReaderOptions no_mmap;
-  no_mmap.use_mmap = false;
-  BinLogReader streamed(no_mmap);
-  ASSERT_TRUE(streamed.Open(path).ok());
-  EXPECT_FALSE(streamed.mapped());
-
-  for (BinLogReader* reader : {&mapped, &streamed}) {
-    QueryLog got;
-    LogRecord record;
-    bool eof = false;
-    while (true) {
-      Status read = reader->ReadRecord(&record, &eof);
-      ASSERT_TRUE(read.ok()) << read.ToString();
-      if (eof) break;
-      got.Append(record);
-    }
-    ExpectSameRecords(from_buffer, got);
-  }
   ExpectSameRecords(original, from_buffer);
+
+  // Half the records through one owner, the rest after a move: the
+  // reader carries its position and its last shape with it.
+  BinLogReader moved_from;
+  ASSERT_TRUE(moved_from.Open(path).ok());
+  QueryLog from_file;
+  LogRecord record;
+  bool eof = false;
+  for (size_t i = 0; i < original.size() / 2; ++i) {
+    ASSERT_TRUE(moved_from.ReadRecord(&record, &eof).ok());
+    ASSERT_FALSE(eof);
+    from_file.Append(record);
+  }
+  const RecordShape* shape = moved_from.last_shape();
+  BinLogReader reader = std::move(moved_from);
+  EXPECT_EQ(reader.last_shape(), shape);
+  while (true) {
+    Status read = reader.ReadRecord(&record, &eof);
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    if (eof) break;
+    from_file.Append(record);
+  }
+  ExpectSameRecords(from_buffer, from_file);
 }
 
 TEST(BinLogTest, EmptyLogRoundTrips) {
@@ -476,10 +477,10 @@ TEST(BinLogCorruptionTest, InflatedRecordCountIsRejectedAtOpen) {
       << status.ToString();
 }
 
-TEST(BinLogCorruptionTest, StreamingReaderRejectsCorruptionToo) {
+TEST(BinLogCorruptionTest, FileReaderRejectsCorruptionToo) {
   const std::string valid = CorruptionSubject();
-  // Flip one byte in the middle; write to disk; both reader modes must
-  // reject (at open or during block reads), never crash.
+  // Flip one byte in the middle; write to disk; the file reader must
+  // reject it (at open or during block reads), never crash.
   std::string mutant = valid;
   mutant[mutant.size() / 2] = static_cast<char>(mutant[mutant.size() / 2] ^ 0x10);
   const std::string path = TempPath("binlog_corrupt.sqb");
@@ -487,19 +488,15 @@ TEST(BinLogCorruptionTest, StreamingReaderRejectsCorruptionToo) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
   }
-  for (bool use_mmap : {true, false}) {
-    BinLogReaderOptions options;
-    options.use_mmap = use_mmap;
-    BinLogReader reader(options);
-    Status status = reader.Open(path);
-    LogRecord record;
-    bool eof = false;
-    while (status.ok() && !eof) {
-      status = reader.ReadRecord(&record, &eof);
-    }
-    ASSERT_FALSE(status.ok()) << "mmap=" << use_mmap;
-    EXPECT_EQ(status.code(), StatusCode::kParseError);
+  BinLogReader reader;
+  Status status = reader.Open(path);
+  LogRecord record;
+  bool eof = false;
+  while (status.ok() && !eof) {
+    status = reader.ReadRecord(&record, &eof);
   }
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
 }
 
 
@@ -521,25 +518,40 @@ TEST(BinLogIoTest, WriteFailureNamesTheFile) {
 }
 
 TEST(BinLogIoTest, StreamedReadFailureNamesTheFile) {
-  // Streamed mode reads blocks on demand, so a file truncated after Open
-  // fails at the first block read: an IoError naming the file.
+  // The reader reads blocks on demand, so a file truncated after Open
+  // fails at the first block read: an IoError naming the file, for the
+  // reader made directly and the one LogIo::OpenLogReader makes. A
+  // memory-mapped file cut to 0 bytes would raise SIGBUS here instead,
+  // and one cut inside its first page would read zeros.
   const std::string bytes = WriteSqb(GeneratorLog(500), 64);
   const std::string path = TempPath("binlog_truncated_after_open.sqb");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (uintmax_t length : {uintmax_t{0}, uintmax_t{binfmt::kHeaderBytes}}) {
+    for (bool through_log_io : {false, true}) {
+      SCOPED_TRACE(std::string(through_log_io ? "LogIo::OpenLogReader" : "BinLogReader") +
+                   ", truncated to " + std::to_string(length) + " bytes");
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      std::unique_ptr<RecordReader> reader;
+      if (through_log_io) {
+        auto opened = LogIo::OpenLogReader(path);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        ASSERT_NE(dynamic_cast<BinLogReader*>(opened->get()), nullptr);
+        reader = std::move(*opened);
+      } else {
+        reader = std::make_unique<BinLogReader>();
+        ASSERT_TRUE(reader->Open(path).ok());
+      }
+      fs::resize_file(path, length);
+      LogRecord record;
+      bool eof = false;
+      Status status = reader->ReadRecord(&record, &eof);
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kIoError);
+      EXPECT_NE(status.message().find(path), std::string::npos) << status.ToString();
+    }
   }
-  BinLogReaderOptions options;
-  options.use_mmap = false;
-  BinLogReader reader(options);
-  ASSERT_TRUE(reader.Open(path).ok());
-  fs::resize_file(path, binfmt::kHeaderBytes);
-  LogRecord record;
-  bool eof = false;
-  Status status = reader.ReadRecord(&record, &eof);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_NE(status.message().find(path), std::string::npos) << status.ToString();
 }
 
 // --- Re-encoding from the reader's shapes -------------------------------

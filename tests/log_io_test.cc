@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 
 namespace sqlog::log {
 namespace {
@@ -31,10 +32,23 @@ QueryLog SampleLog() {
   return log;
 }
 
+/// Reads `csv_text` back through LogIo::ReadFile, the CSV reader every
+/// command uses.
+Result<QueryLog> ReadCsvText(const std::string& csv_text) {
+  const std::string path = ::testing::TempDir() + "/sqlog_io_test_text.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << csv_text;
+  }
+  auto log = LogIo::ReadFile(path, LogFormat::kCsv);
+  std::remove(path.c_str());
+  return log;
+}
+
 TEST(LogIoTest, CsvRoundTrip) {
   QueryLog original = SampleLog();
   std::string csv = LogIo::ToCsv(original);
-  auto loaded = LogIo::FromCsv(csv);
+  auto loaded = ReadCsvText(csv);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -55,8 +69,8 @@ TEST(LogIoTest, CsvHasHeader) {
   EXPECT_EQ(csv.rfind("seq,timestamp_ms,user,session,row_count,truth,statement\n", 0), 0u);
 }
 
-TEST(LogIoTest, FromCsvSkipsBlankLines) {
-  auto loaded = LogIo::FromCsv(
+TEST(LogIoTest, ReadFileSkipsBlankLines) {
+  auto loaded = ReadCsvText(
       "seq,timestamp_ms,user,session,row_count,truth,statement\n"
       "\n"
       "0,100,u,s,1,organic,SELECT 1\n"
@@ -65,22 +79,22 @@ TEST(LogIoTest, FromCsvSkipsBlankLines) {
   EXPECT_EQ(loaded->size(), 1u);
 }
 
-TEST(LogIoTest, FromCsvWithoutHeader) {
-  auto loaded = LogIo::FromCsv("0,100,u,s,1,organic,SELECT 1\n");
+TEST(LogIoTest, ReadFileWithoutHeader) {
+  auto loaded = ReadCsvText("0,100,u,s,1,organic,SELECT 1\n");
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->size(), 1u);
   EXPECT_EQ(loaded->records()[0].statement, "SELECT 1");
 }
 
 TEST(LogIoTest, WrongFieldCountIsError) {
-  auto loaded = LogIo::FromCsv("0,100,u\n");
+  auto loaded = ReadCsvText("0,100,u\n");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
 TEST(LogIoTest, NonNumericSeqIsParseErrorNotZero) {
   // Regression: unchecked strtoull used to read "abc" as seq 0.
-  auto loaded = LogIo::FromCsv("abc,100,u,s,1,organic,SELECT 1\n");
+  auto loaded = ReadCsvText("abc,100,u,s,1,organic,SELECT 1\n");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("seq"), std::string::npos)
@@ -90,7 +104,7 @@ TEST(LogIoTest, NonNumericSeqIsParseErrorNotZero) {
 }
 
 TEST(LogIoTest, TrailingGarbageInTimestampIsParseError) {
-  auto loaded = LogIo::FromCsv(
+  auto loaded = ReadCsvText(
       "seq,timestamp_ms,user,session,row_count,truth,statement\n"
       "0,100,u,s,1,organic,SELECT 1\n"
       "1,200x,u,s,1,organic,SELECT 2\n");
@@ -103,7 +117,7 @@ TEST(LogIoTest, TrailingGarbageInTimestampIsParseError) {
 
 TEST(LogIoTest, OverflowingRowCountIsParseError) {
   auto loaded =
-      LogIo::FromCsv("0,100,u,s,123456789012345678901234567890,organic,SELECT 1\n");
+      ReadCsvText("0,100,u,s,123456789012345678901234567890,organic,SELECT 1\n");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("row_count"), std::string::npos);
@@ -114,7 +128,7 @@ TEST(LogIoTest, OverflowingRowCountIsParseError) {
 TEST(LogIoTest, StrayHeaderMidFileIsParseError) {
   // A second header means concatenated or corrupted input; it used to be
   // swallowed as a data row (strtoull("seq") == 0).
-  auto loaded = LogIo::FromCsv(
+  auto loaded = ReadCsvText(
       "seq,timestamp_ms,user,session,row_count,truth,statement\n"
       "0,100,u,s,1,organic,SELECT 1\n"
       "seq,timestamp_ms,user,session,row_count,truth,statement\n"
@@ -130,7 +144,7 @@ TEST(LogIoTest, StatementWithCommasSurvives) {
   LogRecord record;
   record.statement = "SELECT a, b, c FROM t WHERE id IN (1, 2, 3)";
   log.Append(record);
-  auto loaded = LogIo::FromCsv(LogIo::ToCsv(log));
+  auto loaded = ReadCsvText(LogIo::ToCsv(log));
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->records()[0].statement, record.statement);
 }

@@ -65,36 +65,33 @@ void ExpectSameRecords(const QueryLog& want, const std::vector<LogRecord>& got) 
   }
 }
 
-TEST(LogStreamTest, WriterReaderRoundTripAtSeveralBatchSizes) {
+TEST(LogStreamTest, WriterReaderRoundTripAcrossChunkBoundaries) {
   const QueryLog original = AwkwardLog();
-  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{4096}}) {
-    std::string path = TempPath("log_stream_roundtrip.csv");
-    LogWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    for (const auto& record : original.records()) {
-      ASSERT_TRUE(writer.Append(record).ok());
-    }
-    ASSERT_TRUE(writer.Close().ok());
-
-    LogReaderOptions options;
-    options.batch_size = batch_size;
-    // Tiny chunks force quoted fields to straddle read boundaries.
-    options.chunk_bytes = 16;
-    LogReader reader(options);
-    ASSERT_TRUE(reader.Open(path).ok());
-    std::vector<LogRecord> all;
-    std::vector<LogRecord> batch;
-    while (true) {
-      ASSERT_TRUE(reader.ReadBatch(&batch).ok());
-      if (batch.empty()) break;
-      EXPECT_LE(batch.size(), batch_size);
-      for (auto& record : batch) all.push_back(std::move(record));
-    }
-    EXPECT_TRUE(reader.exhausted());
-    EXPECT_EQ(reader.records_read(), original.size());
-    ExpectSameRecords(original, all);
-    std::remove(path.c_str());
+  std::string path = TempPath("log_stream_roundtrip.csv");
+  LogWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  for (const auto& record : original.records()) {
+    ASSERT_TRUE(writer.Append(record).ok());
   }
+  ASSERT_TRUE(writer.Close().ok());
+
+  LogReaderOptions options;
+  // Tiny chunks force quoted fields to straddle read boundaries.
+  options.chunk_bytes = 16;
+  LogReader reader(options);
+  ASSERT_TRUE(reader.Open(path).ok());
+  std::vector<LogRecord> all;
+  LogRecord record;
+  bool eof = false;
+  while (true) {
+    ASSERT_TRUE(reader.ReadRecord(&record, &eof).ok());
+    if (eof) break;
+    all.push_back(std::move(record));
+  }
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(reader.records_read(), original.size());
+  ExpectSameRecords(original, all);
+  std::remove(path.c_str());
 }
 
 TEST(LogStreamTest, WriterBytesMatchLogIoToCsv) {
@@ -359,11 +356,12 @@ TEST(LogStreamTest, FinalRecordWithoutTrailingNewlineAtEveryChunkSize) {
     LogReader reader(options);
     ASSERT_TRUE(reader.Open(path).ok()) << "chunk " << chunk;
     std::vector<LogRecord> all;
-    std::vector<LogRecord> batch;
+    LogRecord record;
+    bool eof = false;
     while (true) {
-      ASSERT_TRUE(reader.ReadBatch(&batch).ok()) << "chunk " << chunk;
-      if (batch.empty()) break;
-      for (auto& record : batch) all.push_back(std::move(record));
+      ASSERT_TRUE(reader.ReadRecord(&record, &eof).ok()) << "chunk " << chunk;
+      if (eof) break;
+      all.push_back(std::move(record));
     }
     ExpectSameRecords(original, all);
   }

@@ -502,12 +502,25 @@ bool SameRecord(const log::LogRecord& a, const log::LogRecord& b) {
          a.row_count == b.row_count && a.truth == b.truth;
 }
 
-/// Opens `input` as a `.sqb` buffer and drains it. Returns the final
-/// status (OK or the first structural error); decoded records land in
-/// `*records`.
-Status DrainBinLog(std::string_view input, std::vector<log::LogRecord>* records) {
+/// A per-process temp file path for `name`; empty when the system has
+/// no temp directory.
+std::string OracleTempPath(const std::string& name) {
+  std::error_code ec;
+  const std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
+  if (ec) return "";
+  return (dir / StrFormat("sqlog_oracle_%ld_%s", static_cast<long>(::getpid()),
+                          name.c_str()))
+      .string();
+}
+
+/// Opens `input` as a `.sqb` container — the buffer itself, or the file
+/// at `path` holding the same bytes when `path` is nonempty — and
+/// drains it. Returns the final status (OK or the first structural
+/// error); decoded records land in `*records`.
+Status DrainBinLog(std::string_view input, const std::string& path,
+                   std::vector<log::LogRecord>* records) {
   log::BinLogReader reader;
-  SQLOG_RETURN_IF_ERROR(reader.OpenFromBuffer(input));
+  SQLOG_RETURN_IF_ERROR(path.empty() ? reader.OpenFromBuffer(input) : reader.Open(path));
   log::LogRecord record;
   bool eof = false;
   while (true) {
@@ -524,17 +537,13 @@ Status DrainBinLog(std::string_view input, std::vector<log::LogRecord>* records)
 /// BinLogWriter — by Append, or by AppendShaped with the reader as the
 /// writer's source when `shaped` — and returns the file written.
 Result<std::string> ReencodeBinLog(std::string_view input, bool shaped) {
-  std::error_code ec;
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path(ec) /
-      StrFormat("sqlog_oracle_reencode_%ld_%d.sqb", static_cast<long>(::getpid()),
-                static_cast<int>(shaped));
-  if (ec) return Status::IoError("no temp directory: " + ec.message());
+  const std::string path = OracleTempPath(shaped ? "reencode_1.sqb" : "reencode_0.sqb");
+  if (path.empty()) return Status::IoError("no temp directory");
   log::BinLogReader reader;
   SQLOG_RETURN_IF_ERROR_R(reader.OpenFromBuffer(input));
   log::BinLogWriter writer;
   if (shaped) writer.SetSource(&reader);
-  SQLOG_RETURN_IF_ERROR_R(writer.Open(path.string()));
+  SQLOG_RETURN_IF_ERROR_R(writer.Open(path));
   log::LogRecord record;
   bool eof = false;
   while (true) {
@@ -547,6 +556,7 @@ Result<std::string> ReencodeBinLog(std::string_view input, bool shaped) {
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
+  std::error_code ec;
   std::filesystem::remove(path, ec);
   return bytes;
 }
@@ -568,7 +578,7 @@ OracleResult CheckBinLogReencoding(std::string_view input,
                           shaped->size(), lexed->size()));
   }
   std::vector<log::LogRecord> decoded;
-  Status status = DrainBinLog(*shaped, &decoded);
+  Status status = DrainBinLog(*shaped, "", &decoded);
   if (!status.ok()) return Fail("re-encoded binlog does not decode: " + status.ToString());
   if (decoded.size() != records.size()) {
     return Fail(StrFormat("re-encoded binlog decodes to %zu records, not %zu", decoded.size(),
@@ -586,7 +596,7 @@ OracleResult CheckBinLogReencoding(std::string_view input,
 
 OracleResult CheckBinLogRobustness(std::string_view input) {
   std::vector<log::LogRecord> first_records;
-  Status first = DrainBinLog(input, &first_records);
+  Status first = DrainBinLog(input, "", &first_records);
   if (!first.ok()) {
     if (first.code() != StatusCode::kParseError) {
       return Fail(StrFormat("binlog rejection is %s, not ParseError: %s",
@@ -599,22 +609,43 @@ OracleResult CheckBinLogRobustness(std::string_view input) {
     }
   }
   // Determinism: a second, independent reader must agree exactly —
-  // same status text and, on acceptance, the same record stream.
-  std::vector<log::LogRecord> second_records;
-  Status second = DrainBinLog(input, &second_records);
-  if (first.code() != second.code() || first.message() != second.message()) {
-    return Fail(StrFormat("binlog decode is nondeterministic: '%s' vs '%s'",
-                          first.ToString().c_str(), second.ToString().c_str()));
+  // same status text and, on acceptance, the same record stream. So
+  // must a reader of the same bytes in a file, which fetches them by
+  // seek-and-read instead of as views.
+  const std::string path = OracleTempPath("robustness.sqb");
+  if (path.empty()) return Fail("no temp directory for the file decode");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(input.data(), static_cast<std::streamsize>(input.size()));
+    if (!out) return Fail("cannot write " + path);
   }
-  if (first_records.size() != second_records.size()) {
-    return Fail(StrFormat("binlog decode is nondeterministic: %zu vs %zu records",
-                          first_records.size(), second_records.size()));
-  }
-  for (size_t i = 0; i < first_records.size(); ++i) {
-    if (!SameRecord(first_records[i], second_records[i])) {
-      return Fail(StrFormat("binlog decode is nondeterministic at record %zu", i));
+  std::vector<log::LogRecord> buffer_records;
+  std::vector<log::LogRecord> file_records;
+  const Status buffer_status = DrainBinLog(input, "", &buffer_records);
+  const Status file_status = DrainBinLog(input, path, &file_records);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  auto agree = [&](const char* source, const Status& status,
+                   const std::vector<log::LogRecord>& records) {
+    if (first.code() != status.code() || first.message() != status.message()) {
+      return Fail(StrFormat("binlog decode from %s disagrees: '%s' vs '%s'", source,
+                            first.ToString().c_str(), status.ToString().c_str()));
     }
-  }
+    if (first_records.size() != records.size()) {
+      return Fail(StrFormat("binlog decode from %s disagrees: %zu vs %zu records", source,
+                            first_records.size(), records.size()));
+    }
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (!SameRecord(first_records[i], records[i])) {
+        return Fail(StrFormat("binlog decode from %s disagrees at record %zu", source, i));
+      }
+    }
+    return Ok();
+  };
+  OracleResult result = agree("a second buffer", buffer_status, buffer_records);
+  if (!result.ok) return result;
+  result = agree("a file", file_status, file_records);
+  if (!result.ok) return result;
   if (!first.ok()) return Ok();
   return CheckBinLogReencoding(input, first_records);
 }

@@ -63,9 +63,9 @@ OracleResult CheckSolverEngineEquivalence(uint64_t seed);
 /// Binary-log robustness: the bytes are opened as a `.sqb` container.
 /// Rejection must be a structured ParseError naming an offset and
 /// section; acceptance must decode within the footer's record count.
-/// Either way the outcome must be deterministic (two independent
-/// readers agree byte-for-byte) — and never a crash, hang, or silent
-/// short read. An accepted input is also re-encoded twice, by
+/// Either way the outcome must be deterministic — two independent
+/// buffer readers and a reader of the same bytes in a temp file agree
+/// byte-for-byte — and never a crash, hang, or silent short read. An accepted input is also re-encoded twice, by
 /// BinLogWriter::Append and by SetSource + AppendShaped with the
 /// reader's shapes: the two files must be byte-identical and decode to
 /// the records read.

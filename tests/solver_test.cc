@@ -198,7 +198,9 @@ class SolveLogTest : public ::testing::Test {
     schema_ = catalog::MakeSkyServerSchema();
     DetectorOptions options;
     options.cth_min_support = 1;
-    report_ = DetectAntipatterns(parsed_, store_, &schema_, options);
+    auto detectors = DetectorSet::Resolve(options);
+    ASSERT_TRUE(detectors.ok()) << detectors.status().ToString();
+    report_ = DetectAntipatterns(parsed_, store_, &schema_, options, *detectors);
   }
 
 

@@ -263,12 +263,17 @@ int CmdClean(int argc, char** argv) {
   if (argc < 0) return 2;
   if (argc < 2) return Usage();
   const bool sqb_out = flags.out_format == log::LogFormat::kSqb;
-  const char* clean_suffix = sqb_out ? ".clean.sqb" : ".clean.csv";
-  const char* removal_suffix = sqb_out ? ".removal.sqb" : ".removal.csv";
+  const std::string prefix = argv[1];
+  const std::string clean_path = prefix + (sqb_out ? ".clean.sqb" : ".clean.csv");
+  const std::string removal_path = prefix + (sqb_out ? ".removal.sqb" : ".removal.csv");
+  // An output named like the input would truncate it on open.
+  Status distinct = log::RequireDistinctFiles(
+      {{"input", argv[0]}, {"clean output", clean_path}, {"removal output", removal_path}});
+  if (!distinct.ok()) {
+    std::fprintf(stderr, "error: %s\n", distinct.ToString().c_str());
+    return 1;
+  }
   if (flags.streaming) {
-    std::string prefix = argv[1];
-    std::string clean_path = prefix + clean_suffix;
-    std::string removal_path = prefix + removal_suffix;
     auto run = RunStreamingPipeline(flags, argv[0], clean_path, removal_path);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
@@ -295,18 +300,17 @@ int CmdClean(int argc, char** argv) {
   core::PipelineResult& result = *run;
   std::printf("%s\n", result.stats.ToTable().c_str());
   PrintParseCacheReport(result.parsed.parse_stats);
-  std::string prefix = argv[1];
-  for (const auto& [suffix, log] :
-       {std::pair<const char*, const log::QueryLog*>{clean_suffix, &result.clean_log},
-        std::pair<const char*, const log::QueryLog*>{removal_suffix,
-                                                     &result.removal_log}}) {
-    Status s = log::LogIo::WriteFile(*log, prefix + suffix, flags.out_format,
+  for (const auto& [path, log] :
+       {std::pair<const std::string*, const log::QueryLog*>{&clean_path, &result.clean_log},
+        std::pair<const std::string*, const log::QueryLog*>{&removal_path,
+                                                            &result.removal_log}}) {
+    Status s = log::LogIo::WriteFile(*log, *path, flags.out_format,
                                      sqb_out ? core::BuildStatementRecipe : nullptr);
     if (!s.ok()) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s%s (%zu records)\n", prefix.c_str(), suffix, log->size());
+    std::printf("wrote %s (%zu records)\n", path->c_str(), log->size());
   }
   return 0;
 }
