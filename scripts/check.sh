@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: warning-clean build, sqlog-lint, the default test
-# sweep, then the sanitizer presets. Run from anywhere inside the repo;
-# everything a PR must pass runs here. ~5-10 minutes on 8 cores.
+# sweep, the benchmark suite's smoke run, then the sanitizer presets.
+# Run from anywhere inside the repo; everything a PR must pass runs
+# here. ~5-10 minutes on 8 cores.
 #
 # Usage: scripts/check.sh [--fast] [--tidy]
 #   --fast   skip the asan-ubsan and tsan preset builds
@@ -208,6 +209,17 @@ ctest --preset default -j "$jobs"
 #     in both dispatch modes.
 step "ctest (default preset, SQLOG_FORCE_SCALAR=1)"
 SQLOG_FORCE_SCALAR=1 ctest --preset default -j "$jobs"
+
+# 4c. The benchmark suite is a CMake project of its own over the library
+#     sources, so neither the build above nor its ctest compiles it. Its
+#     traced runs call MinePatterns, RemoveDuplicates, ParseLog and
+#     SolveAntipatterns directly: build it and run its smoke test (every
+#     workload at toy sizes, each run's outputs digest-checked through a
+#     second entry point) so that an API change breaks here first.
+step "bench suite build + smoke"
+cmake -S bench/suite -B build/bench-suite
+cmake --build build/bench-suite -j "$jobs"
+(cd build/bench-suite && ctest -L bench-smoke --output-on-failure)
 
 if [[ $fast -eq 1 ]]; then
   step "done (--fast: sanitizer presets skipped)"

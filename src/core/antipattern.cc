@@ -73,11 +73,22 @@ std::vector<uint64_t> SignatureOf(const ParsedLog& parsed,
   return signature;
 }
 
-uint64_t SignatureKey(uint32_t detector, const std::vector<uint64_t>& signature) {
-  uint64_t h = 0x517cc1b727220a95ULL + static_cast<uint64_t>(detector);
-  for (uint64_t id : signature) h = HashCombine(h, id + 1);
-  return h;
-}
+/// A distinct-antipattern group: the producing detector plus the
+/// instance's signature. Groups compare by value; the hash only buckets.
+struct SignatureKey {
+  uint32_t detector = 0;
+  std::vector<uint64_t> template_ids;
+
+  bool operator==(const SignatureKey&) const = default;
+};
+
+struct SignatureKeyHash {
+  size_t operator()(const SignatureKey& key) const {
+    uint64_t h = 0x517cc1b727220a95ULL + static_cast<uint64_t>(key.detector);
+    for (uint64_t id : key.template_ids) h = HashCombine(h, id + 1);
+    return static_cast<size_t>(h);
+  }
+};
 
 /// Evaluation order of one resolved detector set: sequence detectors
 /// grouped into passes (shared scan_group = one pass, tried in set order
@@ -221,18 +232,17 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
 
   // Drop weakly-supported candidates of min-support-filtered detectors
   // (CTH: one-off organic coincidences).
-  std::unordered_map<uint64_t, uint64_t> support;
+  std::unordered_map<SignatureKey, uint64_t, SignatureKeyHash> support;
   for (const auto& instance : report.instances) {
     if (!set.info(instance.detector).min_support_filtered) continue;
-    ++support[SignatureKey(instance.detector, SignatureOf(parsed, instance))];
+    ++support[SignatureKey{instance.detector, SignatureOf(parsed, instance)}];
   }
 
-  std::unordered_map<uint64_t, size_t> distinct_index;
+  std::unordered_map<SignatureKey, size_t, SignatureKeyHash> distinct_index;
   std::vector<AntipatternInstance> kept;
   kept.reserve(report.instances.size());
   for (auto& instance : report.instances) {
-    std::vector<uint64_t> signature = SignatureOf(parsed, instance);
-    uint64_t key = SignatureKey(instance.detector, signature);
+    SignatureKey key{instance.detector, SignatureOf(parsed, instance)};
     if (set.info(instance.detector).min_support_filtered &&
         support[key] < options.cth_min_support) {
       continue;
@@ -241,7 +251,7 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
     if (inserted) {
       DistinctAntipattern d;
       d.detector = instance.detector;
-      d.template_ids = std::move(signature);
+      d.template_ids = std::move(key.template_ids);
       d.sample_query = instance.query_indices.front();
       report.distinct.push_back(std::move(d));
     }

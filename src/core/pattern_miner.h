@@ -41,13 +41,16 @@ struct Pattern {
 /// subsumed by (A)) — keeping the report aligned with the paper's
 /// pattern tables while CTH detection still sees all pairs.
 ///
-/// With a non-null `pool`, mining is sharded over contiguous user-id
-/// ranges (Defs. 7-10 are per-user, so user partitioning is lossless)
-/// and the per-shard accumulators are merged in ascending shard order.
-/// The returned set of patterns — frequencies, user sets, sample
-/// queries — is identical to the serial path; only the order of the
+/// One serial, exact pass: every window is a 16-byte record, the records
+/// are sorted so that equal template-id sequences are adjacent, and each
+/// run is folded into one pattern. A pattern's `sample_query` starts its
+/// first window in (user id, stream position) order. The order of the
 /// returned vector is unspecified until SortByFrequency (a strict total
 /// order) is applied, as the pipeline always does.
+///
+/// `pool` is unused: the serial sort is faster than the user-range
+/// sharding it replaced. The parameter stays because callers outside
+/// the library (`bench/suite/pipeline_child.cc`) still pass one.
 std::vector<Pattern> MinePatterns(const ParsedLog& parsed, const MinerOptions& options,
                                   util::ThreadPool* pool = nullptr);
 

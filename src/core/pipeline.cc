@@ -216,7 +216,7 @@ void AnalyzeParsed(const PipelineOptions& options, const catalog::Schema* schema
                    SwsReport& sws, PipelineStats& stats) {
   // Step 3 (Sec. 5.4): mine patterns.
   if (options.mine_patterns) {
-    patterns = MinePatterns(parsed, options.miner, pool);
+    patterns = MinePatterns(parsed, options.miner);
     SortByFrequency(patterns);
     stats.pattern_count = patterns.size();
     if (!patterns.empty()) {

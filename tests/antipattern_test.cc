@@ -282,5 +282,66 @@ TEST_F(AntipatternTest, NullSchemaSkipsKeyAxiom) {
   EXPECT_EQ(report.InstancesOf("dw-stifle"), 1u);
 }
 
+/// A min-support-filtered sequence detector that pairs each query with
+/// the next one in its segment.
+class PairDetector : public Detector {
+ public:
+  PairDetector() {
+    info_.id = "test-pair";
+    info_.display_name = "test pair";
+    info_.scope = DetectorScope::kSequence;
+    info_.min_support_filtered = true;
+  }
+  const DetectorInfo& info() const override { return info_; }
+  size_t ScanAt(const SegmentView& segment, size_t pos, const DetectorContext& ctx,
+                AntipatternInstance* instance) const override {
+    (void)ctx;
+    if (pos + 1 >= segment.size()) return 0;
+    instance->query_indices = {segment.query_index(pos), segment.query_index(pos + 1)};
+    return 2;
+  }
+
+ private:
+  DetectorInfo info_;
+};
+
+TEST_F(AntipatternTest, DistinctGroupsCompareSignaturesExactly) {
+  static const bool registered =
+      DetectorRegistry::Global().Register(std::make_shared<PairDetector>()).ok();
+  ASSERT_TRUE(registered);
+  // Two users issue 9217 -> 3226 and one issues 9218 -> 7321. At set
+  // index 0 the two signatures share one 64-bit hash, which must not
+  // merge their groups or their support counts.
+  const std::vector<std::vector<uint64_t>> streams = {{9217, 3226}, {9217, 3226}, {9218, 7321}};
+  parsed_ = ParsedLog();
+  parsed_.user_streams.resize(streams.size());
+  for (uint32_t user = 0; user < streams.size(); ++user) {
+    for (size_t k = 0; k < streams[user].size(); ++k) {
+      ParsedQuery query;
+      query.record_index = parsed_.queries.size();
+      query.timestamp_ms = static_cast<int64_t>(k) * 1000;
+      query.user_id = user;
+      query.template_id = streams[user][k];
+      parsed_.user_streams[user].push_back(parsed_.queries.size());
+      parsed_.queries.push_back(std::move(query));
+    }
+  }
+  DetectorOptions options;
+  options.detector_ids = {"test-pair"};
+  options.cth_min_support = 3;
+  auto report = DetectWith(nullptr, options);
+  EXPECT_TRUE(report.instances.empty());
+  EXPECT_TRUE(report.distinct.empty());
+
+  options.cth_min_support = 1;
+  report = DetectWith(nullptr, options);
+  ASSERT_EQ(report.distinct.size(), 2u);
+  EXPECT_EQ(report.distinct[0].template_ids, (std::vector<uint64_t>{9217, 3226}));
+  EXPECT_EQ(report.distinct[0].instance_count, 2u);
+  EXPECT_EQ(report.distinct[0].user_popularity(), 2u);
+  EXPECT_EQ(report.distinct[1].template_ids, (std::vector<uint64_t>{9218, 7321}));
+  EXPECT_EQ(report.distinct[1].instance_count, 1u);
+}
+
 }  // namespace
 }  // namespace sqlog::core
