@@ -4,7 +4,7 @@
 //
 // A custom main handles `--json=<path>` (google-benchmark rejects flags
 // it does not know): after the registered benchmarks run, it measures
-// the parse stage with the template fingerprint cache on and off over a
+// the parse stage with the parse cache on and off over a
 // template-heavy generator workload and writes the machine-readable
 // comparison (records/sec, ns/record, hit rate, peak RSS) to the path —
 // CI checks this in as BENCH_parse.json.
@@ -144,10 +144,10 @@ class KernelModeGuard {
 
 const char* KernelModeLabel(int64_t arg) { return arg == 0 ? "scalar" : "dispatched"; }
 
-/// Lex + normalized-key fingerprint over the study slice — the hot loop
-/// of the parse cache (skip-space/skip-identifier kernels plus the
-/// block-wise 128-bit hash).
-void BM_LexFingerprintKernels(benchmark::State& state) {
+/// Lex + normalized key over the study slice — the per-statement work
+/// of the parse cache before its lookup (the class-bitmap kernel behind
+/// the lexer's skip loops, plus the lowering kernel behind the key).
+void BM_LexKeyKernels(benchmark::State& state) {
   const log::QueryLog& log = KernelBenchLog();
   KernelModeGuard guard(state.range(0));
   std::string key;
@@ -157,15 +157,14 @@ void BM_LexFingerprintKernels(benchmark::State& state) {
       if (!tokens.ok()) continue;
       key.clear();
       sql::AppendNormalizedKey(tokens.value(), &key);
-      sql::TokenFingerprint fp = sql::FingerprintKey(key);
-      benchmark::DoNotOptimize(fp);
+      benchmark::DoNotOptimize(key.data());
     }
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<int64_t>(log.size()));
   }
   state.SetLabel(KernelModeLabel(state.range(0)));
 }
-BENCHMARK(BM_LexFingerprintKernels)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LexKeyKernels)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// CSV logical-line splitting over the serialized study slice, fed in
 /// 64 KiB chunks like the streaming reader (quote/CR/LF scan kernel).
@@ -238,8 +237,8 @@ BENCHMARK(BM_FullPipeline)
     ->Args({20000, 8})
     ->Unit(benchmark::kMillisecond);
 
-/// Parse-stage throughput with the fingerprint cache on vs off (the
-/// tentpole comparison; `sqlog --no-parse-cache` is the same switch).
+/// Parse-stage throughput with the parse cache on vs off
+/// (`sqlog --no-parse-cache` is the same switch).
 void BM_ParseLog(benchmark::State& state) {
   static log::QueryLog raw = [] {
     log::GeneratorConfig config;
@@ -257,7 +256,7 @@ void BM_ParseLog(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseLog)
     ->Arg(0)  // cache off: every SELECT takes the full parser
-    ->Arg(1)  // cache on: repeats lex + fingerprint only
+    ->Arg(1)  // cache on: repeats lex + key lookup only
     ->Unit(benchmark::kMillisecond);
 
 struct ParseMeasurement {

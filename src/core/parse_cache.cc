@@ -4,6 +4,7 @@
 
 #include "log/binlog_format.h"
 #include "sql/ast.h"
+#include "sql/fingerprint.h"
 #include "sql/lexer.h"
 #include "sql/printer.h"
 
@@ -59,40 +60,24 @@ size_t ParseCacheEntry::bytes() const {
   return total;
 }
 
-const ParseCacheEntry* ParseCache::Find(const sql::TokenFingerprint& fp,
-                                        std::string_view key) const {
-  auto it = buckets_.find(fp.lo);
-  if (it == buckets_.end()) return nullptr;
-  for (const auto& entry : it->second) {
-    if (entry->fingerprint.hi == fp.hi && entry->key == key) return entry.get();
-  }
-  return nullptr;
+const ParseCacheEntry* ParseCache::Find(std::string_view key) const {
+  auto it = by_key_.find(key);
+  return it == by_key_.end() ? nullptr : it->second;
 }
 
 const ParseCacheEntry* ParseCache::Insert(std::unique_ptr<ParseCacheEntry> entry) {
   bytes_ += entry->bytes();
-  ParseCacheEntry* raw = entry.get();
-  buckets_[entry->fingerprint.lo].push_back(std::move(entry));
-  order_.push_back(raw);
+  const ParseCacheEntry* raw = entry.get();
+  [[maybe_unused]] const bool inserted = by_key_.emplace(raw->key, raw).second;
+  assert(inserted && "ParseCache::Insert: key already cached");
+  entries_.push_back(std::move(entry));
   return raw;
 }
 
 std::vector<std::unique_ptr<ParseCacheEntry>> ParseCache::TakeEntries() {
-  std::vector<std::unique_ptr<ParseCacheEntry>> drained;
-  drained.reserve(order_.size());
-  for (ParseCacheEntry* raw : order_) {
-    auto& bucket = buckets_[raw->fingerprint.lo];
-    for (auto& owned : bucket) {
-      if (owned.get() == raw) {
-        drained.push_back(std::move(owned));
-        break;
-      }
-    }
-  }
-  buckets_.clear();
-  order_.clear();
+  by_key_.clear();
   bytes_ = 0;
-  return drained;
+  return std::exchange(entries_, {});
 }
 
 void BuildRecipes(const sql::TokenStream& tokens, const sql::QueryFacts& facts,

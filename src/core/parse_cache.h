@@ -2,7 +2,6 @@
 #define SQLOG_CORE_PARSE_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -10,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "sql/fingerprint.h"
 #include "sql/skeleton.h"
 #include "sql/token.h"
 #include "util/thread_annotations.h"
@@ -27,7 +25,7 @@ struct ParseStats {
   uint64_t full_parses = 0;
   /// Statements whose facts were rendered from a cached template.
   uint64_t cache_hits = 0;
-  /// Fingerprint lookups that missed (an entry was built).
+  /// Key lookups that missed (an entry was built).
   uint64_t cache_misses = 0;
   /// Hits on templates whose recipe could not be validated — correct
   /// results, but the statement still pays a full parse.
@@ -63,10 +61,8 @@ struct ParseStats {
 /// produce — validated once, when the entry is built, against the full
 /// parse that built it.
 struct ParseCacheEntry {
-  sql::TokenFingerprint fingerprint;
-  /// The full normalized key. Looked up entries are verified against it
-  /// byte-for-byte, so a 128-bit collision degrades to a comparison
-  /// instead of merging distinct templates.
+  /// The full normalized key (sql::AppendNormalizedKey), which
+  /// ParseCache looks the entry up by.
   std::string key;
 
   /// False for cached parse *failures*: same key ⇒ the parser fails the
@@ -123,35 +119,21 @@ struct ParseCacheEntry {
   size_t bytes() const;
 };
 
-/// Fingerprint-keyed template cache. NOT thread-safe: each parse shard
-/// owns a private cache; the parser's persistent cache is only read
-/// (const Find) while shards are in flight and mutated after they join. Entries are kept in insertion order so merging shard caches
+/// Template cache keyed by the normalized key. NOT thread-safe: each
+/// parse shard owns a private cache; the parser's persistent cache is
+/// only read (const Find) while shards are in flight and mutated after
+/// they join. Entries are kept in insertion order so merging shard caches
 /// into a persistent one is deterministic.
 class ParseCache {
  public:
-  using FingerprintFn = std::function<sql::TokenFingerprint(std::string_view)>;
-
   ParseCache() = default;
   ParseCache(const ParseCache&) = delete;
   ParseCache& operator=(const ParseCache&) = delete;
   ParseCache(ParseCache&&) = default;
   ParseCache& operator=(ParseCache&&) = default;
 
-  /// Test seam (same pattern as dedup's key hash): replaces the
-  /// fingerprint function so collisions can be forced. Cache *decisions*
-  /// — which statements share a template — must not change under any
-  /// override, because entries are verified by full key comparison.
-  void set_fingerprint_for_test(FingerprintFn fn) { fingerprint_fn_ = std::move(fn); }
-  const FingerprintFn& fingerprint_for_test() const { return fingerprint_fn_; }
-
-  sql::TokenFingerprint Fingerprint(std::string_view key) const {
-    return fingerprint_fn_ ? fingerprint_fn_(key) : sql::FingerprintKey(key);
-  }
-
-  /// Returns the entry with this exact key, or null. Entries whose
-  /// fingerprint matches but whose key differs (a hash collision) are
-  /// skipped — they live side by side in the same bucket.
-  const ParseCacheEntry* Find(const sql::TokenFingerprint& fp, std::string_view key) const;
+  /// Returns the entry with this exact key, or null.
+  const ParseCacheEntry* Find(std::string_view key) const;
 
   /// Inserts an entry (the key must not already be present) and returns
   /// a stable pointer to it.
@@ -162,15 +144,17 @@ class ParseCache {
   /// in deterministic shard order).
   std::vector<std::unique_ptr<ParseCacheEntry>> TakeEntries();
 
-  size_t size() const { return order_.size(); }
+  size_t size() const { return entries_.size(); }
   size_t bytes() const { return bytes_; }
 
  private:
-  std::unordered_map<uint64_t, std::vector<std::unique_ptr<ParseCacheEntry>>> buckets_
-      SQLOG_SHARD_LOCAL;
-  std::vector<ParseCacheEntry*> order_ SQLOG_SHARD_LOCAL;
+  /// Owns the entries, in insertion order.
+  std::vector<std::unique_ptr<ParseCacheEntry>> entries_ SQLOG_SHARD_LOCAL;
+  /// Each key views its own entry's `key`. The entries live on the heap
+  /// and are never modified after Insert, so the views (even those into
+  /// a small-string buffer) stay valid until TakeEntries clears the map.
+  std::unordered_map<std::string_view, const ParseCacheEntry*> by_key_ SQLOG_SHARD_LOCAL;
   size_t bytes_ SQLOG_SHARD_LOCAL = 0;
-  FingerprintFn fingerprint_fn_ SQLOG_SHARD_LOCAL;
 };
 
 /// Builds and validates the recipes of `entry` from a successful full
@@ -231,9 +215,7 @@ std::string BuildStatementRecipe(const std::string& statement);
 /// must equal the recipe's key, and (for cacheable recipes) its
 /// placeholdered-token count must equal the slot count. Returns null on
 /// empty, malformed, version-mismatched or non-validating input —
-/// callers skip the entry and fall back to parsing. The entry's
-/// fingerprint is left zero; the seeding cache stamps it with its own
-/// fingerprint function (so the test seam keeps working).
+/// callers skip the entry and fall back to parsing.
 std::unique_ptr<ParseCacheEntry> DeserializeStatementRecipe(std::string_view template_text,
                                                             std::string_view recipe);
 

@@ -139,10 +139,15 @@ std::vector<Pattern> FoldRuns(const ParsedLog& parsed, const FlatStreams& flat,
       const uint32_t user = flat.users[head.begin];
       pattern.sample_query = parsed.user_streams[user][head.begin - flat.user_begins[user]];
       // A user's first window in the run is always counted, so the
-      // counted windows' users are all the run's users.
+      // counted windows' users are all the run's users. The run is in
+      // position order and Flatten lays users out ascending, so each
+      // user's windows are adjacent and the list comes out ascending.
       for (size_t k = first; k < last; ++k) {
-        // sqlog-lint: allow(R10 one node per distinct user of a reported pattern)
-        pattern.users.insert(flat.users[windows[k].begin]);
+        const uint32_t user_id = flat.users[windows[k].begin];
+        if (pattern.users.empty() || pattern.users.back() != user_id) {
+          // sqlog-lint: allow(R10 one slot per distinct user of a reported pattern)
+          pattern.users.push_back(user_id);
+        }
       }
     }
     first = last;

@@ -2,7 +2,6 @@
 #define SQLOG_CORE_PATTERN_MINER_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/template_store.h"
@@ -25,7 +24,7 @@ struct MinerOptions {
 struct Pattern {
   std::vector<uint64_t> template_ids;
   uint64_t frequency = 0;                  // instance count (Def. 9)
-  std::unordered_set<uint32_t> users;      // for userPopularity (Def. 10)
+  std::vector<uint32_t> users;             // distinct user ids, ascending (Def. 10)
   size_t sample_query = 0;                 // a ParsedQuery index starting one instance
 
   size_t user_popularity() const { return users.size(); }

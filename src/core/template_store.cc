@@ -81,9 +81,9 @@ constexpr uint64_t kUnmapped = ~uint64_t{0};
 /// shard; record_index values are shard-relative — FeedBatch rebases
 /// them by the batch's position in the whole pre-clean log.
 ///
-/// With `cache_options.enabled`, statements are lexed and fingerprinted
-/// first; repeats of a known template skip the parser and have their
-/// facts rendered from the cached recipes. `shared_cache` is the
+/// With `cache_options.enabled`, statements are lexed and their
+/// normalized key looked up first; repeats of a known template skip the
+/// parser and have their facts rendered from the cached recipes. `shared_cache` is the
 /// parser's persistent cache — read-only here, it is frozen while shards
 /// run. Every outcome (queries, counts, diagnostics) is byte-identical to
 /// the uncached path.
@@ -92,7 +92,7 @@ constexpr uint64_t kUnmapped = ~uint64_t{0};
 /// records[i]'s on-disk encoding and `seed_table` maps its dictionary
 /// ordinal to the seeded cache entry. A shaped record with a cacheable
 /// seeded entry renders its facts from the constant spans — no lex, no
-/// key, no fingerprint. The writer-side canonical-span contract
+/// key. The writer-side canonical-span contract
 /// (binlog.cc RawSpanIsCanonical) makes the derived slot texts
 /// byte-equal to the lexed ones, so every observable outcome still
 /// matches the unshaped path; anything the contract does not cover
@@ -105,9 +105,6 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
                            const std::vector<const ParseCacheEntry*>& seed_table) {
   ParseShard shard;
   shard.queries.reserve(end - begin);
-  if (cache_options.fingerprint_for_test) {
-    shard.cache.set_fingerprint_for_test(cache_options.fingerprint_for_test);
-  }
   // Local template ids already assigned to hit entries, so repeated hits
   // skip the store's skeleton-equality probe too.
   std::unordered_map<const ParseCacheEntry*, uint64_t> entry_template_id;
@@ -204,8 +201,8 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
       continue;
     }
 
-    // Cached path: lex once, fingerprint the normalized token stream,
-    // and only parse when the template has not been seen before.
+    // Cached path: lex once, look the normalized token stream up by its
+    // key, and only parse when the template has not been seen before.
     auto lexed = sql::Lex(record.statement);
     if (!lexed.ok()) {
       // ParseAndAnalyze == Lex + parse, so a lex error carries exactly
@@ -217,9 +214,8 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
     const sql::TokenStream& tokens = lexed.value();
     key.clear();
     sql::AppendNormalizedKey(tokens, &key);
-    const sql::TokenFingerprint fp = shard.cache.Fingerprint(key);
-    const ParseCacheEntry* entry = shared_cache.Find(fp, key);
-    if (entry == nullptr) entry = shard.cache.Find(fp, key);
+    const ParseCacheEntry* entry = shared_cache.Find(key);
+    if (entry == nullptr) entry = shard.cache.Find(key);
 
     if (entry == nullptr) {
       // Miss: full parse, then cache what it taught us for the next
@@ -229,7 +225,6 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
       std::vector<const sql::Expr*> value_exprs;
       auto facts = sql::ParseAndAnalyzeTokens(tokens, &value_exprs);
       auto fresh = std::make_unique<ParseCacheEntry>();
-      fresh->fingerprint = fp;
       fresh->key = key;
       if (!facts.ok()) {
         record_failure(i, record, facts.status().message());
@@ -448,11 +443,7 @@ StreamingParser::StreamingParser(TemplateStore& store, size_t max_diagnostics,
       max_diagnostics_(max_diagnostics),
       pool_(pool),
       cache_options_(cache_options),
-      keep_asts_(keep_asts) {
-  if (cache_options_.fingerprint_for_test) {
-    cache_.set_fingerprint_for_test(cache_options_.fingerprint_for_test);
-  }
-}
+      keep_asts_(keep_asts) {}
 
 void StreamingParser::SeedCache(std::vector<std::unique_ptr<ParseCacheEntry>> entries) {
   if (!cache_options_.enabled) return;
@@ -462,10 +453,7 @@ void StreamingParser::SeedCache(std::vector<std::unique_ptr<ParseCacheEntry>> en
       seed_by_ordinal_.push_back(nullptr);
       continue;
     }
-    // Stamp with this cache's fingerprint function (the serialized form
-    // carries none, so the collision-forcing test seam keeps working).
-    entry->fingerprint = cache_.Fingerprint(entry->key);
-    const ParseCacheEntry* existing = cache_.Find(entry->fingerprint, entry->key);
+    const ParseCacheEntry* existing = cache_.Find(entry->key);
     if (existing == nullptr) existing = cache_.Insert(std::move(entry));
     seed_by_ordinal_.push_back(existing);
   }
@@ -514,7 +502,7 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
   if (cache_options_.enabled) {
     for (ParseShard& shard : shards) {
       for (auto& entry : shard.cache.TakeEntries()) {
-        if (cache_.Find(entry->fingerprint, entry->key) == nullptr) {
+        if (cache_.Find(entry->key) == nullptr) {
           cache_.Insert(std::move(entry));
         }
       }

@@ -68,14 +68,11 @@ struct ParsedLog {
   ParseStats parse_stats;
 };
 
-/// Configures the template fingerprint cache used by ParseLog /
+/// Configures the parse cache (core/parse_cache.h) used by ParseLog /
 /// StreamingParser. Results are byte-identical with the cache on or off;
 /// only the work done per statement changes.
 struct ParseCacheOptions {
   bool enabled = true;
-  /// Test seam forwarded to every cache this parse creates (forces
-  /// fingerprint collisions; see ParseCache::set_fingerprint_for_test).
-  ParseCache::FingerprintFn fingerprint_for_test;
 };
 
 /// Interns templates and users and tracks per-template statistics.
@@ -114,7 +111,7 @@ class TemplateStore {
 
 /// Runs the parse step over a (deduplicated) log: one FeedBatch of a
 /// StreamingParser that keeps every AST it builds (see there for the
-/// sharding and the template fingerprint cache), then Finish().
+/// sharding and the parse cache), then Finish().
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool = nullptr, size_t max_diagnostics = 0,
                    const ParseCacheOptions& cache_options = {});
@@ -151,8 +148,7 @@ class StreamingParser {
 
   /// Seeds the persistent cache with pre-built entries (deserialized
   /// from a `.sqb` dictionary) before the first batch. Entries whose key
-  /// is already cached are dropped; each kept entry is stamped with this
-  /// cache's fingerprint function. No-op when the cache is disabled.
+  /// is already cached are dropped. No-op when the cache is disabled.
   /// Records whose templates are all seeded then parse with zero full
   /// parses — hits and failure short-circuits only.
   ///
@@ -167,8 +163,8 @@ class StreamingParser {
   /// `shapes` (optional) holds one log::RecordShape per record (a longer
   /// pooled vector is fine; the tail is ignored), as produced by
   /// BinLogReader::last_shape(). A record whose shape names
-  /// a seeded, cacheable dictionary ordinal skips lexing and
-  /// fingerprinting entirely — its facts render straight from the
+  /// a seeded, cacheable dictionary ordinal skips lexing and the key
+  /// lookup entirely — its facts render straight from the
   /// constant spans (DeriveSlotTexts), and a seeded parse *failure*
   /// short-circuits to a syntax-error count once the diagnostics quota
   /// is exhausted. Everything else (verbatim records, unseeded or

@@ -22,7 +22,7 @@ bool IsStructuralNumber(const TokenStream& tokens, size_t i) {
 
 /// Length-delimits a payload so adjacent tokens cannot alias: 4 bytes of
 /// little-endian length, then the bytes.
-// sqlog-lint: allow(R10 appends into the caller-owned key buffer, which the fingerprint entry points clear and reuse across statements; growth is amortized)
+// sqlog-lint: allow(R10 appends into the caller-owned key buffer, which callers clear and reuse across statements; growth is amortized)
 void AppendDelimited(std::string_view payload, std::string* key) {
   uint32_t n = static_cast<uint32_t>(payload.size());
   key->push_back(static_cast<char>(n & 0xff));
@@ -46,7 +46,7 @@ void AppendFolded(std::string_view text, std::string* key) {
 
 }  // namespace
 
-// sqlog-lint: allow(R10 appends into the caller-owned key buffer; TemplateStore reuses one key string per shard)
+// sqlog-lint: allow(R10 appends into the caller-owned key buffer; each parse shard reuses one key string)
 void AppendNormalizedKey(const TokenStream& tokens, std::string* key) {
   for (size_t i = 0; i < tokens.size(); ++i) {
     const Token& token = tokens[i];
@@ -64,18 +64,6 @@ void AppendNormalizedKey(const TokenStream& tokens, std::string* key) {
         break;  // the type byte alone: placeholder or punctuation
     }
   }
-}
-
-TokenFingerprint FingerprintKey(std::string_view key) {
-  // Block-wise 128-bit hash (16 bytes/round) instead of the former pair
-  // of byte-at-a-time FNV-1a passes. The fingerprint is an in-memory
-  // parse-cache key, never serialized — unlike QueryTemplate::fingerprint
-  // and the binlog checksums, which stay on Fnv1a64 (wire format).
-  simd::Hash128 h = simd::HashKey128(key);
-  TokenFingerprint fp;
-  fp.lo = h.lo;
-  fp.hi = h.hi;
-  return fp;
 }
 
 // sqlog-lint: allow(R10 builds and returns the per-statement placeholder index vector; one amortized allocation per statement by design)

@@ -1,29 +1,13 @@
 #ifndef SQLOG_SQL_FINGERPRINT_H_
 #define SQLOG_SQL_FINGERPRINT_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sql/token.h"
 
 namespace sqlog::sql {
-
-/// 128-bit hash of a statement's normalized token stream. Two statements
-/// with the same fingerprint almost surely share a normalized key; the
-/// parse cache still verifies the key byte-for-byte before treating them
-/// as the same template, so collisions cost a comparison, never
-/// correctness.
-struct TokenFingerprint {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-
-  bool operator==(const TokenFingerprint& other) const {
-    return lo == other.lo && hi == other.hi;
-  }
-  bool operator!=(const TokenFingerprint& other) const { return !(*this == other); }
-};
 
 /// Appends the normalized key of `tokens` to `key` (the caller clears it
 /// when a fresh key is wanted). The key encodes, per token, a type byte
@@ -40,12 +24,10 @@ struct TokenFingerprint {
 /// imply byte-equal skeletons and per-template facts, while distinct
 /// keys may still map to one skeleton (IN-list arity, redundant parens,
 /// hex case). The cache only needs the first implication.
+///
+/// The parse cache (core/parse_cache.h) and the `.sqb` writer's template
+/// dictionary (log/binlog.h) are both hash maps over this string.
 void AppendNormalizedKey(const TokenStream& tokens, std::string* key);
-
-/// Hashes a normalized key into a 128-bit fingerprint (block-wise
-/// 16-bytes-per-round hash, see simd::HashKey128). In-memory only: the
-/// value is never serialized and may change between builds.
-TokenFingerprint FingerprintKey(std::string_view key);
 
 /// Indices of the tokens the normalized key placeholders (strings and
 /// non-structural numbers), in stream order. Statements with equal keys

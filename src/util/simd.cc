@@ -19,16 +19,6 @@ namespace {
 // differentially tested against. Byte-at-a-time over the class table.
 // ---------------------------------------------------------------------------
 
-size_t ScalarSkipSpace(std::string_view text, size_t pos) {
-  while (pos < text.size() && IsSpaceByte(text[pos])) ++pos;
-  return pos;
-}
-
-size_t ScalarSkipIdentRun(std::string_view text, size_t pos) {
-  while (pos < text.size() && IsIdentCharByte(text[pos])) ++pos;
-  return pos;
-}
-
 size_t ScalarFindByte(std::string_view text, size_t pos, char needle) {
   while (pos < text.size() && text[pos] != needle) ++pos;
   return pos;
@@ -68,70 +58,6 @@ void ScalarBuildClassBitmaps(std::string_view text, uint64_t* space_bits,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Hash core. All levels run the same 16-bytes-per-round schedule; only
-// the word loads differ, so results are identical by construction (and
-// re-proven by the differential tests).
-// ---------------------------------------------------------------------------
-
-constexpr uint64_t kHashK0 = 0xc3a5c85c97cb3127ULL;
-constexpr uint64_t kHashK1 = 0xb492b66fbe98f273ULL;
-constexpr uint64_t kHashK2 = 0x9ae16a3b2f90404fULL;
-
-inline uint64_t Rotl64(uint64_t v, int s) { return (v << s) | (v >> (64 - s)); }
-
-inline uint64_t MixHash(uint64_t v) {
-  v ^= v >> 33;
-  v *= 0xff51afd7ed558ccdULL;
-  v ^= v >> 29;
-  v *= 0xc4ceb9fe1a85ec53ULL;
-  v ^= v >> 32;
-  return v;
-}
-
-inline void HashRound(uint64_t w0, uint64_t w1, uint64_t* a, uint64_t* b) {
-  *a = Rotl64(*a ^ (w0 * kHashK1), 29) * kHashK0;
-  *b = Rotl64(*b ^ (w1 * kHashK0), 31) * kHashK1;
-  *a ^= *b >> 17;
-}
-
-inline Hash128 HashFinish(uint64_t a, uint64_t b) {
-  Hash128 h;
-  h.lo = MixHash(a ^ Rotl64(b, 23));
-  h.hi = MixHash(b + (a ^ kHashK2));
-  return h;
-}
-
-// Little-endian word assembly: the canonical byte order of the hash is
-// defined byte-by-byte, so the value is host-independent.
-inline uint64_t AssembleLe64(const unsigned char* p) {
-  return static_cast<uint64_t>(p[0]) | static_cast<uint64_t>(p[1]) << 8 |
-         static_cast<uint64_t>(p[2]) << 16 | static_cast<uint64_t>(p[3]) << 24 |
-         static_cast<uint64_t>(p[4]) << 32 | static_cast<uint64_t>(p[5]) << 40 |
-         static_cast<uint64_t>(p[6]) << 48 | static_cast<uint64_t>(p[7]) << 56;
-}
-
-inline void HashTail(const unsigned char* p, size_t len, uint64_t* a, uint64_t* b) {
-  if (len == 0) return;
-  unsigned char buf[16] = {0};
-  std::memcpy(buf, p, len);
-  HashRound(AssembleLe64(buf), AssembleLe64(buf + 8), a, b);
-}
-
-Hash128 ScalarHashKey128(std::string_view data) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
-  size_t len = data.size();
-  uint64_t a = kHashK0 ^ (len * kHashK2);
-  uint64_t b = kHashK1 ^ Rotl64(len, 32);
-  while (len >= 16) {
-    HashRound(AssembleLe64(p), AssembleLe64(p + 8), &a, &b);
-    p += 16;
-    len -= 16;
-  }
-  HashTail(p, len, &a, &b);
-  return HashFinish(a, b);
-}
-
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 #define SQLOG_SIMD_LITTLE_ENDIAN 1
 #else
@@ -145,10 +71,11 @@ Hash128 ScalarHashKey128(std::string_view data) {
 //
 // The classic bit-twiddling haszero/hasless formulas are only exact up
 // to the first matching byte (borrows contaminate higher bytes), which
-// is fine for find-first-match but wrong for find-first-NON-match: a
-// false positive after a real match would make a skip loop overrun.
-// These masks instead confine all carries inside each byte — add at
-// most 0x7F to a 7-bit lane — so every lane is exact:
+// is fine for find-first-match but wrong for the class bitmaps, which
+// need every lane's flag: a false positive after a real match would set
+// the bit of a byte outside the class. These masks instead confine all
+// carries inside each byte — add at most 0x7F to a 7-bit lane — so every
+// lane is exact:
 //   nonzero(t): ((t & ~H) + ~H) | t  has the high bit set iff t != 0.
 // ---------------------------------------------------------------------------
 
@@ -189,43 +116,16 @@ inline size_t FirstFlag(uint64_t mask) {
   return static_cast<size_t>(__builtin_ctzll(mask)) >> 3;
 }
 
-/// Most skip calls from the lexer end within the first few bytes — a
-/// single space between tokens, a 3-to-10-byte identifier tail. Both
-/// vector levels classify a word-sized prefix through the class table
-/// first, so the short-run common case never pays vector setup and the
-/// wide loop only runs when there is a real run to eat.
+/// Lexer spans handed to FindByte (quoted literals, comment bodies) are
+/// usually a handful of bytes. Both vector levels scan a word-sized
+/// prefix byte by byte first, so the short-span common case never pays
+/// vector setup and the wide loop only runs on a real span.
 constexpr size_t kSkipPrefix = 4;
-
-template <uint64_t (*ClassMask)(uint64_t), uint8_t ClassBits,
-          size_t (*ScalarTail)(std::string_view, size_t)>
-size_t SwarSkipClass(std::string_view text, size_t pos) {
-  const char* data = text.data();
-  size_t n = text.size();
-  const size_t stop = pos + kSkipPrefix < n ? pos + kSkipPrefix : n;
-  for (; pos < stop; ++pos) {
-    if (!HasByteClass(data[pos], ClassBits)) return pos;
-  }
-  while (pos + 8 <= n) {
-    uint64_t miss = ~ClassMask(LoadWord(data + pos)) & kHiBits;
-    if (miss != 0) return pos + FirstFlag(miss);
-    pos += 8;
-  }
-  return ScalarTail(text, pos);
-}
-
-size_t SwarSkipSpace(std::string_view text, size_t pos) {
-  return SwarSkipClass<SpaceMask, byte_class::kSpace, ScalarSkipSpace>(text, pos);
-}
-
-size_t SwarSkipIdentRun(std::string_view text, size_t pos) {
-  return SwarSkipClass<IdentMask, byte_class::kIdentChar, ScalarSkipIdentRun>(text, pos);
-}
 
 size_t SwarFindByte(std::string_view text, size_t pos, char needle) {
   const char* data = text.data();
   size_t n = text.size();
-  // Lexer spans (quoted literals) are usually a handful of bytes; scan a
-  // short prefix before paying word setup. Long CSV spans lose 4 compares.
+  // Short-span prefix (see kSkipPrefix); long CSV spans lose 4 compares.
   const size_t stop = pos + kSkipPrefix < n ? pos + kSkipPrefix : n;
   for (; pos < stop; ++pos) {
     if (data[pos] == needle) return pos;
@@ -265,20 +165,6 @@ void SwarAppendLowered(std::string_view text, std::string* out) {
     pos += 8;
   }
   for (; pos < n; ++pos) out->push_back(ToLowerByte(data[pos]));
-}
-
-Hash128 SwarHashKey128(std::string_view data) {
-  const char* p = data.data();
-  size_t len = data.size();
-  uint64_t a = kHashK0 ^ (data.size() * kHashK2);
-  uint64_t b = kHashK1 ^ Rotl64(data.size(), 32);
-  while (len >= 16) {
-    HashRound(LoadWord(p), LoadWord(p + 8), &a, &b);
-    p += 16;
-    len -= 16;
-  }
-  HashTail(reinterpret_cast<const unsigned char*>(p), len, &a, &b);
-  return HashFinish(a, b);
 }
 
 /// Gathers the 0x80 lane flags of a SWAR class mask into the low 8 bits
@@ -340,35 +226,6 @@ inline __m128i IdentV(__m128i x) {
   __m128i alpha = _mm_or_si128(RangeV(x, 'a', 'z'), RangeV(x, 'A', 'Z'));
   __m128i extra = _mm_or_si128(_mm_or_si128(EqV(x, '_'), EqV(x, '$')), EqV(x, '#'));
   return _mm_or_si128(_mm_or_si128(alpha, RangeV(x, '0', '9')), extra);
-}
-
-template <__m128i (*ClassV)(__m128i), uint8_t ClassBits,
-          size_t (*ScalarTail)(std::string_view, size_t)>
-size_t Sse2SkipClass(std::string_view text, size_t pos) {
-  const char* data = text.data();
-  size_t n = text.size();
-  // Same short-run prefix as the SWAR level (see kSkipPrefix).
-  const size_t stop = pos + kSkipPrefix < n ? pos + kSkipPrefix : n;
-  for (; pos < stop; ++pos) {
-    if (!HasByteClass(data[pos], ClassBits)) return pos;
-  }
-  while (pos + 16 <= n) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + pos));
-    int bits = _mm_movemask_epi8(ClassV(x));
-    if (bits != 0xFFFF) {
-      return pos + static_cast<size_t>(__builtin_ctz(~static_cast<unsigned>(bits) & 0xFFFFu));
-    }
-    pos += 16;
-  }
-  return ScalarTail(text, pos);
-}
-
-size_t Sse2SkipSpace(std::string_view text, size_t pos) {
-  return Sse2SkipClass<SpaceV, byte_class::kSpace, ScalarSkipSpace>(text, pos);
-}
-
-size_t Sse2SkipIdentRun(std::string_view text, size_t pos) {
-  return Sse2SkipClass<IdentV, byte_class::kIdentChar, ScalarSkipIdentRun>(text, pos);
 }
 
 size_t Sse2FindByte(std::string_view text, size_t pos, char needle) {
@@ -458,37 +315,28 @@ void Sse2BuildClassBitmaps(std::string_view text, uint64_t* space_bits,
 
 struct Kernels {
   Level level;
-  size_t (*skip_space)(std::string_view, size_t);
-  size_t (*skip_ident_run)(std::string_view, size_t);
   size_t (*find_byte)(std::string_view, size_t, char);
   size_t (*find_line_special)(std::string_view, size_t);
   void (*append_lowered)(std::string_view, std::string*);
-  Hash128 (*hash_key_128)(std::string_view);
   void (*build_class_bitmaps)(std::string_view, uint64_t*, uint64_t*);
 };
 
 constexpr Kernels kScalarKernels = {
-    Level::kScalar,       ScalarSkipSpace,     ScalarSkipIdentRun, ScalarFindByte,
-    ScalarFindLineSpecial, ScalarAppendLowered, ScalarHashKey128,
-    ScalarBuildClassBitmaps,
+    Level::kScalar,      ScalarFindByte,          ScalarFindLineSpecial,
+    ScalarAppendLowered, ScalarBuildClassBitmaps,
 };
 
 #if SQLOG_SIMD_LITTLE_ENDIAN
 constexpr Kernels kSwarKernels = {
-    Level::kSwar,        SwarSkipSpace,     SwarSkipIdentRun, SwarFindByte,
-    SwarFindLineSpecial, SwarAppendLowered, SwarHashKey128,
-    SwarBuildClassBitmaps,
+    Level::kSwar,      SwarFindByte,          SwarFindLineSpecial,
+    SwarAppendLowered, SwarBuildClassBitmaps,
 };
 #endif
 
 #if defined(__SSE2__) && SQLOG_SIMD_LITTLE_ENDIAN
 constexpr Kernels kSse2Kernels = {
-    Level::kSse2,        Sse2SkipSpace,     Sse2SkipIdentRun, Sse2FindByte,
-    Sse2FindLineSpecial, Sse2AppendLowered,
-    // SSE2 has no 64-bit lane multiply, so the hash rides the SWAR
-    // word loop; the vector win is in the scan kernels.
-    SwarHashKey128,
-    Sse2BuildClassBitmaps,
+    Level::kSse2,      Sse2FindByte,          Sse2FindLineSpecial,
+    Sse2AppendLowered, Sse2BuildClassBitmaps,
 };
 #endif
 
@@ -568,14 +416,6 @@ void ResetLevelForTest() {
   ActiveSlot().store(DefaultTable(), std::memory_order_release);
 }
 
-size_t SkipSpace(std::string_view text, size_t pos) {
-  return Active().skip_space(text, pos);
-}
-
-size_t SkipIdentRun(std::string_view text, size_t pos) {
-  return Active().skip_ident_run(text, pos);
-}
-
 size_t FindByte(std::string_view text, size_t pos, char needle) {
   return Active().find_byte(text, pos, needle);
 }
@@ -587,8 +427,6 @@ size_t FindLineSpecial(std::string_view text, size_t pos) {
 void AppendLowered(std::string_view text, std::string* out) {
   Active().append_lowered(text, out);
 }
-
-Hash128 HashKey128(std::string_view data) { return Active().hash_key_128(data); }
 
 void BuildClassBitmaps(std::string_view text, uint64_t* space_bits,
                        uint64_t* ident_bits) {

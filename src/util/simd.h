@@ -11,9 +11,9 @@
 namespace sqlog {
 namespace simd {
 
-/// Runtime-dispatched byte-scanning kernels for the three hot inner
-/// loops: lexer classification runs (util/byte_class.h classes),
-/// fingerprint key hashing, and CSV quote/newline scanning.
+/// Runtime-dispatched byte-scanning kernels for the two hot inner
+/// loops: lexer classification runs (util/byte_class.h classes) and CSV
+/// quote/newline scanning.
 ///
 /// Every kernel has three implementations selected once at startup:
 ///   kScalar — byte-at-a-time over the class table; the reference twin.
@@ -47,14 +47,6 @@ void ForceLevelForTest(Level level);
 /// Restores the default env+CPU dispatch decision.
 void ResetLevelForTest();
 
-/// First index >= pos whose byte is not in the kSpace class, or
-/// text.size() if the run extends to the end.
-size_t SkipSpace(std::string_view text, size_t pos);
-
-/// First index >= pos whose byte is not in the kIdentChar class
-/// (alnum _ $ #), or text.size().
-size_t SkipIdentRun(std::string_view text, size_t pos);
-
 /// First index >= pos whose byte equals needle, or text.size().
 size_t FindByte(std::string_view text, size_t pos, char needle);
 
@@ -76,13 +68,13 @@ void BuildClassBitmaps(std::string_view text, uint64_t* space_bits,
 
 /// Per-statement classification index for the lexer's skip loops.
 ///
-/// The per-call Skip* kernels pay an atomic load + indirect call per
-/// run, and SQL runs are short (a single space between tokens, a
-/// 3-to-12-byte identifier) — measured on the study log that per-call
-/// shape is at best break-even against the scalar table loop. Building
-/// both class bitmaps once per statement amortizes the dispatch to one
-/// call and lets the vector levels classify 16 bytes per step; the skip
-/// queries then become inline bit scans with no dispatch at all.
+/// SQL runs are short (a single space between tokens, a 3-to-12-byte
+/// identifier), so a dispatched kernel call per run — an atomic load and
+/// an indirect call — is at best break-even against the scalar table
+/// loop on the study log. Building both class bitmaps once per statement
+/// amortizes the dispatch to one call and lets the vector levels
+/// classify 16 bytes per step; the skip queries then become inline bit
+/// scans with no dispatch at all.
 class ClassIndex {
  public:
   /// Classifies every byte of text. The view must stay valid and
@@ -138,17 +130,6 @@ class ClassIndex {
   const uint64_t* space_ = nullptr;
   const uint64_t* ident_ = nullptr;
 };
-
-/// 128-bit block-wise hash of a normalized fingerprint key. Processes
-/// 16 bytes per round with a multiply-mix finish; all dispatch levels
-/// produce identical values (the kernel only changes how words are
-/// loaded). In-memory use only — never serialized, so the function is
-/// free to change between builds.
-struct Hash128 {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-};
-Hash128 HashKey128(std::string_view data);
 
 }  // namespace simd
 }  // namespace sqlog

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/template_store.h"
 #include "log/record.h"
-#include "sql/fingerprint.h"
 #include "util/thread_pool.h"
 
 namespace sqlog::core {
@@ -157,9 +159,9 @@ TEST(ParseCacheTest, TopCountIsStructuralAndSplitsTemplates) {
   EXPECT_EQ(cached.parsed.queries[0].template_id, cached.parsed.queries[2].template_id);
 }
 
-TEST(ParseCacheTest, ForcedCollisionFallsBackToFullKeyComparison) {
-  // Distinct templates that all hash to the same constant fingerprint
-  // must still be told apart — Find compares the full normalized key.
+TEST(ParseCacheTest, DistinctKeysKeepDistinctEntries) {
+  // Interleaved templates: each distinct key gets its own entry, and
+  // each repeat hits the entry of its own key, not a neighbour's.
   auto log = MakeLog({
       "SELECT a FROM t WHERE x = 1",
       "SELECT b FROM u WHERE y = 2",
@@ -168,17 +170,11 @@ TEST(ParseCacheTest, ForcedCollisionFallsBackToFullKeyComparison) {
       "SELECT c, d FROM v",
   });
   ParseRun reference = Parse(log, CacheOff());
-  ParseCacheOptions collide;
-  collide.fingerprint_for_test = [](std::string_view) {
-    return sql::TokenFingerprint{0x1234, 0x5678};
-  };
-  ParseRun collided = Parse(log, collide);
-  ExpectSameOutput(reference, collided);
-  // Three distinct keys live side by side in the one bucket; the two
-  // repeats still hit their own entries.
-  EXPECT_EQ(collided.parsed.parse_stats.templates_cached, 3u);
-  EXPECT_EQ(collided.parsed.parse_stats.cache_misses, 3u);
-  EXPECT_EQ(collided.parsed.parse_stats.cache_hits, 2u);
+  ParseRun cached = Parse(log, ParseCacheOptions{});
+  ExpectSameOutput(reference, cached);
+  EXPECT_EQ(cached.parsed.parse_stats.templates_cached, 3u);
+  EXPECT_EQ(cached.parsed.parse_stats.cache_misses, 3u);
+  EXPECT_EQ(cached.parsed.parse_stats.cache_hits, 2u);
 }
 
 TEST(ParseCacheTest, LiteralSubjectCaseIsUncacheableButCorrect) {
@@ -277,6 +273,69 @@ TEST(ParseCacheTest, StreamingParserKeepsItsCacheAcrossBatches) {
     EXPECT_TRUE(store.Get(id).tmpl == reference.store.Get(id).tmpl);
     EXPECT_EQ(store.Get(id).frequency, reference.store.Get(id).frequency);
   }
+}
+
+std::unique_ptr<ParseCacheEntry> EntryWithKey(std::string key) {
+  auto entry = std::make_unique<ParseCacheEntry>();
+  entry->key = std::move(key);
+  return entry;
+}
+
+TEST(ParseCacheTest, FindInsertAndTakeEntriesKeyByNormalizedKey) {
+  ParseCache cache;
+  EXPECT_EQ(cache.Find(""), nullptr);
+  EXPECT_EQ(cache.Find("anything"), nullptr);
+
+  // A key longer than any small-string buffer, and one short enough to
+  // live inside the entry object itself: the map's view must point into
+  // the heap-held entry either way.
+  const std::string long_key(200, 'k');
+  const std::string short_key = "ab";
+  const ParseCacheEntry* long_entry = cache.Insert(EntryWithKey(long_key));
+  const ParseCacheEntry* short_entry = cache.Insert(EntryWithKey(short_key));
+  const ParseCacheEntry* empty_entry = cache.Insert(EntryWithKey(""));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_GT(cache.bytes(), 0u);
+  const char* entry_begin = reinterpret_cast<const char*>(short_entry);
+  EXPECT_TRUE(short_entry->key.data() >= entry_begin &&
+              short_entry->key.data() < entry_begin + sizeof(ParseCacheEntry))
+      << "the short key should sit in the entry's small-string buffer";
+
+  // Lookups by an equal key held in a different buffer.
+  std::string probe = long_key;
+  EXPECT_EQ(cache.Find(probe), long_entry);
+  probe = short_key;
+  EXPECT_EQ(cache.Find(probe), short_entry);
+  EXPECT_EQ(cache.Find(std::string_view("abc", 2)), short_entry);
+  EXPECT_EQ(cache.Find(std::string()), empty_entry);
+  EXPECT_EQ(cache.Find("a"), nullptr);
+  EXPECT_EQ(cache.Find(long_key + "k"), nullptr);
+
+  // Moving the cache moves only the owning pointers: the views stay valid.
+  ParseCache moved = std::move(cache);
+  EXPECT_EQ(moved.Find(short_key), short_entry);
+
+  // TakeEntries hands the entries back in insertion order and leaves the
+  // cache empty.
+  std::vector<std::unique_ptr<ParseCacheEntry>> taken = moved.TakeEntries();
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken[0].get(), long_entry);
+  EXPECT_EQ(taken[1].get(), short_entry);
+  EXPECT_EQ(taken[2].get(), empty_entry);
+  EXPECT_EQ(moved.size(), 0u);
+  EXPECT_EQ(moved.bytes(), 0u);
+  EXPECT_EQ(moved.Find(long_key), nullptr);
+  EXPECT_EQ(moved.Find(short_key), nullptr);
+
+  // Promotion (the streaming parser's post-batch merge): re-inserted
+  // entries keep their addresses and stay findable in the new cache.
+  ParseCache persistent;
+  for (auto& entry : taken) persistent.Insert(std::move(entry));
+  EXPECT_EQ(persistent.size(), 3u);
+  EXPECT_EQ(persistent.Find(long_key), long_entry);
+  EXPECT_EQ(persistent.Find(short_key), short_entry);
+  EXPECT_EQ(persistent.Find(""), empty_entry);
+  EXPECT_EQ(moved.Find(short_key), nullptr);
 }
 
 TEST(ParseCacheEntryTest, BytesAccountsForKeyAndRecipes) {

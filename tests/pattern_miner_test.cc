@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "log/generator.h"
 #include "util/random.h"
@@ -233,7 +234,7 @@ TEST(PatternMinerTest, DistinctSequencesNeverCountTogether) {
 std::vector<Pattern> NaiveMine(const ParsedLog& parsed, const MinerOptions& options) {
   struct Acc {
     uint64_t frequency = 0;
-    std::unordered_set<uint32_t> users;
+    std::set<uint32_t> users;
     size_t sample_query = 0;
     size_t segment = 0;   // serial of the segment holding the last counted window
     size_t end = 0;       // end of the last counted window in that segment
@@ -284,7 +285,7 @@ std::vector<Pattern> NaiveMine(const ParsedLog& parsed, const MinerOptions& opti
     Pattern pattern;
     pattern.template_ids = ids;
     pattern.frequency = acc.frequency;
-    pattern.users = std::move(acc.users);
+    pattern.users.assign(acc.users.begin(), acc.users.end());
     pattern.sample_query = acc.sample_query;
     patterns.push_back(std::move(pattern));
   }

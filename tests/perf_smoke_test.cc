@@ -1,7 +1,7 @@
 // Perf smoke test (ctest label "perf"): a fixed-seed generator log
 // pushed through the full pipeline with the parse cache on and off must
 // produce byte-identical outputs, while the cached run demonstrably
-// parses fewer statements (the whole point of the fingerprint cache).
+// parses fewer statements (the whole point of the parse cache).
 // This pins the perf mechanism without timing anything — wall-clock
 // assertions are flaky under CI load; the full-parse counter is not.
 
@@ -65,7 +65,7 @@ TEST(PerfSmokeTest, CachedPipelineMatchesUncachedWithStrictlyFewerFullParses) {
   ExpectSameLog(uncached.removal_log, cached.removal_log, "removal");
 
   // ...for strictly less parsing work. The uncached run parses every
-  // SELECT; the cached run only lexes + fingerprints the repeats.
+  // SELECT; the cached run only lexes + looks up the repeats.
   const core::ParseStats& with = cached.parsed.parse_stats;
   const core::ParseStats& without = uncached.parsed.parse_stats;
   EXPECT_LT(with.full_parses, without.full_parses);

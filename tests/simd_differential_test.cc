@@ -1,11 +1,11 @@
 // Differential tests for the runtime-dispatched byte kernels
 // (util/simd.h): every fuzz-corpus entry and a 100k-statement generator
-// log run through the lexer, the fingerprint hash, and the CSV line
+// log run through the lexer, the normalized key, and the CSV line
 // splitter once with the scalar twins forced and once per accelerated
-// level — token streams, fingerprints, and split lines must be
-// byte-identical. The raw kernel primitives (skip/find/lower/hash) are
-// additionally swept position-by-position so a lane-boundary bug cannot
-// hide behind higher-layer slack.
+// level — token streams, keys, and split lines must be byte-identical.
+// The raw kernel primitives (find/lower/class bitmaps) and the lexer's
+// ClassIndex skips are additionally swept position-by-position so a
+// lane-boundary bug cannot hide behind higher-layer slack.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "log/generator.h"
 #include "sql/fingerprint.h"
 #include "sql/lexer.h"
+#include "util/byte_class.h"
 #include "util/csv.h"
 #include "util/simd.h"
 
@@ -86,13 +87,23 @@ LexOutcome LexNow(std::string_view statement) {
   return out;
 }
 
-std::string FingerprintNow(std::string_view statement) {
+std::string KeyNow(std::string_view statement) {
   auto result = sql::Lex(statement);
   if (!result.ok()) return "<lex-error>";
   std::string key;
   sql::AppendNormalizedKey(result.value(), &key);
-  sql::TokenFingerprint fp = sql::FingerprintKey(key);
-  return key + "|" + std::to_string(fp.lo) + ":" + std::to_string(fp.hi);
+  return key;
+}
+
+/// Byte-at-a-time references for ClassIndex::SkipSpace / SkipIdentRun.
+size_t SkipSpaceReference(std::string_view text, size_t pos) {
+  while (pos < text.size() && IsSpaceByte(text[pos])) ++pos;
+  return pos;
+}
+
+size_t SkipIdentRunReference(std::string_view text, size_t pos) {
+  while (pos < text.size() && IsIdentCharByte(text[pos])) ++pos;
+  return pos;
 }
 
 std::vector<std::string> SplitNow(std::string_view content, size_t chunk) {
@@ -117,8 +128,9 @@ void SweepPrimitives(const std::string& label, const std::string& bytes,
   std::string scalar_lower;
   std::string level_lower;
   // Whole-text bitmaps: the scalar-built and level-built words must be
-  // identical, and the ClassIndex bit scans must agree with the scalar
-  // Skip* kernels at every swept position (checked inside the loop).
+  // identical, and the ClassIndex bit scans must agree with a
+  // byte-at-a-time class loop at every swept position (checked inside
+  // the loop).
   const size_t bitmap_words = (bytes.size() + 63) / 64;
   std::vector<uint64_t> scalar_space_bits(bitmap_words + 1, 0);
   std::vector<uint64_t> scalar_ident_bits(bitmap_words + 1, 0);
@@ -141,36 +153,25 @@ void SweepPrimitives(const std::string& label, const std::string& bytes,
   EXPECT_EQ(scalar_ident_bits, level_ident_bits)
       << label << " ident bitmap, level " << simd::LevelName(level);
   for (size_t i = 0; i <= bytes.size(); i += stride) {
-    size_t scalar_space, scalar_ident, scalar_nl, scalar_special;
-    simd::Hash128 scalar_hash;
+    size_t scalar_nl, scalar_special;
     {
       ScopedLevel force(simd::Level::kScalar);
-      scalar_space = simd::SkipSpace(bytes, i);
-      scalar_ident = simd::SkipIdentRun(bytes, i);
       scalar_nl = simd::FindByte(bytes, i, '\n');
       scalar_special = simd::FindLineSpecial(bytes, i);
-      scalar_hash = simd::HashKey128(std::string_view(bytes).substr(i));
       scalar_lower.clear();
       simd::AppendLowered(std::string_view(bytes).substr(i), &scalar_lower);
     }
     ScopedLevel force(level);
-    EXPECT_EQ(scalar_space, simd::SkipSpace(bytes, i))
-        << label << " SkipSpace@" << i << " level " << simd::LevelName(level);
-    EXPECT_EQ(scalar_ident, simd::SkipIdentRun(bytes, i))
-        << label << " SkipIdentRun@" << i << " level " << simd::LevelName(level);
     EXPECT_EQ(scalar_nl, simd::FindByte(bytes, i, '\n'))
         << label << " FindByte@" << i << " level " << simd::LevelName(level);
     EXPECT_EQ(scalar_special, simd::FindLineSpecial(bytes, i))
         << label << " FindLineSpecial@" << i << " level " << simd::LevelName(level);
-    EXPECT_EQ(scalar_space, level_index.SkipSpace(i))
+    EXPECT_EQ(SkipSpaceReference(bytes, i), level_index.SkipSpace(i))
         << label << " ClassIndex::SkipSpace@" << i << " level "
         << simd::LevelName(level);
-    EXPECT_EQ(scalar_ident, level_index.SkipIdentRun(i))
+    EXPECT_EQ(SkipIdentRunReference(bytes, i), level_index.SkipIdentRun(i))
         << label << " ClassIndex::SkipIdentRun@" << i << " level "
         << simd::LevelName(level);
-    simd::Hash128 level_hash = simd::HashKey128(std::string_view(bytes).substr(i));
-    EXPECT_TRUE(scalar_hash.lo == level_hash.lo && scalar_hash.hi == level_hash.hi)
-        << label << " HashKey128@" << i << " level " << simd::LevelName(level);
     level_lower.clear();
     simd::AppendLowered(std::string_view(bytes).substr(i), &level_lower);
     EXPECT_EQ(scalar_lower, level_lower)
@@ -210,16 +211,16 @@ TEST(SimdDifferentialTest, PrimitivesMatchScalarAroundLaneBoundaries) {
   }
 }
 
-TEST(SimdDifferentialTest, LexAndFingerprintMatchScalarOnCorpus) {
+TEST(SimdDifferentialTest, LexAndKeyMatchScalarOnCorpus) {
   const auto blobs = LoadCorpusBlobs();
   ASSERT_FALSE(blobs.empty());
   for (const auto& [label, bytes] : blobs) {
     LexOutcome scalar_lex;
-    std::string scalar_fp;
+    std::string scalar_key;
     {
       ScopedLevel force(simd::Level::kScalar);
       scalar_lex = LexNow(bytes);
-      scalar_fp = FingerprintNow(bytes);
+      scalar_key = KeyNow(bytes);
     }
     for (simd::Level level : AcceleratedLevels()) {
       ScopedLevel force(level);
@@ -230,7 +231,7 @@ TEST(SimdDifferentialTest, LexAndFingerprintMatchScalarOnCorpus) {
       EXPECT_EQ(scalar_lex.texts, lex.texts) << label;
       EXPECT_EQ(scalar_lex.offsets, lex.offsets) << label;
       EXPECT_EQ(scalar_lex.ends, lex.ends) << label;
-      EXPECT_EQ(scalar_fp, FingerprintNow(bytes)) << label;
+      EXPECT_EQ(scalar_key, KeyNow(bytes)) << label;
     }
   }
 }
@@ -262,13 +263,13 @@ TEST(SimdDifferentialTest, GeneratorLogMatchesScalarAtEveryLevel) {
   ASSERT_GE(log.size(), 100000u);
 
   // Scalar reference pass over every statement, then one pass per level.
-  std::vector<std::string> scalar_fps;
-  scalar_fps.reserve(log.size());
+  std::vector<std::string> scalar_keys;
+  scalar_keys.reserve(log.size());
   std::string csv;
   {
     ScopedLevel force(simd::Level::kScalar);
     for (const auto& record : log.records()) {
-      scalar_fps.push_back(FingerprintNow(record.statement));
+      scalar_keys.push_back(KeyNow(record.statement));
     }
   }
   for (const auto& record : log.records()) {
@@ -284,7 +285,7 @@ TEST(SimdDifferentialTest, GeneratorLogMatchesScalarAtEveryLevel) {
   for (simd::Level level : AcceleratedLevels()) {
     ScopedLevel force(level);
     for (size_t i = 0; i < log.size(); ++i) {
-      ASSERT_EQ(scalar_fps[i], FingerprintNow(log.records()[i].statement))
+      ASSERT_EQ(scalar_keys[i], KeyNow(log.records()[i].statement))
           << "record " << i << " level " << simd::LevelName(level);
     }
     ASSERT_EQ(scalar_lines, SplitNow(csv, 64 * 1024))

@@ -9,7 +9,7 @@ Pattern MakePattern(std::vector<uint64_t> ids, uint64_t frequency, size_t users)
   Pattern pattern;
   pattern.template_ids = std::move(ids);
   pattern.frequency = frequency;
-  for (size_t u = 0; u < users; ++u) pattern.users.insert(static_cast<uint32_t>(u + 1));
+  for (size_t u = 0; u < users; ++u) pattern.users.push_back(static_cast<uint32_t>(u + 1));
   return pattern;
 }
 

@@ -119,7 +119,7 @@ void PrintParseCacheReport(const core::ParseStats& ps) {
   double hit_rate = keyed == 0 ? 0.0 : 100.0 * (double)ps.parses_avoided() / (double)keyed;
   std::printf(
       "parse cache: %llu templates (%.1f KiB), %llu hits / %llu misses, "
-      "%llu parses avoided (%.1f%% of fingerprinted statements)\n",
+      "%llu parses avoided (%.1f%% of looked-up statements)\n",
       (unsigned long long)ps.templates_cached, ps.cache_bytes / 1024.0,
       (unsigned long long)(ps.cache_hits + ps.failure_hits),
       (unsigned long long)ps.cache_misses, (unsigned long long)ps.parses_avoided(),
