@@ -46,23 +46,13 @@ int main() {
                   "SELECT * FROM Bugs WHERE assigned_to = NULL", 0));
 
   sqlog::catalog::Schema schema = sqlog::catalog::MakeSkyServerSchema();
-  sqlog::core::MinerOptions miner;
-  miner.min_support = 1;  // the running example is tiny
-  sqlog::core::DetectorOptions detector;
-  detector.cth_min_support = 1;
+  sqlog::core::PipelineOptions options;
+  options.miner.min_support = 1;  // the running example is tiny
+  options.detector.cth_min_support = 1;
 
-  auto pipeline = sqlog::core::PipelineBuilder()
-                      .WithSchema(&schema)  // enables Def. 11's key check
-                      .WithMiner(miner)
-                      .WithDetector(std::move(detector))
-                      .Build();
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "bad pipeline config: %s\n",
-                 pipeline.status().ToString().c_str());
-    return 1;
-  }
-
-  auto run = pipeline->Run(raw);
+  sqlog::core::Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);  // enables Def. 11's key check
+  auto run = pipeline.Run(raw);
   if (!run.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n", run.status().ToString().c_str());
     return 1;

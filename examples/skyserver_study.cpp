@@ -25,18 +25,13 @@ int main(int argc, char** argv) {
               raw.DistinctUserCount(), gen_timer.ElapsedSeconds());
 
   sqlog::catalog::Schema schema = sqlog::catalog::MakeSkyServerSchema();
-  auto pipeline = sqlog::core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .NumThreads(0)  // the case study runs at full width
-                      .Build();
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "bad pipeline config: %s\n",
-                 pipeline.status().ToString().c_str());
-    return 1;
-  }
+  sqlog::core::PipelineOptions options;
+  options.num_threads = 0;  // the case study runs at full width
+  sqlog::core::Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);
 
   sqlog::Timer run_timer;
-  auto run = pipeline->Run(raw);
+  auto run = pipeline.Run(raw);
   if (!run.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n", run.status().ToString().c_str());
     return 1;
@@ -70,7 +65,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nSWS coverage at (freq >= %.2f%%, users <= %zu): %.1f%% of parsed log\n",
-              100.0 * pipeline->options().sws.frequency_fraction,
-              pipeline->options().sws.max_user_popularity, 100.0 * result.sws.coverage);
+              100.0 * options.sws.frequency_fraction, options.sws.max_user_popularity,
+              100.0 * result.sws.coverage);
   return 0;
 }

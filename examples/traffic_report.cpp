@@ -65,10 +65,13 @@ int main(int argc, char** argv) {
 
   Report("RAW LOG", result.parsed);
 
-  sqlog::core::TemplateStore clean_store;
-  sqlog::core::ParsedLog clean_parsed =
-      sqlog::core::ParseLog(result.clean_log, clean_store);
-  Report("CLEANED LOG", clean_parsed);
+  // A second run over the clean log parses it.
+  auto cleaned = pipeline.Run(result.clean_log);
+  if (!cleaned.ok()) {
+    std::fprintf(stderr, "pipeline failed: %s\n", cleaned.status().ToString().c_str());
+    return 1;
+  }
+  Report("CLEANED LOG", cleaned->parsed);
 
   std::printf("Cleaning collapses Stifle bot sessions into single statements, so the\n"
               "robot session count and mean session length drop while human sessions\n"

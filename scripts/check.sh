@@ -212,10 +212,17 @@ SQLOG_FORCE_SCALAR=1 ctest --preset default -j "$jobs"
 
 # 4c. The benchmark suite is a CMake project of its own over the library
 #     sources, so neither the build above nor its ctest compiles it. Its
-#     traced runs call MinePatterns, RemoveDuplicates, ParseLog and
-#     SolveAntipatterns directly: build it and run its smoke test (every
-#     workload at toy sizes, each run's outputs digest-checked through a
-#     second entry point) so that an API change breaks here first.
+#     traced runs rebuild the pipeline from public calls, and it is the
+#     only code that still needs these APIs (ROADMAP item 1's benchmark
+#     PR drops them):
+#       - MinePatterns' and RemoveDuplicates' ignored `pool` parameters;
+#       - SolveAntipatterns' ignored `custom_rules` parameter;
+#       - DetectAntipatterns' unused `store` parameter;
+#       - ParseLog and DetectorSet::AnyNeedsAst;
+#       - PipelineOptions::streaming, which nothing reads.
+#     Build it and run its smoke test (every workload at toy sizes, each
+#     run's outputs digest-checked through a second entry point) so that
+#     an API change breaks here first.
 step "bench suite build + smoke"
 cmake -S bench/suite -B build/bench-suite
 cmake --build build/bench-suite -j "$jobs"

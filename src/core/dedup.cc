@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "util/hash.h"
 
@@ -10,19 +9,12 @@ namespace sqlog::core {
 
 namespace {
 
-uint64_t DedupKeyHash(const DedupOptions& options, std::string_view user,
-                      std::string_view statement) {
-  if (options.key_hash_for_test) return options.key_hash_for_test(user, statement);
-  std::hash<std::string_view> hash;
-  return HashCombine(hash(user), hash(statement));
-}
-
-/// One (user, statement) chain. The hash only buckets: the full strings
-/// at `first_pos` verify every match, so a hash collision between
-/// distinct keys can never flag a non-duplicate.
-struct LastSeen {
-  size_t first_pos;      // sorted-log position of the first occurrence
-  int64_t timestamp_ms;  // last occurrence in the chain
+/// Hashes a (user, statement) key; the maps compare the full strings.
+struct PairHash {
+  size_t operator()(const std::pair<std::string_view, std::string_view>& key) const {
+    std::hash<std::string_view> hash;
+    return HashCombine(hash(key.first), hash(key.second));
+  }
 };
 
 }  // namespace
@@ -35,34 +27,22 @@ log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& o
 
   log::QueryLog output;
   size_t removed = 0;
-  std::unordered_map<uint64_t, std::vector<LastSeen>> last_seen;
-  last_seen.reserve(records.size() * 2);
-  for (size_t pos = 0; pos < records.size(); ++pos) {
-    const log::LogRecord& record = records[pos];
-    uint64_t key = DedupKeyHash(options, record.user, record.statement);
-    std::vector<LastSeen>& bucket = last_seen[key];
-    LastSeen* entry = nullptr;
-    for (LastSeen& candidate : bucket) {
-      const log::LogRecord& first = records[candidate.first_pos];
-      if (first.user == record.user && first.statement == record.statement) {
-        entry = &candidate;
-        break;
+  // (user, statement) → timestamp of the key's last occurrence. The keys
+  // view `sorted`'s strings, which outlive the map.
+  std::unordered_map<std::pair<std::string_view, std::string_view>, int64_t, PairHash>
+      last_seen;
+  last_seen.reserve(records.size());
+  for (const log::LogRecord& record : records) {
+    auto [entry, inserted] =
+        last_seen.try_emplace({record.user, record.statement}, record.timestamp_ms);
+    if (!inserted) {
+      const bool is_duplicate =
+          options.unrestricted || record.timestamp_ms - entry->second <= options.threshold_ms;
+      entry->second = record.timestamp_ms;
+      if (is_duplicate) {
+        ++removed;
+        continue;
       }
-    }
-    bool is_duplicate = false;
-    if (entry != nullptr) {
-      if (options.unrestricted) {
-        is_duplicate = true;
-      } else {
-        is_duplicate = record.timestamp_ms - entry->timestamp_ms <= options.threshold_ms;
-      }
-      entry->timestamp_ms = record.timestamp_ms;
-    } else {
-      bucket.push_back(LastSeen{pos, record.timestamp_ms});
-    }
-    if (is_duplicate) {
-      ++removed;
-      continue;
     }
     output.Append(record);
   }
@@ -76,12 +56,7 @@ log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& o
   return output;
 }
 
-size_t StreamingDeduper::KeyHash::operator()(const Key& key) const {
-  return DedupKeyHash(*options, key.first, key.second);
-}
-
-StreamingDeduper::StreamingDeduper(const DedupOptions& options)
-    : options_(options), last_seen_(0, KeyHash{&options_}) {}
+size_t StreamingDeduper::KeyHash::operator()(const Key& key) const { return PairHash{}(key); }
 
 bool StreamingDeduper::IsDuplicate(const log::LogRecord& record) {
   ++records_seen_;

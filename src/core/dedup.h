@@ -2,7 +2,6 @@
 #define SQLOG_CORE_DEDUP_H_
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -22,12 +21,6 @@ struct DedupOptions {
   /// When true, the window is unlimited ("non restricted" row of
   /// Table 4): every repeat of an identical statement is a duplicate.
   bool unrestricted = false;
-  /// Test seam: overrides the (user, statement) key hash so collision
-  /// handling can be exercised without crafting real hash collisions.
-  /// Duplicate decisions must not change under any override — keys are
-  /// always verified against the full stored strings.
-  std::function<uint64_t(std::string_view user, std::string_view statement)>
-      key_hash_for_test;
 };
 
 /// Outcome counters for the dedup step.
@@ -59,10 +52,7 @@ log::QueryLog RemoveDuplicates(const log::QueryLog& input, const DedupOptions& o
 /// length for the duplicate-heavy workloads the paper targets.
 class StreamingDeduper {
  public:
-  explicit StreamingDeduper(const DedupOptions& options);
-  // The map's hasher points at options_.
-  StreamingDeduper(const StreamingDeduper&) = delete;
-  StreamingDeduper& operator=(const StreamingDeduper&) = delete;
+  explicit StreamingDeduper(const DedupOptions& options) : options_(options) {}
 
   /// Classifies `record` and updates the chain state (the duplicate
   /// window chains on the last occurrence, duplicate or not).
@@ -78,7 +68,6 @@ class StreamingDeduper {
  private:
   using Key = std::pair<std::string_view, std::string_view>;  // (user, statement)
   struct KeyHash {
-    const DedupOptions* options;
     size_t operator()(const Key& key) const;
   };
 

@@ -61,19 +61,7 @@ Status ValidatePipelineOptions(const PipelineOptions& options) {
   if (options.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (options.streaming && options.extra_clean_passes > 0) {
-    return Status::InvalidArgument(
-        "streaming mode does not support extra_clean_passes (re-cleaning "
-        "needs the clean log in memory)");
-  }
   return Status::OK();
-}
-
-Result<Pipeline> PipelineBuilder::Build() const {
-  SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options_));
-  Pipeline pipeline(options_);
-  pipeline.SetSchema(schema_);
-  return pipeline;
 }
 
 namespace {
@@ -274,46 +262,22 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
   result.clean_log = std::move(outcome.clean_log);
   result.removal_log = std::move(outcome.removal_log);
   result.stats.solve = outcome.stats;
-
-  // Optional re-clean passes (Sec. 5.5). Statistics keep describing the
-  // first pass — only the clean log is refined further.
-  ParseCacheOptions cache_options;
-  cache_options.enabled = options_.parse_cache && !(*detectors)->AnyNeedsAst();
-  for (size_t pass = 0; pass < options_.extra_clean_passes; ++pass) {
-    TemplateStore pass_templates;
-    ParsedLog pass_parsed =
-        ParseLog(result.clean_log, pass_templates, pool, /*max_diagnostics=*/0, cache_options);
-    AntipatternReport pass_report = DetectAntipatterns(
-        pass_parsed, pass_templates, schema_, options_.detector, *detectors, pool);
-    uint64_t solvable = 0;
-    for (const auto& instance : pass_report.instances) {
-      if (pass_report.detectors->Solvable(instance)) ++solvable;
-    }
-    if (solvable == 0) break;
-    SolveOutcome pass_outcome = SolveAntipatterns(result.clean_log, pass_parsed, pass_report);
-    SQLOG_RETURN_IF_ERROR_R(pass_outcome.status);
-    result.clean_log = std::move(pass_outcome.clean_log);
-  }
-
   result.stats.final_size = result.clean_log.size();
   result.stats.removal_size = result.removal_log.size();
-
   return result;
 }
 
 Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
                                                   const std::string& clean_path,
                                                   const std::string& removal_path) const {
-  PipelineOptions options = options_;
-  options.streaming = true;  // enforce the streaming-mode restriction
-  SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options));
+  SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options_));
   // Pass 2 opens the writers before it re-reads the input: an output
   // that aliases the input (or the other output) would truncate it.
   SQLOG_RETURN_IF_ERROR_R(log::RequireDistinctFiles(
       {{"input", input_path}, {"clean output", clean_path}, {"removal output", removal_path}}));
-  auto detectors = DetectorSet::Resolve(options.detector);
+  auto detectors = DetectorSet::Resolve(options_.detector);
   SQLOG_RETURN_IF_ERROR_R(detectors.status());
-  std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options.num_threads);
+  std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options_.num_threads);
   util::ThreadPool* pool = owned_pool.get();
 
   StreamingRunResult result;
@@ -321,20 +285,20 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   // Pass 1: read + dedup + parse, one batch at a time. The input file
   // must already be (timestamp, seq)-ordered — generated and exported
   // logs are, arbitrary inputs are checked.
-  auto input_format = log::ResolveReadFormat(options.input_format, input_path);
+  auto input_format = log::ResolveReadFormat(options_.input_format, input_path);
   SQLOG_RETURN_IF_ERROR_R(input_format.status());
   std::vector<uint8_t> kept;  // per raw record, consulted by pass 2
   {
     auto reader = log::LogIo::OpenLogReader(input_path, *input_format);
     SQLOG_RETURN_IF_ERROR_R(reader.status());
     std::vector<log::LogRecord> batch;
-    SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options, **detectors, pool, **reader,
-                                          options.batch_size, result.templates,
+    SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options_, **detectors, pool, **reader,
+                                          options_.batch_size, result.templates,
                                           result.parsed, result.stats, &kept, batch));
   }
 
   // Steps 3-4 + SWS run on the compact parsed state, unchanged.
-  AnalyzeParsed(options, schema_, pool, result.parsed, result.templates, *detectors,
+  AnalyzeParsed(options_, schema_, pool, result.parsed, result.templates, *detectors,
                 result.patterns, result.antipatterns, result.sws, result.stats);
 
   // Pass 2: re-read the input, skip the duplicates found in pass 1, and
@@ -345,10 +309,10 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
   // shape to the solver, so `.sqb` outputs re-encode pass-through
   // records without lexing them.
   std::unique_ptr<log::RecordWriter> clean_writer = log::LogIo::MakeLogWriter(
-      log::ResolveWriteFormat(options.output_format, clean_path),
+      log::ResolveWriteFormat(options_.output_format, clean_path),
       /*renumber=*/true, BuildStatementRecipe);  // outputs are renumbered
   std::unique_ptr<log::RecordWriter> removal_writer = log::LogIo::MakeLogWriter(
-      log::ResolveWriteFormat(options.output_format, removal_path),
+      log::ResolveWriteFormat(options_.output_format, removal_path),
       /*renumber=*/true, BuildStatementRecipe);
   SQLOG_RETURN_IF_ERROR_R(clean_writer->Open(clean_path));
   SQLOG_RETURN_IF_ERROR_R(removal_writer->Open(removal_path));
@@ -370,7 +334,7 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
     if (eof) break;
     if (count == kept.size()) return Status::Internal("input grew between streaming passes");
     if (kept[count++] == 0) continue;
-    if (!options.use_user_metadata) {
+    if (!options_.use_user_metadata) {
       record.user.clear();
       record.session.clear();
     }

@@ -111,7 +111,8 @@ class TemplateStore {
 
 /// Runs the parse step over a (deduplicated) log: one FeedBatch of a
 /// StreamingParser that keeps every AST it builds (see there for the
-/// sharding and the parse cache), then Finish().
+/// sharding and the parse cache), then Finish(). No pipeline calls it:
+/// it serves tests and the benchmark suite.
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool = nullptr, size_t max_diagnostics = 0,
                    const ParseCacheOptions& cache_options = {});

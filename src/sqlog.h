@@ -5,8 +5,9 @@
 /// (examples, tools, downstream users) include this one header instead
 /// of reaching into the library's subdirectories:
 ///
-///   - the end-to-end cleaning pipeline and its builder
-///     (sqlog::core::Pipeline, PipelineBuilder, PipelineOptions),
+///   - the end-to-end cleaning pipeline (sqlog::core::Pipeline, configured
+///     by one PipelineOptions; re-cleaning is a second run over the first
+///     run's clean log),
 ///   - the detector registry — the Sec. 5.4 extension point
 ///     (sqlog::core::DetectorRegistry, DetectorSet; detectors are named
 ///     by registry id, and statistics carry one Table 5 row pair per

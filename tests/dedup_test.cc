@@ -130,51 +130,41 @@ TEST(DedupTest, AnonymousUsersShareOneIdentity) {
   EXPECT_EQ(RemoveDuplicates(log, DedupOptions{}, nullptr).size(), 1u);
 }
 
-TEST(DedupTest, HashCollisionBetweenDistinctKeysIsNotADuplicate) {
-  // Regression: two different (user, statement) pairs whose 64-bit keys
-  // collide used to be chained as one key, silently deleting the second
-  // query. Real FNV collisions are infeasible to craft, so the test seam
-  // forces *every* key onto one hash — full-string verification must
-  // still keep distinct pairs apart.
+TEST(DedupTest, InterleavedDistinctKeysAreNotDuplicates) {
+  // Two different (user, statement) pairs interleaved inside the window:
+  // each repeat chains on its own key only, so the second pair is never
+  // taken for a repeat of the first.
   log::QueryLog log;
   log.Append(Make(1000, "alice", "SELECT 1"));
-  log.Append(Make(1100, "bob", "SELECT 2"));    // collides with alice's key
+  log.Append(Make(1100, "bob", "SELECT 2"));
   log.Append(Make(1200, "alice", "SELECT 1"));  // true duplicate of record 0
   log.Append(Make(1300, "bob", "SELECT 2"));    // true duplicate of record 1
-  DedupOptions options;
-  options.key_hash_for_test = [](std::string_view, std::string_view) {
-    return uint64_t{42};
-  };
   DedupStats stats;
-  log::QueryLog out = RemoveDuplicates(log, options, &stats);
+  log::QueryLog out = RemoveDuplicates(log, DedupOptions{}, &stats);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.records()[0].user, "alice");
   EXPECT_EQ(out.records()[1].user, "bob");
   EXPECT_EQ(stats.removed_count, 2u);
 }
 
-TEST(DedupTest, CollisionVerificationPreservesChaining) {
-  // Under a colliding hash, interleaved bursts of two distinct keys must
-  // still chain per key: every repeat is within its own key's window.
+TEST(DedupTest, InterleavedBurstsChainPerKey) {
+  // Interleaved bursts of two distinct keys chain per key: every repeat
+  // is within its own key's window.
   log::QueryLog log;
   for (int i = 0; i < 4; ++i) {
     log.Append(Make(1000 + i * 800, "u", "SELECT 1"));
     log.Append(Make(1400 + i * 800, "v", "SELECT 2"));
   }
-  DedupOptions options;
-  options.key_hash_for_test = [](std::string_view, std::string_view) {
-    return uint64_t{7};
-  };
-  log::QueryLog out = RemoveDuplicates(log, options, nullptr);
+  log::QueryLog out = RemoveDuplicates(log, DedupOptions{}, nullptr);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.records()[0].statement, "SELECT 1");
   EXPECT_EQ(out.records()[1].statement, "SELECT 2");
 }
 
 TEST(StreamingDeduperTest, MatchesRemoveDuplicatesOnSortedInput) {
-  // A mixed workload: bursts, repeats beyond the window, several users,
-  // a hash-collision override — fed in time order, the streaming deduper
-  // must flag exactly the records RemoveDuplicates drops.
+  // A mixed workload: bursts, repeats beyond the window, several users —
+  // fed in time order, the streaming deduper must flag exactly the
+  // records RemoveDuplicates drops.
   log::QueryLog log;
   int64_t t = 0;
   const char* users[] = {"a", "b", ""};
@@ -186,33 +176,25 @@ TEST(StreamingDeduperTest, MatchesRemoveDuplicatesOnSortedInput) {
   log.SortByTime();
   log.Renumber();
 
-  for (bool collide : {false, true}) {
-    DedupOptions options;
-    if (collide) {
-      options.key_hash_for_test = [](std::string_view, std::string_view) {
-        return uint64_t{3};
-      };
-    }
-    DedupStats stats;
-    log::QueryLog batch_out = RemoveDuplicates(log, options, &stats);
+  DedupOptions options;
+  DedupStats stats;
+  log::QueryLog batch_out = RemoveDuplicates(log, options, &stats);
 
-    StreamingDeduper deduper(options);
-    log::QueryLog stream_out;
-    for (const auto& record : log.records()) {
-      if (!deduper.IsDuplicate(record)) stream_out.Append(record);
-    }
-    stream_out.Renumber();
-
-    ASSERT_EQ(stream_out.size(), batch_out.size()) << "collide=" << collide;
-    for (size_t i = 0; i < batch_out.size(); ++i) {
-      EXPECT_EQ(stream_out.records()[i].statement, batch_out.records()[i].statement);
-      EXPECT_EQ(stream_out.records()[i].timestamp_ms,
-                batch_out.records()[i].timestamp_ms);
-      EXPECT_EQ(stream_out.records()[i].user, batch_out.records()[i].user);
-    }
-    EXPECT_EQ(deduper.duplicates_seen(), stats.removed_count);
-    EXPECT_EQ(deduper.records_seen(), log.size());
+  StreamingDeduper deduper(options);
+  log::QueryLog stream_out;
+  for (const auto& record : log.records()) {
+    if (!deduper.IsDuplicate(record)) stream_out.Append(record);
   }
+  stream_out.Renumber();
+
+  ASSERT_EQ(stream_out.size(), batch_out.size());
+  for (size_t i = 0; i < batch_out.size(); ++i) {
+    EXPECT_EQ(stream_out.records()[i].statement, batch_out.records()[i].statement);
+    EXPECT_EQ(stream_out.records()[i].timestamp_ms, batch_out.records()[i].timestamp_ms);
+    EXPECT_EQ(stream_out.records()[i].user, batch_out.records()[i].user);
+  }
+  EXPECT_EQ(deduper.duplicates_seen(), stats.removed_count);
+  EXPECT_EQ(deduper.records_seen(), log.size());
 }
 
 TEST(StreamingDeduperTest, CountsDistinctKeysOnce) {

@@ -165,12 +165,11 @@ class CatalogExpansionTest : public ::testing::Test {
   static void SetUpTestSuite() {
     raw_ = new log::QueryLog(log::GenerateLog(ExpansionConfig()));
     schema_ = new catalog::Schema(catalog::MakeSkyServerSchema());
-    auto pipeline = core::PipelineBuilder()
-                        .WithSchema(schema_)
-                        .Detectors(ExpandedIds())
-                        .Build();
-    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-    auto result = pipeline->Run(*raw_);
+    core::PipelineOptions options;
+    options.detector.detector_ids = ExpandedIds();
+    core::Pipeline pipeline(options);
+    pipeline.SetSchema(schema_);
+    auto result = pipeline.Run(*raw_);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     result_ = new core::PipelineResult(std::move(result.value()));
   }
@@ -284,11 +283,12 @@ log::QueryLog OneUserLog(const std::vector<std::string>& statements) {
 
 core::PipelineResult RunWith(const std::vector<std::string>& detector_ids,
                              const log::QueryLog& raw, const catalog::Schema* schema) {
-  core::PipelineBuilder builder;
-  if (schema != nullptr) builder.WithSchema(schema);
-  auto pipeline = builder.Detectors(detector_ids).MinePatterns(false).Build();
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  auto result = pipeline->Run(raw);
+  core::PipelineOptions options;
+  options.detector.detector_ids = detector_ids;
+  options.mine_patterns = false;
+  core::Pipeline pipeline(options);
+  pipeline.SetSchema(schema);
+  auto result = pipeline.Run(raw);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result.value());
 }
@@ -369,12 +369,11 @@ TEST(CatalogExpansionStreamingTest, StreamingMatchesInMemoryWithTheExpandedSet) 
   const log::QueryLog raw = log::GenerateLog(config);
   const catalog::Schema schema = catalog::MakeSkyServerSchema();
 
-  auto reference_pipeline = core::PipelineBuilder()
-                                .WithSchema(&schema)
-                                .Detectors(ExpandedIds())
-                                .Build();
-  ASSERT_TRUE(reference_pipeline.ok());
-  auto reference = reference_pipeline->Run(raw);
+  core::PipelineOptions options;
+  options.detector.detector_ids = ExpandedIds();
+  core::Pipeline reference_pipeline(options);
+  reference_pipeline.SetSchema(&schema);
+  auto reference = reference_pipeline.Run(raw);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   const std::string input_path = ::testing::TempDir() + "/expanded_stream_input.csv";
@@ -384,15 +383,11 @@ TEST(CatalogExpansionStreamingTest, StreamingMatchesInMemoryWithTheExpandedSet) 
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto pipeline = core::PipelineBuilder()
-                        .WithSchema(&schema)
-                        .Detectors(ExpandedIds())
-                        .NumThreads(threads)
-                        .Streaming(true)
-                        .BatchSize(512)
-                        .Build();
-    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-    auto run = pipeline->RunStreaming(input_path, clean_path, removal_path);
+    options.num_threads = threads;
+    options.batch_size = 512;
+    core::Pipeline pipeline(options);
+    pipeline.SetSchema(&schema);
+    auto run = pipeline.RunStreaming(input_path, clean_path, removal_path);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
 
     EXPECT_EQ(run->stats.ToTable(), reference->stats.ToTable());

@@ -76,13 +76,11 @@ TEST(MemoryBudgetTest, StreamingPipelinePeakRssStaysUnderCap) {
   ASSERT_GT(input_bytes, 100ull << 20) << "input must dwarf the RSS cap";
 
   static catalog::Schema schema = catalog::MakeSkyServerSchema();
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .Streaming(true)
-                      .BatchSize(4096)
-                      .Build();
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  auto run = pipeline->RunStreaming(input_path, clean_path, removal_path);
+  core::PipelineOptions options;
+  options.batch_size = 4096;
+  core::Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);
+  auto run = pipeline.RunStreaming(input_path, clean_path, removal_path);
   std::remove(input_path.c_str());
   std::remove(clean_path.c_str());
   std::remove(removal_path.c_str());

@@ -29,13 +29,12 @@ log::QueryLog FixedLog() {
 
 core::PipelineResult RunWithCache(const log::QueryLog& raw, const catalog::Schema& schema,
                                   bool parse_cache) {
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .NumThreads(4)
-                      .ParseCache(parse_cache)
-                      .Build();
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  auto result = pipeline->Run(raw);
+  core::PipelineOptions options;
+  options.num_threads = 4;
+  options.parse_cache = parse_cache;
+  core::Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);
+  auto result = pipeline.Run(raw);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result.value());
 }
@@ -89,15 +88,13 @@ TEST(PerfSmokeTest, SqbIngestDoesZeroFullParses) {
                                     core::BuildStatementRecipe)
                   .ok());
 
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .Streaming(true)
-                      .MaxParseDiagnostics(0)
-                      .Build();
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  core::PipelineOptions options;
+  options.max_parse_diagnostics = 0;
+  core::Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);
   const std::string clean_path = ::testing::TempDir() + "/perf_smoke_clean.csv";
   const std::string removal_path = ::testing::TempDir() + "/perf_smoke_removal.csv";
-  auto run = pipeline->RunStreaming(sqb_path, clean_path, removal_path);
+  auto run = pipeline.RunStreaming(sqb_path, clean_path, removal_path);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   const core::ParseStats& stats = run->parsed.parse_stats;

@@ -1,5 +1,5 @@
 // Golden-file integration test: a fixed-seed generator log pushed
-// through PipelineBuilder must reproduce the checked-in statistics
+// through Pipeline::Run must reproduce the checked-in statistics
 // overview byte for byte — at 1 thread and at 8 threads (the engine
 // guarantees byte-identical results at any thread count).
 //
@@ -44,15 +44,19 @@ log::QueryLog FixedLog() {
   return log::GenerateLog(config);
 }
 
+/// A pipeline over `options` that checks Def. 11 against `schema`.
+core::Pipeline WithSchema(const core::PipelineOptions& options, const catalog::Schema& schema) {
+  core::Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);
+  return pipeline;
+}
+
 core::PipelineResult RunAt(size_t threads, const log::QueryLog& raw,
                            const catalog::Schema& schema, bool parse_cache = true) {
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .NumThreads(threads)
-                      .ParseCache(parse_cache)
-                      .Build();
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  auto result = pipeline->Run(raw);
+  core::PipelineOptions options;
+  options.num_threads = threads;
+  options.parse_cache = parse_cache;
+  auto result = WithSchema(options, schema).Run(raw);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result.value());
 }
@@ -115,12 +119,9 @@ TEST(PipelineGoldenTest, ExplicitDefaultDetectorSelectionMatchesTheGoldenFile) {
   // perturb the default pipeline in any way.
   const log::QueryLog raw = FixedLog();
   const catalog::Schema schema = catalog::MakeSkyServerSchema();
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .Detectors(core::DefaultDetectorIds())
-                      .Build();
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  auto result = pipeline->Run(raw);
+  core::PipelineOptions options;
+  options.detector.detector_ids = core::DefaultDetectorIds();
+  auto result = WithSchema(options, schema).Run(raw);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   const std::string golden = ReadGolden();
@@ -158,15 +159,11 @@ TEST(PipelineGoldenTest, StreamingIsByteIdenticalAtAnyBatchSizeAndThreadCount) {
         const std::string clean_path = ::testing::TempDir() + "/golden_stream_clean.csv";
         const std::string removal_path =
             ::testing::TempDir() + "/golden_stream_removal.csv";
-        auto pipeline = core::PipelineBuilder()
-                            .WithSchema(&schema)
-                            .NumThreads(threads)
-                            .Streaming(true)
-                            .BatchSize(batch_size)
-                            .ParseCache(parse_cache)
-                            .Build();
-        ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-        auto run = pipeline->RunStreaming(input_path, clean_path, removal_path);
+        core::PipelineOptions options;
+        options.num_threads = threads;
+        options.batch_size = batch_size;
+        options.parse_cache = parse_cache;
+        auto run = WithSchema(options, schema).RunStreaming(input_path, clean_path, removal_path);
         ASSERT_TRUE(run.ok()) << run.status().ToString();
 
         EXPECT_EQ(run->stats.ToTable(), want_table);
@@ -194,13 +191,9 @@ TEST(PipelineGoldenTest, StreamingAtTheLargestBatchSizeMatchesTheDefault) {
     SCOPED_TRACE("batch=" + std::to_string(batch_size));
     const std::string clean_path = ::testing::TempDir() + "/golden_maxbatch_clean.csv";
     const std::string removal_path = ::testing::TempDir() + "/golden_maxbatch_removal.csv";
-    auto pipeline = core::PipelineBuilder()
-                        .WithSchema(&schema)
-                        .Streaming(true)
-                        .BatchSize(batch_size)
-                        .Build();
-    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-    auto run = pipeline->RunStreaming(input_path, clean_path, removal_path);
+    core::PipelineOptions options;
+    options.batch_size = batch_size;
+    auto run = WithSchema(options, schema).RunStreaming(input_path, clean_path, removal_path);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     outputs.push_back(run->stats.ToTable() + ReadAll(clean_path) + ReadAll(removal_path));
     std::remove(clean_path.c_str());
@@ -251,15 +244,11 @@ TEST(PipelineGoldenTest, StreamingSqbFormatsAreByteIdenticalToTheCsvReference) {
               ::testing::TempDir() + "/golden_fmt_clean" + ext;
           const std::string removal_path =
               ::testing::TempDir() + "/golden_fmt_removal" + ext;
-          auto pipeline = core::PipelineBuilder()
-                              .WithSchema(&schema)
-                              .NumThreads(threads)
-                              .Streaming(true)
-                              .BatchSize(batch)
-                              .Build();
-          ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+          core::PipelineOptions options;
+          options.num_threads = threads;
+          options.batch_size = batch;
           // Input/output formats resolve from the extensions (kAuto).
-          auto run = pipeline->RunStreaming(input, clean_path, removal_path);
+          auto run = WithSchema(options, schema).RunStreaming(input, clean_path, removal_path);
           ASSERT_TRUE(run.ok()) << run.status().ToString();
           EXPECT_EQ(run->stats.ToTable(), want_table);
 
@@ -293,6 +282,50 @@ TEST(PipelineGoldenTest, StreamingSqbFormatsAreByteIdenticalToTheCsvReference) {
   std::remove(sqb_input.c_str());
 }
 
+TEST(PipelineGoldenTest, ChainedStreamingRunsMatchTheInMemoryRecleaning) {
+  // Sec. 5.5 re-cleaning is a second run over the first run's clean log,
+  // in either mode. RunStreaming over the first RunStreaming's clean
+  // output — a CSV file, then a `.sqb` file — must write the bytes that
+  // Run(Run(raw).clean_log) + LogIo::WriteFile write, with the same
+  // Table 5 text.
+  const log::QueryLog raw = FixedLog();
+  const catalog::Schema schema = catalog::MakeSkyServerSchema();
+  const core::Pipeline pipeline = WithSchema(core::PipelineOptions{}, schema);
+  auto first = pipeline.Run(raw);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = pipeline.Run(first->clean_log);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_GT(second->stats.solve.instances_solved, 0u) << "nothing left to re-clean";
+
+  const std::string dir = ::testing::TempDir();
+  const std::string input_path = dir + "/golden_chain_input.csv";
+  const std::string clean_path = dir + "/golden_chain_clean.csv";
+  const std::string removal_path = dir + "/golden_chain_removal.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(second->clean_log, clean_path).ok());
+  ASSERT_TRUE(log::LogIo::WriteFile(second->removal_log, removal_path).ok());
+  const std::string want_clean = ReadAll(clean_path);
+  const std::string want_removal = ReadAll(removal_path);
+  ASSERT_TRUE(log::LogIo::WriteFile(raw, input_path).ok());
+
+  for (const char* ext : {".csv", ".sqb"}) {
+    SCOPED_TRACE(std::string("first run's outputs: ") + ext);
+    const std::string first_clean = dir + "/golden_chain_first_clean" + ext;
+    const std::string first_removal = dir + "/golden_chain_first_removal" + ext;
+    auto once = pipeline.RunStreaming(input_path, first_clean, first_removal);
+    ASSERT_TRUE(once.ok()) << once.status().ToString();
+    auto twice = pipeline.RunStreaming(first_clean, clean_path, removal_path);
+    ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+    EXPECT_EQ(twice->stats.ToTable(), second->stats.ToTable());
+    EXPECT_EQ(ReadAll(clean_path), want_clean);
+    EXPECT_EQ(ReadAll(removal_path), want_removal);
+    std::remove(first_clean.c_str());
+    std::remove(first_removal.c_str());
+  }
+  for (const std::string& path : {input_path, clean_path, removal_path}) {
+    std::remove(path.c_str());
+  }
+}
+
 TEST(PipelineGoldenTest, RunSortsAShuffledLogIntoTheSameOutputs) {
   // Run reads its input in (timestamp, seq) order whatever order the
   // records arrive in: a shuffled copy of the log must reproduce the
@@ -322,11 +355,9 @@ TEST(PipelineGoldenTest, StreamingWithCustomRulesMatchesRun) {
   // rules and reproduces Run's outputs and Table 5 rows byte for byte.
   const log::QueryLog raw = FixedLog();
   const catalog::Schema schema = catalog::MakeSkyServerSchema();
-  core::DetectorOptions detector;
-  detector.custom_rules = {core::MakeSelectStarRule(), core::MakeMissingWhereRule()};
-  auto in_memory = core::PipelineBuilder().WithSchema(&schema).WithDetector(detector).Build();
-  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-  auto reference = in_memory->Run(raw);
+  core::PipelineOptions options;
+  options.detector.custom_rules = {core::MakeSelectStarRule(), core::MakeMissingWhereRule()};
+  auto reference = WithSchema(options, schema).Run(raw);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ASSERT_GT(reference->antipatterns.InstancesOf("custom-rule-0"), 0u);
   const std::string want_table = reference->stats.ToTable();
@@ -341,15 +372,9 @@ TEST(PipelineGoldenTest, StreamingWithCustomRulesMatchesRun) {
     for (size_t threads : {size_t{1}, size_t{8}}) {
       SCOPED_TRACE("batch=" + std::to_string(batch_size) +
                    " threads=" + std::to_string(threads));
-      auto streaming = core::PipelineBuilder()
-                           .WithSchema(&schema)
-                           .WithDetector(detector)
-                           .NumThreads(threads)
-                           .Streaming(true)
-                           .BatchSize(batch_size)
-                           .Build();
-      ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
-      auto run = streaming->RunStreaming(input_path, clean_path, removal_path);
+      options.num_threads = threads;
+      options.batch_size = batch_size;
+      auto run = WithSchema(options, schema).RunStreaming(input_path, clean_path, removal_path);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       EXPECT_EQ(run->stats.ToTable(), want_table);
       EXPECT_EQ(ReadAll(clean_path), want_clean);

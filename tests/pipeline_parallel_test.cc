@@ -14,16 +14,29 @@ namespace {
 
 core::PipelineResult RunWithThreads(const log::QueryLog& raw,
                                     const catalog::Schema* schema,
-                                    size_t num_threads) {
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(schema)
-                      .NumThreads(num_threads)
-                      .ExtraCleanPasses(1)
-                      .Build();
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  auto result = pipeline->Run(raw);
+                                    size_t num_threads, bool use_user_metadata = true) {
+  core::PipelineOptions options;
+  options.num_threads = num_threads;
+  options.use_user_metadata = use_user_metadata;
+  core::Pipeline pipeline(options);
+  pipeline.SetSchema(schema);
+  auto result = pipeline.Run(raw);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// A run and the Sec. 5.5 re-cleaning run over its clean log.
+struct TwoRuns {
+  core::PipelineResult first;
+  core::PipelineResult second;
+};
+
+TwoRuns RunTwiceWithThreads(const log::QueryLog& raw, const catalog::Schema* schema,
+                            size_t num_threads) {
+  TwoRuns runs;
+  runs.first = RunWithThreads(raw, schema, num_threads);
+  runs.second = RunWithThreads(runs.first.clean_log, schema, num_threads);
+  return runs;
 }
 
 void ExpectLogsIdentical(const log::QueryLog& a, const log::QueryLog& b,
@@ -132,6 +145,15 @@ void ExpectResultsIdentical(const core::PipelineResult& serial,
   EXPECT_EQ(serial.sws.coverage, parallel.sws.coverage);
 }
 
+void ExpectRunsIdentical(const TwoRuns& serial, const TwoRuns& parallel) {
+  {
+    SCOPED_TRACE("first run");
+    ExpectResultsIdentical(serial.first, parallel.first);
+  }
+  SCOPED_TRACE("re-cleaning run");
+  ExpectResultsIdentical(serial.second, parallel.second);
+}
+
 class PipelineParallelTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -141,7 +163,7 @@ class PipelineParallelTest : public ::testing::Test {
     config.cth_families = 10;
     raw_ = new log::QueryLog(log::GenerateLog(config));
     schema_ = new catalog::Schema(catalog::MakeSkyServerSchema());
-    serial_ = new core::PipelineResult(RunWithThreads(*raw_, schema_, 1));
+    serial_ = new TwoRuns(RunTwiceWithThreads(*raw_, schema_, 1));
   }
 
   static void TearDownTestSuite() {
@@ -155,42 +177,33 @@ class PipelineParallelTest : public ::testing::Test {
 
   static log::QueryLog* raw_;
   static catalog::Schema* schema_;
-  static core::PipelineResult* serial_;
+  static TwoRuns* serial_;
 };
 
 log::QueryLog* PipelineParallelTest::raw_ = nullptr;
 catalog::Schema* PipelineParallelTest::schema_ = nullptr;
-core::PipelineResult* PipelineParallelTest::serial_ = nullptr;
+TwoRuns* PipelineParallelTest::serial_ = nullptr;
 
 TEST_F(PipelineParallelTest, TwoThreadsMatchSerial) {
-  core::PipelineResult parallel = RunWithThreads(*raw_, schema_, 2);
-  ExpectResultsIdentical(*serial_, parallel);
+  TwoRuns parallel = RunTwiceWithThreads(*raw_, schema_, 2);
+  ExpectRunsIdentical(*serial_, parallel);
 }
 
 TEST_F(PipelineParallelTest, EightThreadsMatchSerial) {
-  core::PipelineResult parallel = RunWithThreads(*raw_, schema_, 8);
-  ExpectResultsIdentical(*serial_, parallel);
+  TwoRuns parallel = RunTwiceWithThreads(*raw_, schema_, 8);
+  ExpectRunsIdentical(*serial_, parallel);
 }
 
 TEST_F(PipelineParallelTest, HardwareWidthMatchesSerial) {
-  core::PipelineResult parallel = RunWithThreads(*raw_, schema_, 0);
-  ExpectResultsIdentical(*serial_, parallel);
+  TwoRuns parallel = RunTwiceWithThreads(*raw_, schema_, 0);
+  ExpectRunsIdentical(*serial_, parallel);
 }
 
 TEST_F(PipelineParallelTest, ReducedInputModeAlsoMatches) {
   // Sec. 6.8 mode: all records collapse onto the anonymous user — the
   // worst case for user-sharded stages (one giant stream).
-  auto run = [&](size_t threads) {
-    auto pipeline = core::PipelineBuilder()
-                        .WithSchema(schema_)
-                        .UseUserMetadata(false)
-                        .NumThreads(threads)
-                        .Build();
-    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-    return std::move(pipeline->Run(*raw_)).value();
-  };
-  core::PipelineResult serial = run(1);
-  core::PipelineResult parallel = run(4);
+  core::PipelineResult serial = RunWithThreads(*raw_, schema_, 1, /*use_user_metadata=*/false);
+  core::PipelineResult parallel = RunWithThreads(*raw_, schema_, 4, /*use_user_metadata=*/false);
   ExpectResultsIdentical(serial, parallel);
 }
 

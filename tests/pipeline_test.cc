@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "catalog/schema.h"
@@ -155,9 +156,9 @@ TEST(PipelineTest, EmptyLog) {
   EXPECT_TRUE(result.patterns.empty());
 }
 
-TEST(PipelineTest, ExtraCleanPassesReachFixpoint) {
-  // A DS session whose merged outputs line up into a fresh DW run; one
-  // extra pass absorbs it.
+TEST(PipelineTest, SecondRunOverTheCleanLogReachesFixpoint) {
+  // Sec. 5.5 re-cleaning: a DS session whose merged outputs line up into
+  // a fresh DW run; a second run over the clean log absorbs it.
   log::QueryLog raw;
   int64_t t = 0;
   for (int obj = 0; obj < 3; ++obj) {
@@ -169,23 +170,24 @@ TEST(PipelineTest, ExtraCleanPassesReachFixpoint) {
                               500 + obj)));
   }
   static catalog::Schema schema = catalog::MakeSkyServerSchema();
+  PipelineOptions options;
+  options.miner.min_support = 1;
+  Pipeline pipeline(options);
+  pipeline.SetSchema(&schema);
 
-  PipelineOptions single;
-  single.miner.min_support = 1;
-  Pipeline pipeline_single(single);
-  pipeline_single.SetSchema(&schema);
-  PipelineResult one_pass = pipeline_single.Run(raw).value();
+  PipelineResult one_pass = pipeline.Run(raw).value();
   EXPECT_EQ(one_pass.stats.final_size, 3u);  // three merged DS statements
 
-  PipelineOptions multi = single;
-  multi.extra_clean_passes = 3;
-  Pipeline pipeline_multi(multi);
-  pipeline_multi.SetSchema(&schema);
-  PipelineResult fixpoint = pipeline_multi.Run(raw).value();
+  PipelineResult two_passes = pipeline.Run(one_pass.clean_log).value();
   // The three merged statements share SELECT/FROM and differ in WHERE —
-  // a DW run the second pass merges into one IN query.
-  EXPECT_EQ(fixpoint.stats.final_size, 1u);
-  EXPECT_NE(fixpoint.clean_log.records()[0].statement.find("in ("), std::string::npos);
+  // a DW run the second run merges into one IN query.
+  ASSERT_EQ(two_passes.stats.final_size, 1u);
+  EXPECT_NE(two_passes.clean_log.records()[0].statement.find("in ("), std::string::npos);
+
+  // A third run has nothing left to solve.
+  PipelineResult three_passes = pipeline.Run(two_passes.clean_log).value();
+  EXPECT_EQ(three_passes.stats.solve.instances_solved, 0u);
+  EXPECT_EQ(log::LogIo::ToCsv(three_passes.clean_log), log::LogIo::ToCsv(two_passes.clean_log));
 }
 
 TEST(PipelineTest, WithoutSchemaKeyAxiomIsSkipped) {
@@ -198,15 +200,6 @@ TEST(PipelineTest, WithoutSchemaKeyAxiomIsSkipped) {
   Pipeline pipeline(options);
   PipelineResult result = pipeline.Run(raw).value();
   EXPECT_EQ(result.stats.QueriesOf("dw-stifle"), 2u);
-}
-
-TEST(PipelineTest, RunRejectsInvalidOptions) {
-  PipelineOptions options;
-  options.miner.max_length = 0;
-  Pipeline pipeline(options);
-  Result<PipelineResult> result = pipeline.Run(CraftedLog());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PipelineTest, ParseFailuresBecomeCountedDiagnostics) {
@@ -252,8 +245,7 @@ TEST(PipelineTest, StreamingRefusesOutputsThatAliasTheInputOrEachOther) {
   ASSERT_TRUE(log::LogIo::WriteFile(CraftedLog(), input).ok());
   const std::string before = ReadAll(input);
   ASSERT_FALSE(before.empty());
-  auto pipeline = PipelineBuilder().Streaming(true).Build();
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  Pipeline pipeline;
 
   // The input under its own name and under another one, then the two
   // outputs onto one not-yet-existing path; each error names the alias.
@@ -264,7 +256,7 @@ TEST(PipelineTest, StreamingRefusesOutputsThatAliasTheInputOrEachOther) {
   for (const Case& c : {Case{input, removal, input}, Case{clean, other_name, other_name},
                         Case{clean, clean, clean}}) {
     SCOPED_TRACE(c.clean_path + " + " + c.removal_path);
-    auto run = pipeline->RunStreaming(input, c.clean_path, c.removal_path);
+    auto run = pipeline.RunStreaming(input, c.clean_path, c.removal_path);
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(run.status().message().find(c.named), std::string::npos)
@@ -276,61 +268,41 @@ TEST(PipelineTest, StreamingRefusesOutputsThatAliasTheInputOrEachOther) {
   std::remove(input.c_str());
 }
 
-TEST(PipelineBuilderTest, BuildsConfiguredPipeline) {
-  static catalog::Schema schema = catalog::MakeSkyServerSchema();
-  MinerOptions miner;
-  miner.min_support = 1;
-  DetectorOptions detector;
-  detector.cth_min_support = 1;
-  auto pipeline = PipelineBuilder()
-                      .WithSchema(&schema)
-                      .WithMiner(miner)
-                      .WithDetector(std::move(detector))
-                      .NumThreads(2)
-                      .ExtraCleanPasses(1)
-                      .Build();
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  EXPECT_EQ(pipeline->options().num_threads, 2u);
-  EXPECT_EQ(pipeline->options().extra_clean_passes, 1u);
-  PipelineResult result = pipeline->Run(CraftedLog()).value();
-  EXPECT_EQ(result.stats.final_size, 4u);
-  // The schema made it through the builder: Def. 11's key axiom held, so
-  // the DW run over objid was detected.
-  EXPECT_EQ(result.stats.QueriesOf("dw-stifle"), 4u);
-}
-
-TEST(PipelineBuilderTest, RejectsNegativeDedupThreshold) {
-  DedupOptions dedup;
-  dedup.threshold_ms = -5;
-  auto pipeline = PipelineBuilder().WithDedup(dedup).Build();
-  ASSERT_FALSE(pipeline.ok());
-  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(pipeline.status().message().find("threshold_ms"), std::string::npos);
-}
-
-TEST(PipelineBuilderTest, RejectsZeroLengthMinerNGram) {
-  MinerOptions miner;
-  miner.max_length = 0;
-  auto pipeline = PipelineBuilder().WithMiner(miner).Build();
-  ASSERT_FALSE(pipeline.ok());
-  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(pipeline.status().message().find("max_length"), std::string::npos);
-}
-
-TEST(PipelineBuilderTest, RejectsOutOfRangeSwsFraction) {
-  SwsOptions sws;
-  sws.frequency_fraction = 1.5;
-  auto pipeline = PipelineBuilder().WithSws(sws).Build();
-  ASSERT_FALSE(pipeline.ok());
-  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(PipelineBuilderTest, RejectsDetectHookLessCustomRule) {
-  DetectorOptions detector;
-  detector.custom_rules.push_back(CustomRule{});  // no detect hook
-  auto pipeline = PipelineBuilder().WithDetector(std::move(detector)).Build();
-  ASSERT_FALSE(pipeline.ok());
-  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+TEST(PipelineTest, RunAndRunStreamingRejectTheSameInvalidOptions) {
+  const std::string dir = ::testing::TempDir();
+  const std::string input = dir + "/pipeline_invalid_input.csv";
+  const std::string clean = dir + "/pipeline_invalid_clean.csv";
+  const std::string removal = dir + "/pipeline_invalid_removal.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(CraftedLog(), input).ok());
+  struct Case {
+    const char* named;  // the option the error message names
+    std::function<void(PipelineOptions&)> invalidate;
+  };
+  const Case cases[] = {
+      {"threshold_ms", [](PipelineOptions& o) { o.dedup.threshold_ms = -5; }},
+      {"max_length", [](PipelineOptions& o) { o.miner.max_length = 0; }},
+      {"frequency_fraction", [](PipelineOptions& o) { o.sws.frequency_fraction = 1.5; }},
+      {"detect hook", [](PipelineOptions& o) { o.detector.custom_rules.emplace_back(); }},
+      {"no-such-detector",
+       [](PipelineOptions& o) { o.detector.detector_ids = {"no-such-detector"}; }},
+      {"batch_size", [](PipelineOptions& o) { o.batch_size = 0; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.named);
+    PipelineOptions options;
+    c.invalidate(options);
+    Pipeline pipeline(options);
+    Result<PipelineResult> run = pipeline.Run(CraftedLog());
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find(c.named), std::string::npos)
+        << run.status().ToString();
+    Result<StreamingRunResult> streamed = pipeline.RunStreaming(input, clean, removal);
+    ASSERT_FALSE(streamed.ok());
+    EXPECT_EQ(streamed.status().ToString(), run.status().ToString());
+    EXPECT_FALSE(std::ifstream(clean).good()) << "no writer may have opened";
+  }
+  std::remove(input.c_str());
 }
 
 }  // namespace

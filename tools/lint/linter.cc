@@ -75,7 +75,7 @@ void CheckRuleSites(const LintConfig& config, const std::string& rel_path,
       if (!r1_scoped) continue;
       Report(findings, supp, rel_path, site.line, "R1",
              StrFormat("direct SQL-parser call '%s' outside the parse-avoidance "
-                       "allowlist; route statements through core::ParseLog / the "
+                       "allowlist; route statements through core::StreamingParser / the "
                        "parse cache, or extend r1-allow in the lint config",
                        site.detail.c_str()));
     } else if (site.rule == "R2") {

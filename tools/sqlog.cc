@@ -131,34 +131,22 @@ Result<log::QueryLog> Load(const char* path,
   return log::LogIo::ReadFile(path, format);
 }
 
-Result<core::PipelineResult> RunPipeline(const log::QueryLog& raw,
-                                         const StreamFlags& flags = {}) {
+/// The CLI's pipeline: every core, Def. 11 checked against the SkyServer
+/// schema, the stream flags and the detector selection (empty = the
+/// paper's default set).
+core::Pipeline MakePipeline(const StreamFlags& flags = {},
+                            std::vector<std::string> detector_ids = {}) {
   static catalog::Schema schema = catalog::MakeSkyServerSchema();
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .NumThreads(0)  // CLI batch work: use every core
-                      .ParseCache(flags.parse_cache)
-                      .Build();
-  SQLOG_RETURN_IF_ERROR_R(pipeline.status());
-  return pipeline->Run(raw);
-}
-
-Result<core::StreamingRunResult> RunStreamingPipeline(const StreamFlags& flags,
-                                                      const std::string& input,
-                                                      const std::string& clean_path,
-                                                      const std::string& removal_path) {
-  static catalog::Schema schema = catalog::MakeSkyServerSchema();
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .NumThreads(0)
-                      .Streaming(true)
-                      .BatchSize(flags.batch_size)
-                      .ParseCache(flags.parse_cache)
-                      .InputFormat(flags.format)
-                      .OutputFormat(flags.out_format)
-                      .Build();
-  SQLOG_RETURN_IF_ERROR_R(pipeline.status());
-  return pipeline->RunStreaming(input, clean_path, removal_path);
+  core::PipelineOptions options;
+  options.num_threads = 0;  // CLI batch work: use every core
+  options.parse_cache = flags.parse_cache;
+  options.batch_size = flags.batch_size;
+  options.input_format = flags.format;
+  options.output_format = flags.out_format;
+  options.detector.detector_ids = std::move(detector_ids);
+  core::Pipeline pipeline(std::move(options));
+  pipeline.SetSchema(&schema);
+  return pipeline;
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -274,7 +262,7 @@ int CmdClean(int argc, char** argv) {
     return 1;
   }
   if (flags.streaming) {
-    auto run = RunStreamingPipeline(flags, argv[0], clean_path, removal_path);
+    auto run = MakePipeline(flags).RunStreaming(argv[0], clean_path, removal_path);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
       return 1;
@@ -292,7 +280,7 @@ int CmdClean(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
     return 1;
   }
-  auto run = RunPipeline(*raw, flags);
+  auto run = MakePipeline(flags).Run(*raw);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
@@ -332,7 +320,8 @@ int CmdStats(int argc, char** argv) {
                    ec ? ec.message().c_str() : std::strerror(errno));
       return 1;
     }
-    auto run = RunStreamingPipeline(flags, argv[0], dir + "/clean.csv", dir + "/removal.csv");
+    auto run = MakePipeline(flags).RunStreaming(argv[0], dir + "/clean.csv",
+                                                dir + "/removal.csv");
     std::filesystem::remove_all(dir, ec);
     if (!run.ok()) {
       std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
@@ -347,7 +336,7 @@ int CmdStats(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
     return 1;
   }
-  auto run = RunPipeline(*raw, flags);
+  auto run = MakePipeline(flags).Run(*raw);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
@@ -366,7 +355,7 @@ int CmdPatterns(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
     return 1;
   }
-  auto run = RunPipeline(*raw);
+  auto run = MakePipeline().Run(*raw);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
@@ -393,7 +382,7 @@ int CmdAntipatterns(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
     return 1;
   }
-  auto run = RunPipeline(*raw);
+  auto run = MakePipeline().Run(*raw);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
@@ -450,17 +439,7 @@ int CmdReport(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
     return 1;
   }
-  static catalog::Schema schema = catalog::MakeSkyServerSchema();
-  auto pipeline = core::PipelineBuilder()
-                      .WithSchema(&schema)
-                      .NumThreads(0)
-                      .Detectors(std::move(ids))
-                      .Build();
-  if (!pipeline.ok()) {
-    std::fprintf(stderr, "error: %s\n", pipeline.status().ToString().c_str());
-    return 1;
-  }
-  auto run = pipeline->Run(*raw);
+  auto run = MakePipeline(flags, std::move(ids)).Run(*raw);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
@@ -548,17 +527,19 @@ int CmdRecommend(int argc, char** argv) {
     return 1;
   }
   // Train on the cleaned log so suggestions are antipattern-free
-  // (exactly the setup the paper's future work argues for).
-  auto run = RunPipeline(*raw);
+  // (exactly the setup the paper's future work argues for). A second
+  // run over the first run's clean log parses it: its pre-clean log,
+  // templates and parsed queries describe the clean log.
+  const core::Pipeline pipeline = MakePipeline();
+  auto run = pipeline.Run(*raw);
+  if (run.ok()) run = pipeline.Run(run->clean_log);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
     return 1;
   }
-  core::PipelineResult& result = *run;
-  core::TemplateStore clean_store;
-  core::ParsedLog clean_parsed = core::ParseLog(result.clean_log, clean_store);
+  const core::PipelineResult& clean = *run;
   analysis::Recommender model;
-  model.Train(clean_parsed);
+  model.Train(clean.parsed);
 
   // sqlog-lint: allow(R1 a single user-typed statement is parsed once)
   auto facts = sql::ParseAndAnalyze(argv[1]);
@@ -574,12 +555,12 @@ int CmdRecommend(int argc, char** argv) {
   // Resolve fingerprints back to a sample statement each.
   std::printf("likely next queries:\n");
   for (uint64_t fp : suggestions) {
-    for (const auto& info : clean_store.templates()) {
+    for (const auto& info : clean.templates.templates()) {
       if (info.tmpl.fingerprint != fp) continue;
-      const auto& sample = clean_parsed.queries[info.first_query];
+      const auto& sample = clean.parsed.queries[info.first_query];
       std::printf("  - %s\n     e.g. %.100s\n",
                   analysis::DescribeTemplate(sample.facts).c_str(),
-                  result.clean_log.records()[sample.record_index].statement.c_str());
+                  clean.pre_clean.records()[sample.record_index].statement.c_str());
       break;
     }
   }
@@ -620,11 +601,12 @@ int Usage() {
   std::fprintf(
       stderr,
       "flags for clean/stats:\n"
-      "  --streaming                  bounded-memory two-pass ingestion; the\n"
-      "                               input must be (timestamp, seq)-ordered\n"
+      "  --streaming                  two-pass file-to-file ingestion (the raw\n"
+      "                               log is never held in memory); the input\n"
+      "                               must be (timestamp, seq)-ordered\n"
       "  --batch-size=<n>             records per streaming batch (default 4096;\n"
       "                               implies --streaming)\n"
-      "  --no-parse-cache             disable the template fingerprint cache and\n"
+      "  --no-parse-cache             disable the parse cache and\n"
       "                               fully parse every statement (escape hatch;\n"
       "                               output is identical either way)\n"
       "  --format=auto|csv|sqb        input format (default auto: the binary\n"
