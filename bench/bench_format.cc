@@ -3,11 +3,11 @@
 //
 // Ingest = read every record from disk and parse it into the template
 // store, the hot pass-1 loop of the streaming pipeline. The CSV run
-// rides the template fingerprint cache (the BENCH_parse.json "cached"
-// configuration); the `.sqb` run additionally seeds that cache from the
-// file's template dictionary and rides the per-record shapes, so it
-// neither parses nor lexes — the remaining cost is columnar decode +
-// rendering facts from the constant spans.
+// rides the parse cache, keyed by each statement's normalized key (the
+// BENCH_parse.json "cached" configuration); the `.sqb` run additionally
+// seeds that cache from the file's template dictionary and rides the
+// per-record shapes, so it neither parses nor lexes — the remaining
+// cost is columnar decode + rendering facts from the constant spans.
 //
 //   ./build/bench/bench_format [--json=BENCH_format.json]
 
@@ -35,7 +35,7 @@ struct IngestResult {
   }
 };
 
-/// Reads `path` and parses every record with the fingerprint cache on —
+/// Reads `path` and parses every record with the parse cache on —
 /// the streaming pipeline's pass-1 loop. The `.sqb` run additionally
 /// seeds the cache from the dictionary and rides the record shapes,
 /// exactly like Pipeline::RunStreaming.

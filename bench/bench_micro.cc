@@ -24,7 +24,6 @@
 #include "sql/printer.h"
 #include "sql/skeleton.h"
 #include "util/csv.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -120,8 +119,8 @@ void BM_TemplateGroupingStringKey(benchmark::State& state) {
 }
 BENCHMARK(BM_TemplateGroupingStringKey);
 
-/// A slice of the study log shared by the kernel benchmarks below: big
-/// enough to wash out dispatch overhead, small enough per iteration.
+/// A slice of the study log shared by the byte-scan benchmarks below:
+/// big enough to time in milliseconds, small enough per iteration.
 const log::QueryLog& KernelBenchLog() {
   static log::QueryLog log = [] {
     log::GeneratorConfig config;
@@ -131,25 +130,11 @@ const log::QueryLog& KernelBenchLog() {
   return log;
 }
 
-/// Pins the kernel table for one benchmark run: Arg(0) forces the
-/// scalar twins, Arg(1) leaves runtime dispatch in charge — comparing
-/// the two rows is the measured SIMD speedup on the study workload.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(int64_t arg) {
-    if (arg == 0) simd::ForceLevelForTest(simd::Level::kScalar);
-  }
-  ~KernelModeGuard() { simd::ResetLevelForTest(); }
-};
-
-const char* KernelModeLabel(int64_t arg) { return arg == 0 ? "scalar" : "dispatched"; }
-
 /// Lex + normalized key over the study slice — the per-statement work
-/// of the parse cache before its lookup (the class-bitmap kernel behind
-/// the lexer's skip loops, plus the lowering kernel behind the key).
+/// of the parse cache before its lookup (the lexer's run skips and
+/// quote scans, plus the case fold behind the key).
 void BM_LexKeyKernels(benchmark::State& state) {
   const log::QueryLog& log = KernelBenchLog();
-  KernelModeGuard guard(state.range(0));
   std::string key;
   for (auto _ : state) {
     for (const auto& record : log.records()) {
@@ -162,12 +147,11 @@ void BM_LexKeyKernels(benchmark::State& state) {
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<int64_t>(log.size()));
   }
-  state.SetLabel(KernelModeLabel(state.range(0)));
 }
-BENCHMARK(BM_LexKeyKernels)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LexKeyKernels)->Unit(benchmark::kMillisecond);
 
 /// CSV logical-line splitting over the serialized study slice, fed in
-/// 64 KiB chunks like the streaming reader (quote/CR/LF scan kernel).
+/// 64 KiB chunks like the streaming reader (the quote/CR/LF scan).
 void BM_CsvSplitKernels(benchmark::State& state) {
   static std::string content = [] {
     std::string text;
@@ -179,7 +163,6 @@ void BM_CsvSplitKernels(benchmark::State& state) {
     }
     return text;
   }();
-  KernelModeGuard guard(state.range(0));
   constexpr size_t kChunk = 64 * 1024;
   std::string line;
   for (auto _ : state) {
@@ -195,9 +178,8 @@ void BM_CsvSplitKernels(benchmark::State& state) {
     state.SetBytesProcessed(state.bytes_processed() +
                             static_cast<int64_t>(content.size()));
   }
-  state.SetLabel(KernelModeLabel(state.range(0)));
 }
-BENCHMARK(BM_CsvSplitKernels)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CsvSplitKernels)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateLog(benchmark::State& state) {
   for (auto _ : state) {

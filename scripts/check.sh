@@ -204,12 +204,6 @@ python3 scripts/check_bench_json.py /tmp/sqlog_smoke_clean.sec63.json
 step "ctest (default preset)"
 ctest --preset default -j "$jobs"
 
-# 4b. The same sweep with the dispatched kernels forced to their scalar
-#     twins: every test (golden matrix included) must be byte-identical
-#     in both dispatch modes.
-step "ctest (default preset, SQLOG_FORCE_SCALAR=1)"
-SQLOG_FORCE_SCALAR=1 ctest --preset default -j "$jobs"
-
 # 4c. The benchmark suite is a CMake project of its own over the library
 #     sources, so neither the build above nor its ctest compiles it. Its
 #     traced runs rebuild the pipeline from public calls, and it is the
@@ -219,7 +213,9 @@ SQLOG_FORCE_SCALAR=1 ctest --preset default -j "$jobs"
 #       - SolveAntipatterns' ignored `custom_rules` parameter;
 #       - DetectAntipatterns' unused `store` parameter;
 #       - ParseLog and DetectorSet::AnyNeedsAst;
-#       - PipelineOptions::streaming, which nothing reads.
+#       - PipelineOptions::streaming, which nothing reads;
+#       - LevelName and ActiveLevel in util/simd.h, a constant shim for
+#         the provenance header's `simd_level` (always "scalar").
 #     Build it and run its smoke test (every workload at toy sizes, each
 #     run's outputs digest-checked through a second entry point) so that
 #     an API change breaks here first.

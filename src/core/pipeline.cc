@@ -27,7 +27,14 @@ bool PipelineResult::PatternIsAntipattern(size_t pattern_index, bool solvable_on
   return false;
 }
 
-Status ValidatePipelineOptions(const PipelineOptions& options) {
+namespace {
+
+/// Every check of ValidatePipelineOptions, in order. Resolving the
+/// detector selection is one of them (unknown or duplicate ids surface
+/// here rather than mid-run), so the resolved set is handed back and
+/// each entry point resolves it once per call.
+Result<std::shared_ptr<const DetectorSet>> ValidateAndResolveDetectors(
+    const PipelineOptions& options) {
   if (options.dedup.threshold_ms < 0 && !options.dedup.unrestricted) {
     return Status::InvalidArgument("dedup threshold_ms must be >= 0");
   }
@@ -55,13 +62,18 @@ Status ValidatePipelineOptions(const PipelineOptions& options) {
           StrFormat("custom rule #%zu has no detect hook", r));
     }
   }
-  // Resolve the detector selection so unknown/duplicate ids surface at
-  // validation time rather than mid-run.
-  SQLOG_RETURN_IF_ERROR(DetectorSet::Resolve(options.detector).status());
+  auto detectors = DetectorSet::Resolve(options.detector);
+  SQLOG_RETURN_IF_ERROR_R(detectors.status());
   if (options.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  return Status::OK();
+  return detectors;
+}
+
+}  // namespace
+
+Status ValidatePipelineOptions(const PipelineOptions& options) {
+  return ValidateAndResolveDetectors(options).status();
 }
 
 namespace {
@@ -236,8 +248,7 @@ void AnalyzeParsed(const PipelineOptions& options, const catalog::Schema* schema
 }  // namespace
 
 Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
-  SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options_));
-  auto detectors = DetectorSet::Resolve(options_.detector);
+  auto detectors = ValidateAndResolveDetectors(options_);
   SQLOG_RETURN_IF_ERROR_R(detectors.status());
   std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options_.num_threads);
   util::ThreadPool* pool = owned_pool.get();
@@ -270,13 +281,12 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
 Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
                                                   const std::string& clean_path,
                                                   const std::string& removal_path) const {
-  SQLOG_RETURN_IF_ERROR_R(ValidatePipelineOptions(options_));
+  auto detectors = ValidateAndResolveDetectors(options_);
+  SQLOG_RETURN_IF_ERROR_R(detectors.status());
   // Pass 2 opens the writers before it re-reads the input: an output
   // that aliases the input (or the other output) would truncate it.
   SQLOG_RETURN_IF_ERROR_R(log::RequireDistinctFiles(
       {{"input", input_path}, {"clean output", clean_path}, {"removal output", removal_path}}));
-  auto detectors = DetectorSet::Resolve(options_.detector);
-  SQLOG_RETURN_IF_ERROR_R(detectors.status());
   std::unique_ptr<util::ThreadPool> owned_pool = MakePool(options_.num_threads);
   util::ThreadPool* pool = owned_pool.get();
 

@@ -1,6 +1,6 @@
 #include "sql/fingerprint.h"
 
-#include "util/simd.h"
+#include "util/byte_class.h"
 #include "util/string_util.h"
 
 namespace sqlog::sql {
@@ -39,9 +39,12 @@ void AppendFolded(std::string_view text, std::string* key) {
   key->push_back(static_cast<char>((n >> 8) & 0xff));
   key->push_back(static_cast<char>((n >> 16) & 0xff));
   key->push_back(static_cast<char>((n >> 24) & 0xff));
-  // ASCII-only fold via the dispatched kernel; previously std::tolower,
-  // whose result depends on the global locale for bytes >= 0x80.
-  simd::AppendLowered(text, key);
+  // Copy, then fold in place. ASCII only: std::tolower would depend on
+  // the global locale for bytes >= 0x80.
+  const size_t at = key->size();
+  key->append(text);
+  char* folded = key->data() + at;
+  for (size_t k = 0; k < text.size(); ++k) folded[k] = ToLowerByte(folded[k]);
 }
 
 }  // namespace

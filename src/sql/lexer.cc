@@ -1,7 +1,8 @@
 #include "sql/lexer.h"
 
+#include <algorithm>
+
 #include "util/byte_class.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace sqlog::sql {
@@ -10,6 +11,11 @@ namespace sqlog::sql {
 // The previous std::isalpha/isalnum/isdigit calls were a correctness bug:
 // under a non-"C" global locale, bytes >= 0x80 classify as alphabetic and
 // silently change tokenization (see lexer_test locale regression).
+//
+// Whitespace and identifier runs are a few bytes long, so plain byte
+// loops skip them; the end of a quoted literal or a line comment is
+// found with string_view::find (libc memchr). DESIGN.md § "Byte
+// scanning" has the measurements behind that choice.
 
 const char* TokenTypeName(TokenType type) {
   switch (type) {
@@ -44,12 +50,6 @@ Result<TokenStream> Lex(std::string_view s) {
   size_t i = 0;
   const size_t n = s.size();
 
-  // One dispatched classification pass over the whole statement; the
-  // skip loops below consume the bitmaps with inline bit scans instead
-  // of one kernel dispatch per whitespace/identifier run.
-  simd::ClassIndex classes;
-  classes.Build(s);
-
   auto push = [&](TokenType type, std::string_view text, size_t offset, size_t end) {
     // sqlog-lint: allow(R10 token-vector growth is amortized across the statement; the vector lives in the returned stream)
     tokens.push_back(Token{type, text, offset, end});
@@ -68,7 +68,7 @@ Result<TokenStream> Lex(std::string_view s) {
     size_t body = i;
     bool escaped = false;
     while (i < n) {
-      i = simd::FindByte(s, i, close);
+      i = std::min(s.find(close, i), n);
       if (i >= n) break;
       if (doubling && i + 1 < n && s[i + 1] == close) {
         escaped = true;
@@ -99,14 +99,15 @@ Result<TokenStream> Lex(std::string_view s) {
 
   while (i < n) {
     char c = s[i];
-    // Whitespace: skip the whole run via the class bitmap.
+    // Whitespace.
     if (IsSpaceByte(c)) {
-      i = classes.SkipSpace(i + 1);
+      ++i;
+      while (i < n && IsSpaceByte(s[i])) ++i;
       continue;
     }
     // Line comment.
     if (c == '-' && i + 1 < n && s[i + 1] == '-') {
-      i = simd::FindByte(s, i + 2, '\n');
+      i = std::min(s.find('\n', i + 2), n);
       continue;
     }
     // Block comment.
@@ -153,7 +154,7 @@ Result<TokenStream> Lex(std::string_view s) {
       size_t start = i;
       ++i;
       size_t body = i;
-      i = classes.SkipIdentRun(i);
+      while (i < n && IsIdentCharByte(s[i])) ++i;
       if (i == body) {
         return Status::ParseError(StrFormat("bare '@' at offset %zu", start));
       }
@@ -201,10 +202,11 @@ Result<TokenStream> Lex(std::string_view s) {
       }
       continue;
     }
-    // Identifier: skip the whole run via the class bitmap.
+    // Identifier.
     if (IsIdentStartByte(c)) {
       size_t start = i;
-      i = classes.SkipIdentRun(i + 1);
+      ++i;
+      while (i < n && IsIdentCharByte(s[i])) ++i;
       push(TokenType::kIdentifier, s.substr(start, i - start), start, i);
       continue;
     }

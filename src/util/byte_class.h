@@ -15,14 +15,12 @@ namespace sqlog {
 /// semantics the SQL dialect is defined over: under a non-"C" global
 /// locale, std::isalpha and std::tolower reclassify bytes >= 0x80 (and
 /// in some locales remap case), which would silently change
-/// tokenization, normalized fingerprint keys, and case-insensitive
-/// comparisons depending on the host environment.
+/// tokenization, normalized keys, and case-insensitive comparisons
+/// depending on the host environment.
 ///
-/// The table doubles as the classification source for the SIMD/SWAR
-/// kernels (util/simd.h): each class bit below has a vector-friendly
-/// definition (unions of byte ranges and single bytes), and the scalar
-/// helpers here are the reference the kernels are differentially tested
-/// against.
+/// The lexer's run skips, the normalized key's case fold and the other
+/// byte scans call the inline helpers below directly; there is no
+/// vectorized twin to keep in step with them.
 namespace byte_class {
 
 enum : uint8_t {
@@ -65,9 +63,6 @@ constexpr Tables MakeTables() {
 }
 
 inline constexpr Tables kTables = MakeTables();
-
-/// The raw class table, for table-driven scanners.
-inline const std::array<uint8_t, 256>& ClassTable() { return kTables.cls; }
 
 }  // namespace byte_class
 

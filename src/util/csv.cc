@@ -1,6 +1,6 @@
 #include "util/csv.h"
 
-#include "util/simd.h"
+#include <algorithm>
 
 namespace sqlog {
 
@@ -78,15 +78,16 @@ Result<std::vector<std::string>> Csv::ParseLine(std::string_view line, char sep)
 
 // sqlog-hot — sqlog-lint: allow(R10 appends into splitter-owned buffers whose capacity amortizes across the stream; finished lines are moved out, not copied)
 void Csv::LineSplitter::Feed(std::string_view chunk) {
-  // Scans with the dispatched kernels instead of byte-at-a-time: out of
-  // quotes, everything up to the next '"' / '\r' / '\n' is an inert span
-  // appended wholesale; inside quotes, everything up to the next '"'.
-  // Escaped quote pairs ("") need no special state — each quote toggles
-  // in_quotes_ and is appended, so a chunk boundary between the two
-  // quotes lands in a well-defined state (see the csv_test boundary
+  // Out of quotes, everything up to the next '"' / '\r' / '\n' is an
+  // inert span appended wholesale (a byte loop: find_first_of over three
+  // bytes runs one memchr per input byte in libstdc++); inside quotes,
+  // everything up to the next '"', found with string_view::find (libc
+  // memchr). Escaped quote pairs ("") need no special state — each quote
+  // toggles in_quotes_ and is appended, so a chunk boundary between the
+  // two quotes lands in a well-defined state (see the csv_test boundary
   // sweep). A lone '\r' at the end of a chunk stays deferred in
-  // pending_cr_ exactly as before: the CR/CRLF decision needs the next
-  // byte, which may be in the next chunk.
+  // pending_cr_: the CR/CRLF decision needs the next byte, which may be
+  // in the next chunk.
   size_t i = 0;
   const size_t n = chunk.size();
   while (i < n) {
@@ -99,7 +100,7 @@ void Csv::LineSplitter::Feed(std::string_view chunk) {
       continue;
     }
     if (in_quotes_) {
-      size_t q = simd::FindByte(chunk, i, '"');
+      size_t q = std::min(chunk.find('"', i), n);
       current_.append(chunk.substr(i, q - i));
       if (q == n) return;
       current_.push_back('"');
@@ -107,7 +108,8 @@ void Csv::LineSplitter::Feed(std::string_view chunk) {
       i = q + 1;
       continue;
     }
-    size_t j = simd::FindLineSpecial(chunk, i);
+    size_t j = i;
+    while (j < n && chunk[j] != '"' && chunk[j] != '\r' && chunk[j] != '\n') ++j;
     current_.append(chunk.substr(i, j - i));
     if (j == n) return;
     char c = chunk[j];

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
+#ifndef SQLOG_FUZZ_CORPUS_DIR
+#error "SQLOG_FUZZ_CORPUS_DIR must point at fuzz/corpus"
+#endif
+
 namespace sqlog {
 namespace {
 
@@ -101,12 +109,13 @@ std::vector<std::string> SplitAtBoundary(std::string_view content, size_t cut) {
   return lines;
 }
 
-std::vector<std::string> SplitByteByByte(std::string_view content) {
+// Feeds `content` in `chunk`-byte pieces, draining after each Feed.
+std::vector<std::string> SplitInChunks(std::string_view content, size_t chunk) {
   Csv::LineSplitter splitter;
   std::vector<std::string> lines;
   std::string line;
-  for (size_t i = 0; i < content.size(); ++i) {
-    splitter.Feed(content.substr(i, 1));
+  for (size_t i = 0; i < content.size(); i += chunk) {
+    splitter.Feed(content.substr(i, chunk));
     while (splitter.Next(&line)) lines.push_back(line);
   }
   splitter.Finish();
@@ -138,7 +147,29 @@ TEST(CsvTest, LineSplitterMatchesSplitLogicalLinesAtEverySplitPoint) {
 }
 
 TEST(CsvTest, LineSplitterHandlesOneByteChunks) {
-  EXPECT_EQ(Csv::SplitLogicalLines(kBoundaryFile), SplitByteByByte(kBoundaryFile));
+  EXPECT_EQ(Csv::SplitLogicalLines(kBoundaryFile), SplitInChunks(kBoundaryFile, 1));
+}
+
+// Every fuzz corpus entry (SQL, binary logs, solver inputs: quotes, CRs
+// and high bytes in arbitrary places) must split the same streamed at
+// any chunk size as in one buffer.
+TEST(CsvTest, LineSplitterMatchesSplitLogicalLinesOnFuzzCorpus) {
+  namespace fs = std::filesystem;
+  const fs::path root(SQLOG_FUZZ_CORPUS_DIR);
+  size_t entries = 0;
+  for (const auto& file : fs::recursive_directory_iterator(root)) {
+    if (!file.is_regular_file()) continue;
+    std::ifstream in(file.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const auto expected = Csv::SplitLogicalLines(bytes);
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
+      EXPECT_EQ(expected, SplitInChunks(bytes, chunk))
+          << file.path().lexically_relative(root).string() << " chunk " << chunk;
+    }
+    ++entries;
+  }
+  EXPECT_GT(entries, 0u);
 }
 
 TEST(CsvTest, LineSplitterDefersLoneCrAtChunkEnd) {

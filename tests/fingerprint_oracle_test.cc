@@ -1,8 +1,8 @@
-// Fingerprint-vs-full-parse equivalence at scale: a 100k-record
-// generator workload parsed with the template fingerprint cache must be
-// observably identical to the uncached parse — serial and sharded, and
-// through the batch-incremental streaming parser at several batch
-// sizes. (The per-input flavour of this oracle also runs over every
+// Parse-cache-vs-full-parse equivalence at scale: a 100k-record
+// generator workload parsed with the parse cache (keyed by normalized
+// key) must be observably identical to the uncached parse — serial and
+// sharded, and through the batch-incremental streaming parser at
+// several batch sizes. (The per-input flavour of this oracle also runs over every
 // fuzz corpus entry; see tests/oracles and fuzz_corpus_replay_test.)
 
 #include <gtest/gtest.h>

@@ -4,6 +4,7 @@
 
 #include <clocale>
 #include <string>
+#include <vector>
 
 #include "util/byte_class.h"
 
@@ -159,6 +160,97 @@ TEST(LexerTest, FullStatement) {
   EXPECT_EQ(numbers, 6);
 }
 
+// End-of-input edges of every scan: runs that stop at the last byte of
+// the statement, at run lengths 1-70 and around 1,024 bytes (64-byte
+// word and 1 KiB storage edges of earlier scan implementations).
+std::vector<size_t> EdgeLengths() {
+  std::vector<size_t> lengths;
+  for (size_t len = 1; len <= 70; ++len) lengths.push_back(len);
+  for (size_t len = 1016; len <= 1032; ++len) lengths.push_back(len);
+  return lengths;
+}
+
+/// `len` bytes cycling through `alphabet`.
+std::string Cycled(std::string_view alphabet, size_t len) {
+  std::string run;
+  for (size_t k = 0; k < len; ++k) run.push_back(alphabet[k % alphabet.size()]);
+  return run;
+}
+
+/// Lexes `input` and compares every token with `expected` plus the kEnd
+/// sentinel at input.size().
+void ExpectTokens(const std::string& input, std::vector<Token> expected) {
+  expected.push_back(Token{TokenType::kEnd, {}, input.size(), input.size()});
+  auto tokens = MustLex(input);
+  ASSERT_EQ(tokens.size(), expected.size()) << "input length " << input.size();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(tokens[i].type, expected[i].type) << "token " << i << " of " << input.size();
+    EXPECT_EQ(tokens[i].text, expected[i].text) << "token " << i << " of " << input.size();
+    EXPECT_EQ(tokens[i].offset, expected[i].offset) << "token " << i << " of " << input.size();
+    EXPECT_EQ(tokens[i].end, expected[i].end) << "token " << i << " of " << input.size();
+  }
+}
+
+TEST(LexerTest, IdentifierRunEndsAtEndOfInput) {
+  for (size_t len : EdgeLengths()) {
+    const std::string ident = "a" + Cycled("Zb_9$#", len - 1);
+    ExpectTokens(ident, {{TokenType::kIdentifier, ident, 0, len}});
+    const std::string input = "x " + ident;
+    ExpectTokens(input, {{TokenType::kIdentifier, "x", 0, 1},
+                         {TokenType::kIdentifier, ident, 2, len + 2}});
+    const std::string name = Cycled("v_9$#Q", len);
+    ExpectTokens("@" + name, {{TokenType::kVariable, name, 0, len + 1}});
+  }
+}
+
+TEST(LexerTest, WhitespaceRunEndsAtEndOfInput) {
+  for (size_t len : EdgeLengths()) {
+    const std::string space = Cycled(" \t\n\v\f\r", len);
+    ExpectTokens("x" + space, {{TokenType::kIdentifier, "x", 0, 1}});
+    ExpectTokens(space + "x", {{TokenType::kIdentifier, "x", len, len + 1}});
+    ExpectTokens(space, {});
+  }
+}
+
+TEST(LexerTest, LineCommentWithoutNewlineEndsAtEndOfInput) {
+  for (size_t len : EdgeLengths()) {
+    const std::string body = Cycled("c -'\"[]/*\r", len);
+    ExpectTokens("x --" + body, {{TokenType::kIdentifier, "x", 0, 1}});
+    ExpectTokens("x --" + body + "\ny", {{TokenType::kIdentifier, "x", 0, 1},
+                                         {TokenType::kIdentifier, "y", len + 5, len + 6}});
+  }
+}
+
+TEST(LexerTest, QuotedTokenClosedOnLastByte) {
+  for (size_t len : EdgeLengths()) {
+    const std::string body = Cycled("s ,-\n\x80", len);
+    ExpectTokens("'" + body + "'", {{TokenType::kString, body, 0, len + 2}});
+    ExpectTokens("x '" + body + "'", {{TokenType::kIdentifier, "x", 0, 1},
+                                      {TokenType::kString, body, 2, len + 4}});
+    ExpectTokens("[" + body + "]", {{TokenType::kIdentifier, body, 0, len + 2}});
+    ExpectTokens("\"" + body + "\"", {{TokenType::kIdentifier, body, 0, len + 2}});
+  }
+}
+
+TEST(LexerTest, UnterminatedQuoteAtEveryLengthIsError) {
+  struct Case {
+    char open;
+    const char* what;
+  };
+  for (const Case& c : {Case{'\'', "string literal"}, Case{'[', "bracketed identifier"},
+                        Case{'"', "quoted identifier"}}) {
+    for (size_t len : EdgeLengths()) {
+      const std::string input = std::string("x ") + c.open + Cycled("s ,-\n", len - 1);
+      auto result = Lex(input);
+      ASSERT_FALSE(result.ok()) << c.open << " length " << len;
+      EXPECT_EQ(result.status().code(), sqlog::StatusCode::kParseError);
+      EXPECT_EQ(result.status().message(),
+                std::string("unterminated ") + c.what + " at offset 2")
+          << c.open << " length " << len;
+    }
+  }
+}
+
 /// Lexes `input` under the named locale, restoring the previous locale
 /// afterwards, and reports whether lexing succeeded.
 bool LexOkUnderLocale(const char* locale_name, std::string_view input) {
@@ -200,8 +292,8 @@ TEST(LexerTest, HighBytesInsideStringsLexUnderAnyLocale) {
 }
 
 // The class table itself, checked against the explicit C-locale truth
-// for all 256 byte values — this is the contract every kernel and the
-// lexer build on, independent of <cctype> and the global locale.
+// for all 256 byte values — this is the contract the lexer and the
+// normalized key build on, independent of <cctype> and the global locale.
 TEST(LexerTest, ByteClassTableMatchesCLocaleForAllBytes) {
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
