@@ -136,7 +136,9 @@ cmp "$sentinel.saved" "$sentinel"
 
 # 3b. Binary-format smoke: convert to `.sqb`, clean from it (exercising
 #     the zero-parse ingest path), convert back, and require the result
-#     to be byte-identical to cleaning the CSV directly.
+#     to be byte-identical to cleaning the CSV directly. Then the parse
+#     cache's escape hatch: in-memory `clean --no-parse-cache`, which
+#     full-parses every statement, must write the bytes `clean` writes.
 step "sqb convert round-trip smoke"
 smoke_sqb="${smoke_log%.csv}.sqb"
 smoke_back="${smoke_log%.csv}.back.csv"
@@ -147,6 +149,10 @@ cmp "$smoke_log" "$smoke_back"
 ./build/tools/sqlog clean "$smoke_sqb" /tmp/sqlog_smoke_clean.b --streaming >/dev/null
 cmp /tmp/sqlog_smoke_clean.a.clean.csv /tmp/sqlog_smoke_clean.b.clean.csv
 cmp /tmp/sqlog_smoke_clean.a.removal.csv /tmp/sqlog_smoke_clean.b.removal.csv
+./build/tools/sqlog clean "$smoke_log" /tmp/sqlog_smoke_clean.f >/dev/null
+./build/tools/sqlog clean --no-parse-cache "$smoke_log" /tmp/sqlog_smoke_clean.g >/dev/null
+cmp /tmp/sqlog_smoke_clean.f.clean.csv /tmp/sqlog_smoke_clean.g.clean.csv
+cmp /tmp/sqlog_smoke_clean.f.removal.csv /tmp/sqlog_smoke_clean.g.removal.csv
 
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in
@@ -211,8 +217,10 @@ ctest --preset default -j "$jobs"
 #     PR drops them):
 #       - MinePatterns' and RemoveDuplicates' ignored `pool` parameters;
 #       - SolveAntipatterns' ignored `custom_rules` parameter;
+#       - the empty CustomRule struct and DetectorOptions::custom_rules,
+#         which DetectorSet::Resolve rejects unless empty;
 #       - DetectAntipatterns' unused `store` parameter;
-#       - ParseLog and DetectorSet::AnyNeedsAst;
+#       - ParseLog, and DetectorSet::AnyNeedsAst, now a constant false;
 #       - PipelineOptions::streaming, which nothing reads;
 #       - LevelName and ActiveLevel in util/simd.h, a constant shim for
 #         the provenance header's `simd_level` (always "scalar").
@@ -230,8 +238,8 @@ if [[ $fast -eq 1 ]]; then
 fi
 
 # 5. ASan+UBSan: full sweep plus the checked-in fuzz corpus replay. The
-#    memory-budget test is excluded by the preset — ASan shadow memory
-#    inflates peak RSS ~3x past the 256 MiB cap the test pins.
+#    memory-budget tests are excluded by the preset — ASan shadow memory
+#    inflates peak RSS ~3x past the 256 MiB caps they pin.
 step "asan-ubsan preset"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"

@@ -9,7 +9,6 @@
 
 #include "catalog/schema.h"
 #include "core/detector.h"
-#include "core/rules.h"
 #include "core/template_store.h"
 
 namespace sqlog::core {

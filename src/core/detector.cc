@@ -56,6 +56,11 @@ const std::vector<std::string>& DefaultDetectorIds() {
 
 Result<std::shared_ptr<const DetectorSet>> DetectorSet::Resolve(
     const DetectorOptions& options) {
+  if (!options.custom_rules.empty()) {
+    return Status::InvalidArgument(
+        "custom rules are not supported; register a Detector subclass with "
+        "DetectorRegistry::Register and select it by id in detector_ids");
+  }
   const std::vector<std::string>& ids =
       options.detector_ids.empty() ? DefaultDetectorIds() : options.detector_ids;
   auto set = std::make_shared<DetectorSet>();
@@ -72,10 +77,6 @@ Result<std::shared_ptr<const DetectorSet>> DetectorSet::Resolve(
     }
     set->detectors_.push_back(std::move(detector));
   }
-  for (size_t r = 0; r < options.custom_rules.size(); ++r) {
-    set->detectors_.push_back(
-        MakeCustomRuleDetector(options.custom_rules[r], static_cast<int>(r)));
-  }
   return std::shared_ptr<const DetectorSet>(std::move(set));
 }
 
@@ -84,13 +85,6 @@ int DetectorSet::IndexOf(const std::string& id) const {
     if (detectors_[i]->info().id == id) return static_cast<int>(i);
   }
   return -1;
-}
-
-bool DetectorSet::AnyNeedsAst() const {
-  for (const auto& detector : detectors_) {
-    if (detector->info().needs_ast) return true;
-  }
-  return false;
 }
 
 }  // namespace sqlog::core

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/rules.h"
 #include "core/template_store.h"
 #include "util/status.h"
 
@@ -28,6 +27,12 @@ struct AntipatternInstance {
   std::vector<std::string> detail;
 };
 
+/// Empty: a custom rule is a Detector subclass registered with
+/// DetectorRegistry::Register and selected by id. The name remains only
+/// so that code naming DetectorOptions::custom_rules or
+/// SolveAntipatterns' ignored parameter compiles.
+struct CustomRule {};
+
 /// Detector tuning.
 struct DetectorOptions {
   /// Enforce Def. 11 axiom 3 (the filter column must be a key attribute,
@@ -42,9 +47,7 @@ struct DetectorOptions {
   /// Registry ids of the detectors to run, in evaluation order. Empty
   /// selects the paper's default set (DefaultDetectorIds()).
   std::vector<std::string> detector_ids;
-  /// Deprecated compat path (Sec. 5.4 single-query rules). Each rule is
-  /// wrapped in an adapter detector appended after `detector_ids`; new
-  /// code should register a Detector subclass instead.
+  /// Must be empty: DetectorSet::Resolve rejects any entry.
   std::vector<CustomRule> custom_rules;
 };
 
@@ -74,9 +77,6 @@ struct DetectorInfo {
   /// — the DW/DS/DF stifles share "stifle" to reproduce the paper's
   /// coupled classification. Empty = a pass of its own.
   std::string scan_group;
-  /// True when detection reads `facts.ast` (custom-rule adapters). The
-  /// pipeline then runs its parse with the cache off and keeps the ASTs.
-  bool needs_ast = false;
   /// True when distinct groups below DetectorOptions::cth_min_support
   /// are dropped (the CTH support filter).
   bool min_support_filtered = false;
@@ -106,11 +106,14 @@ class SegmentView {
   const std::vector<size_t>& indices_;
 };
 
-/// The plugin interface of the detection layer. Implementations declare
+/// The plugin interface of the detection layer, and the library's one
+/// detection API (the Sec. 5.4 extension point). Implementations declare
 /// their metadata via info() and override the hook matching their scope;
-/// solvable detectors also override Rewrite(). Register subclasses from
+/// solvable detectors also override Rewrite(). Hooks read the parsed
+/// facts, never an AST. Built-in subclasses register from
 /// RegisterBuiltinDetectors (sqlog-lint R6 flags Detector subclasses
-/// defined elsewhere under src/).
+/// defined elsewhere under src/); application code registers its own
+/// with DetectorRegistry::Global().Register and selects them by id.
 class Detector {
  public:
   virtual ~Detector() = default;
@@ -141,8 +144,8 @@ class Detector {
   }
 
   /// Produces the replacement statement for a solvable instance.
-  /// `members` lists the member queries in instance order with ASTs
-  /// restored. Default: Unsupported (detect-only).
+  /// `members` lists the member queries in instance order, each with the
+  /// AST the solver re-parsed for it. Default: Unsupported (detect-only).
   virtual Result<std::string> Rewrite(const AntipatternInstance& instance,
                                       const std::vector<const ParsedQuery*>& members) const {
     (void)instance;
@@ -184,9 +187,8 @@ const std::vector<std::string>& DefaultDetectorIds();
 class DetectorSet {
  public:
   /// Resolves `options.detector_ids` (empty → DefaultDetectorIds())
-  /// against the global registry and appends one adapter per
-  /// `options.custom_rules` entry. Unknown or duplicate ids are
-  /// InvalidArgument.
+  /// against the global registry. Unknown or duplicate ids, and a
+  /// non-empty `options.custom_rules`, are InvalidArgument.
   static Result<std::shared_ptr<const DetectorSet>> Resolve(const DetectorOptions& options);
 
   size_t size() const { return detectors_.size(); }
@@ -196,9 +198,9 @@ class DetectorSet {
   /// Set index of the detector with this id, or -1.
   int IndexOf(const std::string& id) const;
 
-  /// True when any member reads ASTs during detection — the parse cache
-  /// stays off and the parser keeps every AST, in both pipeline modes.
-  bool AnyNeedsAst() const;
+  /// Always false: no detector reads ASTs during detection. Kept for the
+  /// benchmark suite, which still calls it.
+  bool AnyNeedsAst() const { return false; }
 
   /// Solvability of the instance's producing detector.
   bool Solvable(const AntipatternInstance& instance) const {
@@ -220,10 +222,6 @@ class DetectorSet {
 /// DetectorRegistry::Global(); exposed for tests building private
 /// registries.
 void RegisterBuiltinDetectors(DetectorRegistry& registry);
-
-/// Wraps one legacy CustomRule as a per-query adapter detector with
-/// id "custom-rule-<index>" (deprecated compat path).
-std::shared_ptr<const Detector> MakeCustomRuleDetector(const CustomRule& rule, int index);
 
 }  // namespace sqlog::core
 

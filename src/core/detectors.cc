@@ -515,40 +515,6 @@ class NonSargableDetector final : public Detector {
   DetectorInfo info_;
 };
 
-/// Deprecated compat adapter wrapping one legacy CustomRule.
-class CustomRuleDetector final : public Detector {
- public:
-  CustomRuleDetector(const CustomRule& rule, int index) : rule_(rule) {
-    info_.id = StrFormat("custom-rule-%d", index);
-    info_.display_name = rule.name.empty() ? info_.id : rule.name;
-    info_.description = "legacy CustomRule adapter";
-    info_.solvable = rule.solvable();
-    // Detect hooks receive the full ParsedQuery and may read facts.ast,
-    // which the parse cache and the streaming parser do not provide.
-    info_.needs_ast = true;
-  }
-
-  const DetectorInfo& info() const override { return info_; }
-
-  bool MatchQuery(const ParsedQuery& query, const DetectorContext& ctx,
-                  AntipatternInstance* instance) const override {
-    (void)ctx;
-    (void)instance;
-    return rule_.detect && rule_.detect(query);
-  }
-
-  Result<std::string> Rewrite(const AntipatternInstance& instance,
-                              const std::vector<const ParsedQuery*>& members) const override {
-    (void)instance;
-    if (!rule_.rewrite) return Status::Unsupported("custom rule has no rewrite hook");
-    return rule_.rewrite(*members[0]);
-  }
-
- private:
-  CustomRule rule_;
-  DetectorInfo info_;
-};
-
 }  // namespace
 
 void RegisterBuiltinDetectors(DetectorRegistry& registry) {
@@ -565,10 +531,6 @@ void RegisterBuiltinDetectors(DetectorRegistry& registry) {
   must(registry.Register(std::make_shared<NullFearDetector>()));
   must(registry.Register(std::make_shared<SpaghettiJoinDetector>()));
   must(registry.Register(std::make_shared<NonSargableDetector>()));
-}
-
-std::shared_ptr<const Detector> MakeCustomRuleDetector(const CustomRule& rule, int index) {
-  return std::make_shared<CustomRuleDetector>(rule, index);
 }
 
 }  // namespace sqlog::core

@@ -56,12 +56,6 @@ Result<std::shared_ptr<const DetectorSet>> ValidateAndResolveDetectors(
   if (options.sws.max_user_popularity == 0) {
     return Status::InvalidArgument("sws max_user_popularity must be >= 1");
   }
-  for (size_t r = 0; r < options.detector.custom_rules.size(); ++r) {
-    if (!options.detector.custom_rules[r].detect) {
-      return Status::InvalidArgument(
-          StrFormat("custom rule #%zu has no detect hook", r));
-    }
-  }
   auto detectors = DetectorSet::Resolve(options.detector);
   SQLOG_RETURN_IF_ERROR_R(detectors.status());
   if (options.batch_size == 0) {
@@ -125,17 +119,13 @@ class SortedLogReader final : public log::RecordReader {
 /// in `batch` — all of the pre-clean log when one batch holds it — and
 /// fills the dedup and parse statistics. The deduper, the parser and its
 /// cache are freed on return.
-Status DedupAndParse(const PipelineOptions& options, const DetectorSet& detectors,
-                     util::ThreadPool* pool, log::RecordReader& reader, size_t batch_size,
-                     TemplateStore& templates, ParsedLog& parsed, PipelineStats& stats,
-                     std::vector<uint8_t>* kept, std::vector<log::LogRecord>& batch) {
-  // AST-reading detectors (legacy custom rules) keep the ASTs the parser
-  // builds and force the cache off: cache hits never build ASTs.
-  const bool needs_ast = detectors.AnyNeedsAst();
+Status DedupAndParse(const PipelineOptions& options, util::ThreadPool* pool,
+                     log::RecordReader& reader, size_t batch_size, TemplateStore& templates,
+                     ParsedLog& parsed, PipelineStats& stats, std::vector<uint8_t>* kept,
+                     std::vector<log::LogRecord>& batch) {
   ParseCacheOptions cache_options;
-  cache_options.enabled = options.parse_cache && !needs_ast;
-  StreamingParser parser(templates, options.max_parse_diagnostics, pool, cache_options,
-                         needs_ast);
+  cache_options.enabled = options.parse_cache;
+  StreamingParser parser(templates, options.max_parse_diagnostics, pool, cache_options);
   const auto* bin = dynamic_cast<const log::BinLogReader*>(&reader);
   if (bin != nullptr) {
     // A binary input carries its template dictionary up front: seed the
@@ -258,9 +248,9 @@ Result<PipelineResult> Pipeline::Run(const log::QueryLog& raw_log) const {
   PipelineResult result;
   SortedLogReader reader(raw_log);
   result.pre_clean.records().reserve(raw_log.size());
-  SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options_, **detectors, pool, reader, SIZE_MAX,
-                                        result.templates, result.parsed, result.stats,
-                                        /*kept=*/nullptr, result.pre_clean.records()));
+  SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options_, pool, reader, SIZE_MAX, result.templates,
+                                        result.parsed, result.stats, /*kept=*/nullptr,
+                                        result.pre_clean.records()));
 
   // Steps 3-4 + SWS (shared with the streaming path).
   AnalyzeParsed(options_, schema_, pool, result.parsed, result.templates, *detectors,
@@ -302,9 +292,9 @@ Result<StreamingRunResult> Pipeline::RunStreaming(const std::string& input_path,
     auto reader = log::LogIo::OpenLogReader(input_path, *input_format);
     SQLOG_RETURN_IF_ERROR_R(reader.status());
     std::vector<log::LogRecord> batch;
-    SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options_, **detectors, pool, **reader,
-                                          options_.batch_size, result.templates,
-                                          result.parsed, result.stats, &kept, batch));
+    SQLOG_RETURN_IF_ERROR_R(DedupAndParse(options_, pool, **reader, options_.batch_size,
+                                          result.templates, result.parsed, result.stats,
+                                          &kept, batch));
   }
 
   // Steps 3-4 + SWS run on the compact parsed state, unchanged.

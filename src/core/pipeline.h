@@ -46,9 +46,6 @@ struct PipelineOptions {
   /// rendered from cached template recipes. Outputs are byte-identical
   /// with the cache on or off — this is purely a performance escape
   /// hatch (`sqlog --no-parse-cache`).
-  /// Ignored (treated as false) when the resolved detector set needs
-  /// per-query ASTs (DetectorSet::AnyNeedsAst — legacy custom rules),
-  /// because cache hits never build them.
   bool parse_cache = true;
   /// Ignored: calling Pipeline::RunStreaming selects streaming, and Run
   /// and RunStreaming accept the same options. Kept so that code which
@@ -74,7 +71,7 @@ Status ValidatePipelineOptions(const PipelineOptions& options);
 struct PipelineResult {
   log::QueryLog pre_clean;   // after duplicate removal
   TemplateStore templates;
-  ParsedLog parsed;
+  ParsedLog parsed;                    // facts only; no query holds an AST
   std::vector<Pattern> patterns;       // sorted by frequency
   AntipatternReport antipatterns;
   SwsReport sws;
@@ -89,8 +86,8 @@ struct PipelineResult {
 };
 
 /// What Pipeline::RunStreaming returns: the analysis state (templates,
-/// parsed log — ASTs released unless the detector set reads them —
-/// patterns, reports) plus the overview statistics. The clean and
+/// parsed log without ASTs, patterns, reports) plus the overview
+/// statistics. The clean and
 /// removal logs live on disk — the streaming path never materializes
 /// them; stats.final_size / stats.removal_size carry their record counts.
 struct StreamingRunResult {
@@ -140,8 +137,8 @@ class Pipeline {
   /// clean and removal logs straight to `clean_path`/`removal_path`.
   /// Neither the raw log nor the outputs are ever held in memory, but
   /// what pass 1 keeps grows with the log: the parsed facts of every
-  /// surviving SELECT (and their ASTs, for a detector set that reads
-  /// them) and the deduper's distinct (user, statement) keys.
+  /// surviving SELECT (never its AST) and the deduper's distinct
+  /// (user, statement) keys.
   /// The output files and the returned statistics are byte-identical to
   /// Run() + LogIo::WriteFile of the same input at any batch size and
   /// thread count. The input file must be (timestamp, seq)-ordered and

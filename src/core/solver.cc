@@ -282,8 +282,8 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
       report_(report),
       clean_writer_(clean_writer),
       removal_writer_(removal_writer) {
-  // Every unsolvable instance counts once; every solvable instance gets
-  // a rewrite, deferred until its last listed member streams past.
+  // Every unsolvable instance counts once; every solved instance gets a
+  // rewrite, deferred until its last listed member streams past.
   for (size_t k = 0; k < report_.instances.size(); ++k) {
     const AntipatternInstance& instance = report_.instances[k];
     if (!report_.detectors->Solvable(instance)) {
@@ -291,6 +291,7 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
       continue;
     }
     uint32_t id = static_cast<uint32_t>(k + 1);
+    if (!ClaimsFirstQuery(id)) continue;  // not solved, counted nowhere
     members_pending_[id] = instance.query_indices.size();
     for (size_t idx : instance.query_indices) {
       AstNeed& need = ast_needs_[idx];
@@ -298,6 +299,11 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
       ++need.unresolved;
     }
   }
+}
+
+bool StreamingSolver::ClaimsFirstQuery(uint32_t instance_id) const {
+  const AntipatternInstance& instance = report_.instances[instance_id - 1];
+  return report_.instance_of_query[instance.query_indices.front()] == instance_id;
 }
 
 StreamingSolver::~StreamingSolver() {
@@ -354,10 +360,15 @@ Status StreamingSolver::Feed(const log::LogRecord& record, const log::RecordShap
       slot.resolved = true;
       slot.to_clean = true;
       slot.to_removal = false;
+    } else if (!ClaimsFirstQuery(claiming)) {
+      // An earlier instance claimed this one's first query, so its rewrite
+      // has no slot: its queries stay verbatim in both logs.
+      slot.resolved = true;
+      slot.to_clean = true;
+      slot.to_removal = true;
     } else {
       slot.instance_id = claiming;
-      slot.is_first =
-          parsed_.queries[instance.query_indices.front()].record_index == r;
+      slot.is_first = instance.query_indices.front() == q;
     }
   }
   slot.record = record;

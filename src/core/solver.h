@@ -57,16 +57,19 @@ Result<std::string> RewriteSnc(const ParsedQuery& query);
 /// each solvable instance collapse into one rewritten statement at the
 /// position of the instance's first query; single-query instances (SNC,
 /// solvable per-query detectors) are fixed in place; everything else
-/// passes through. Also produces the removal variant. Rewritten/removed
-/// records keep their original metadata; both logs are renumbered.
+/// passes through. A solvable instance whose first query an earlier
+/// instance claimed is not solved and counts in no SolveStats field:
+/// the queries it claims pass through, as a failed rewrite's do. Also
+/// produces the removal variant. Rewritten/removed records keep their
+/// original metadata; both logs are renumbered.
 ///
 /// A loop feeding `pre_clean` through a StreamingSolver into two
 /// in-memory logs, so the in-memory and streaming paths share one
 /// implementation of Sec. 5.5. `parsed` is borrowed: members without an
-/// AST (parse-cache hits) get one restored while their instance is open,
-/// and `parsed` is handed back with exactly the ASTs it came with.
-/// Rewrites dispatch through the report's detector set;
-/// `custom_rules` is ignored (the set already carries their adapters).
+/// AST (the parser keeps none) get one restored while their instance is
+/// open, and `parsed` is handed back with exactly the ASTs it came with.
+/// Rewrites dispatch through the report's detector set; `custom_rules`
+/// is ignored (it must be empty; see DetectorOptions).
 SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed,
                                const AntipatternReport& report,
                                const std::vector<CustomRule>& custom_rules = {});
@@ -82,12 +85,11 @@ SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed
 /// `.sqb` writer can re-encode it without lexing; a rewritten statement
 /// loses its shape. Shapes never change the bytes written.
 ///
-/// Rewriting needs member ASTs. A member that carries none (the
-/// streaming parser released it, or a parse-cache hit never built it)
-/// is re-parsed as it streams past — the parser is deterministic, so the
-/// AST, and therefore the rewrite, is the one a full parse would have
-/// produced — restored into `parsed`, and cleared again once every
-/// instance listing it has resolved. ASTs the caller supplied are
+/// Rewriting needs member ASTs. A member that carries none (the parser
+/// never returns one) is re-parsed as it streams past — the parser is
+/// deterministic, so the AST, and therefore the rewrite, is the one a
+/// full parse would have produced — restored into `parsed`, and cleared
+/// again once every instance listing it has resolved. ASTs the caller supplied are
 /// neither replaced nor released. Records are buffered only while an
 /// instance that contains them is still unresolved, so the buffer is
 /// bounded by the detector's gap-bounded segment span, not the log
@@ -133,15 +135,19 @@ class StreamingSolver {
     bool to_removal = false;
   };
 
-  /// AST bookkeeping for one query listed by ≥1 solvable instance.
+  /// AST bookkeeping for one query listed by ≥1 solved instance.
   /// Instances overlap (claiming is first-wins), so a query's re-parsed
   /// AST stays restored until every instance listing it has resolved.
   struct AstNeed {
-    std::vector<uint32_t> instances;  // solvable instances listing the query
+    std::vector<uint32_t> instances;  // solved instances listing the query
     uint32_t unresolved = 0;
     bool restored = false;  // the AST was re-parsed here (cleared on release)
   };
 
+  /// True when instance `instance_id` (1-based) claims its own first
+  /// query, the slot a rewrite is emitted at. A solvable instance that
+  /// does not is never solved.
+  bool ClaimsFirstQuery(uint32_t instance_id) const;
   void ResolveInstance(uint32_t instance_id);
   Status Drain();
 
@@ -151,9 +157,9 @@ class StreamingSolver {
   log::RecordWriter& removal_writer_ SQLOG_SHARD_LOCAL;
   SolveStats stats_ SQLOG_SHARD_LOCAL;
 
-  /// query index → AST bookkeeping (solvable-instance members only).
+  /// query index → AST bookkeeping (solved-instance members only).
   std::unordered_map<size_t, AstNeed> ast_needs_ SQLOG_SHARD_LOCAL;
-  /// instance id (1-based, solvable only) → members not yet fed.
+  /// instance id (1-based, solved only) → members not yet fed.
   std::unordered_map<uint32_t, size_t> members_pending_ SQLOG_SHARD_LOCAL;
   std::deque<Slot> slots_ SQLOG_SHARD_LOCAL;
   size_t next_record_ SQLOG_SHARD_LOCAL = 0;  // position assigned to the next Feed

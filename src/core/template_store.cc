@@ -125,7 +125,10 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
       shard.diagnostics.push_back(std::move(diagnostic));
     }
   };
+  // Every full parse ends here, after BuildRecipes (on a miss) has read
+  // its AST: the AST is dropped at once, so none outlives its shard.
   auto push_query = [&](size_t i, const log::LogRecord& record, sql::QueryFacts facts) {
+    facts.ast.reset();
     ParsedQuery query;
     query.record_index = i;
     query.timestamp_ms = record.timestamp_ms;
@@ -430,7 +433,7 @@ size_t ParseShardCount(util::ThreadPool* pool, size_t count) {
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool, size_t max_diagnostics,
                    const ParseCacheOptions& cache_options) {
-  StreamingParser parser(store, max_diagnostics, pool, cache_options, /*keep_asts=*/true);
+  StreamingParser parser(store, max_diagnostics, pool, cache_options);
   parser.ReserveQueries(log.size());
   parser.FeedBatch(log.records());
   return parser.Finish();
@@ -438,12 +441,11 @@ ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
 
 StreamingParser::StreamingParser(TemplateStore& store, size_t max_diagnostics,
                                  util::ThreadPool* pool,
-                                 const ParseCacheOptions& cache_options, bool keep_asts)
+                                 const ParseCacheOptions& cache_options)
     : store_(store),
       max_diagnostics_(max_diagnostics),
       pool_(pool),
-      cache_options_(cache_options),
-      keep_asts_(keep_asts) {}
+      cache_options_(cache_options) {}
 
 void StreamingParser::SeedCache(std::vector<std::unique_ptr<ParseCacheEntry>> entries) {
   if (!cache_options_.enabled) return;
@@ -492,7 +494,6 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
         return shard;
       });
 
-  size_t first_new = parsed_.queries.size();
   MergeShards(shards, store_, max_diagnostics_, parsed_, pool_);
 
   // Promote shard-discovered templates into the persistent cache in
@@ -509,14 +510,6 @@ void StreamingParser::FeedBatch(const std::vector<log::LogRecord>& records,
     }
   }
 
-  // Bound memory: unless the caller keeps them, ASTs are only needed
-  // until the template is interned (detection works off the retained
-  // clause facts; the solver re-parses the statements it rewrites).
-  if (!keep_asts_) {
-    for (size_t i = first_new; i < parsed_.queries.size(); ++i) {
-      parsed_.queries[i].facts.ast.reset();
-    }
-  }
   records_fed_ += records.size();
 }
 

@@ -110,9 +110,9 @@ class TemplateStore {
 };
 
 /// Runs the parse step over a (deduplicated) log: one FeedBatch of a
-/// StreamingParser that keeps every AST it builds (see there for the
-/// sharding and the parse cache), then Finish(). No pipeline calls it:
-/// it serves tests and the benchmark suite.
+/// StreamingParser (see there for the sharding, the parse cache and the
+/// AST release), then Finish(). No pipeline calls it: it serves tests
+/// and the benchmark suite.
 ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
                    util::ThreadPool* pool = nullptr, size_t max_diagnostics = 0,
                    const ParseCacheOptions& cache_options = {});
@@ -131,11 +131,11 @@ ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
 /// parser and render their facts from the cached template's recipes;
 /// only `parse_stats` differs.
 ///
-/// `keep_asts` keeps the `facts.ast` each full parse builds (cache hits
-/// never build one) for detectors that read ASTs
-/// (DetectorSet::AnyNeedsAst). The default releases them after each
-/// batch, bounding memory by the batch: the miner and the built-in
-/// detectors read only the retained clause facts, and the solver
+/// No returned query holds an AST (`facts.ast` is null). Cache hits
+/// never build one, and each full parse drops its AST inside its shard
+/// as soon as the cache entry's recipes have been built from it, so the
+/// ASTs alive at once are bounded by the shard count, not the batch.
+/// The miner and the detectors read only the clause facts; the solver
 /// re-parses the few statements it rewrites.
 class StreamingParser {
  public:
@@ -145,7 +145,7 @@ class StreamingParser {
   /// batch.
   StreamingParser(TemplateStore& store, size_t max_diagnostics = 0,
                   util::ThreadPool* pool = nullptr,
-                  const ParseCacheOptions& cache_options = {}, bool keep_asts = false);
+                  const ParseCacheOptions& cache_options = {});
 
   /// Seeds the persistent cache with pre-built entries (deserialized
   /// from a `.sqb` dictionary) before the first batch. Entries whose key
@@ -190,7 +190,6 @@ class StreamingParser {
   size_t max_diagnostics_ SQLOG_CONST_AFTER_INIT;
   util::ThreadPool* pool_ SQLOG_CONST_AFTER_INIT;
   ParseCacheOptions cache_options_ SQLOG_CONST_AFTER_INIT;
-  bool keep_asts_ SQLOG_CONST_AFTER_INIT;
   /// Persistent across batches: frozen (const reads only) while shards
   /// are in flight, mutated between batches on the feeding thread.
   ParseCache cache_ SQLOG_SHARD_LOCAL;

@@ -8,11 +8,12 @@
 ///   - the end-to-end cleaning pipeline (sqlog::core::Pipeline, configured
 ///     by one PipelineOptions; re-cleaning is a second run over the first
 ///     run's clean log),
-///   - the detector registry — the Sec. 5.4 extension point
-///     (sqlog::core::DetectorRegistry, DetectorSet; detectors are named
-///     by registry id, and statistics carry one Table 5 row pair per
-///     detector of the run's set) plus the deprecated closure-based
-///     sqlog::core::CustomRule shim and its ready-made rules,
+///   - the detector registry — the Sec. 5.4 extension point and the one
+///     detection API (sqlog::core::Detector, DetectorRegistry,
+///     DetectorSet; application code registers Detector subclasses with
+///     DetectorRegistry::Global().Register, detectors are selected by
+///     registry id, and statistics carry one Table 5 row pair per
+///     detector of the run's set),
 ///   - the log model and CSV I/O (sqlog::log::QueryLog, LogIo),
 ///   - the synthetic SkyServer-style workload generator
 ///     (sqlog::log::GenerateLog),
@@ -29,7 +30,6 @@
 
 #include "catalog/schema.h"
 #include "core/pipeline.h"
-#include "core/rules.h"
 #include "log/generator.h"
 #include "log/log_io.h"
 #include "log/record.h"

@@ -22,6 +22,7 @@
 #include "log/log_io.h"
 #include "sql/skeleton.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace sqlog {
 namespace {
@@ -62,7 +63,6 @@ TEST(DetectorRegistryTest, GlobalRegistryCarriesBuiltinsAndTheirMetadata) {
   EXPECT_EQ(star->info().display_name, "Implicit Columns");
   EXPECT_EQ(star->info().scope, core::DetectorScope::kPerQuery);
   EXPECT_FALSE(star->info().solvable);
-  EXPECT_FALSE(star->info().needs_ast);
 
   ASSERT_NE(registry.Find("null-fear"), nullptr);
   EXPECT_TRUE(registry.Find("null-fear")->info().solvable);
@@ -113,7 +113,6 @@ TEST(DetectorSetTest, EmptySelectionResolvesToThePaperDefaults) {
     EXPECT_EQ(set.value()->info(i).id, ids[i]);
     EXPECT_EQ(set.value()->IndexOf(ids[i]), static_cast<int>(i));
   }
-  EXPECT_FALSE(set.value()->AnyNeedsAst());
 }
 
 TEST(DetectorSetTest, ResolveRejectsUnknownAndDuplicateIds) {
@@ -125,16 +124,20 @@ TEST(DetectorSetTest, ResolveRejectsUnknownAndDuplicateIds) {
   EXPECT_FALSE(DetectorSet::Resolve(options).ok());
 }
 
-TEST(DetectorSetTest, CustomRulesAppendAdapterDetectors) {
+TEST(DetectorSetTest, ResolveRejectsCustomRules) {
+  // A custom rule is a registered Detector selected by id; the empty
+  // CustomRule entries that still compile are refused with a pointer to
+  // the registry.
   DetectorOptions options;
   options.detector_ids = {"snc"};
-  options.custom_rules = {core::MakeSelectStarRule()};
+  options.custom_rules.emplace_back();
   auto set = DetectorSet::Resolve(options);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ASSERT_EQ(set.value()->size(), 2u);
-  EXPECT_EQ(set.value()->info(1).id, "custom-rule-0");
-  EXPECT_TRUE(set.value()->info(1).needs_ast);
-  EXPECT_TRUE(set.value()->AnyNeedsAst());
+  ASSERT_FALSE(set.ok());
+  EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(set.status().message().find("custom rules"), std::string::npos)
+      << set.status().ToString();
+  EXPECT_NE(set.status().message().find("DetectorRegistry::Register"), std::string::npos)
+      << set.status().ToString();
 }
 
 // --- precision/recall against generator ground truth ------------------------
@@ -363,6 +366,14 @@ std::string ReadAll(const std::string& path) {
   return buffer.str();
 }
 
+/// No parsed query carries an AST: the parser drops each one in its
+/// parse shard as soon as the cache entry's recipes were built from it.
+void ExpectNoAsts(const core::ParsedLog& parsed) {
+  for (const core::ParsedQuery& query : parsed.queries) {
+    ASSERT_EQ(query.facts.ast, nullptr) << "record " << query.record_index;
+  }
+}
+
 TEST(CatalogExpansionStreamingTest, StreamingMatchesInMemoryWithTheExpandedSet) {
   log::GeneratorConfig config = ExpansionConfig();
   config.target_statements = 2500;
@@ -375,6 +386,15 @@ TEST(CatalogExpansionStreamingTest, StreamingMatchesInMemoryWithTheExpandedSet) 
   reference_pipeline.SetSchema(&schema);
   auto reference = reference_pipeline.Run(raw);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ExpectNoAsts(reference->parsed);
+  // With the cache off every query is a full parse, serial or sharded.
+  core::ParseCacheOptions cache_off;
+  cache_off.enabled = false;
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* parse_pool : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    core::TemplateStore store;
+    ExpectNoAsts(core::ParseLog(reference->pre_clean, store, parse_pool, 0, cache_off));
+  }
 
   const std::string input_path = ::testing::TempDir() + "/expanded_stream_input.csv";
   const std::string clean_path = ::testing::TempDir() + "/expanded_stream_clean.csv";
@@ -389,6 +409,7 @@ TEST(CatalogExpansionStreamingTest, StreamingMatchesInMemoryWithTheExpandedSet) 
     pipeline.SetSchema(&schema);
     auto run = pipeline.RunStreaming(input_path, clean_path, removal_path);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectNoAsts(run->parsed);
 
     EXPECT_EQ(run->stats.ToTable(), reference->stats.ToTable());
     EXPECT_EQ(ReadAll(clean_path), log::LogIo::ToCsv(reference->clean_log));

@@ -48,8 +48,7 @@ ParseCacheOptions CacheOff() {
 }
 
 /// Asserts the cached run observable-for-observable equal to the
-/// uncached reference (everything but facts.ast, which hits drop by
-/// design).
+/// uncached reference (neither keeps an AST).
 void ExpectSameOutput(const ParseRun& want, const ParseRun& got) {
   ASSERT_EQ(want.parsed.queries.size(), got.parsed.queries.size());
   for (size_t i = 0; i < want.parsed.queries.size(); ++i) {
@@ -120,8 +119,9 @@ TEST(ParseCacheTest, RepeatedTemplateHitsAndRendersIdenticalFacts) {
   EXPECT_EQ(reference.parsed.parse_stats.full_parses, 3u);
   EXPECT_EQ(reference.parsed.parse_stats.cache_hits, 0u);
 
-  // Hits drop the AST by design; the miss that built the entry keeps it.
-  EXPECT_NE(cached.parsed.queries[0].facts.ast, nullptr);
+  // Hits never build an AST, and the miss that built the entry dropped
+  // its AST once the recipes were read from it.
+  EXPECT_EQ(cached.parsed.queries[0].facts.ast, nullptr);
   EXPECT_EQ(cached.parsed.queries[1].facts.ast, nullptr);
   // The rendered facts carry the statement's own literals.
   EXPECT_EQ(cached.parsed.queries[1].facts.wc, "where x = 2");

@@ -21,7 +21,6 @@
 #include "catalog/schema.h"
 #include "core/parse_cache.h"
 #include "core/pipeline.h"
-#include "core/rules.h"
 #include "log/generator.h"
 #include "log/log_io.h"
 
@@ -346,47 +345,6 @@ TEST(PipelineGoldenTest, RunSortsAShuffledLogIntoTheSameOutputs) {
     EXPECT_EQ(log::LogIo::ToCsv(got.clean_log), log::LogIo::ToCsv(want.clean_log));
     EXPECT_EQ(log::LogIo::ToCsv(got.removal_log), log::LogIo::ToCsv(want.removal_log));
   }
-}
-
-TEST(PipelineGoldenTest, StreamingWithCustomRulesMatchesRun) {
-  // Legacy custom rules may read per-query ASTs: missing-where's detect
-  // hook dereferences the AST of every parsed query. Both entry points
-  // keep the ASTs for such a detector set, so streaming accepts the
-  // rules and reproduces Run's outputs and Table 5 rows byte for byte.
-  const log::QueryLog raw = FixedLog();
-  const catalog::Schema schema = catalog::MakeSkyServerSchema();
-  core::PipelineOptions options;
-  options.detector.custom_rules = {core::MakeSelectStarRule(), core::MakeMissingWhereRule()};
-  auto reference = WithSchema(options, schema).Run(raw);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_GT(reference->antipatterns.InstancesOf("custom-rule-0"), 0u);
-  const std::string want_table = reference->stats.ToTable();
-  const std::string want_clean = log::LogIo::ToCsv(reference->clean_log);
-  const std::string want_removal = log::LogIo::ToCsv(reference->removal_log);
-
-  const std::string input_path = ::testing::TempDir() + "/golden_rule_input.csv";
-  const std::string clean_path = ::testing::TempDir() + "/golden_rule_clean.csv";
-  const std::string removal_path = ::testing::TempDir() + "/golden_rule_removal.csv";
-  ASSERT_TRUE(log::LogIo::WriteFile(raw, input_path).ok());
-  for (size_t batch_size : {size_t{97}, core::PipelineOptions().batch_size}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch_size) +
-                   " threads=" + std::to_string(threads));
-      options.num_threads = threads;
-      options.batch_size = batch_size;
-      auto run = WithSchema(options, schema).RunStreaming(input_path, clean_path, removal_path);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(run->stats.ToTable(), want_table);
-      EXPECT_EQ(ReadAll(clean_path), want_clean);
-      EXPECT_EQ(ReadAll(removal_path), want_removal);
-      for (const core::ParsedQuery& query : run->parsed.queries) {
-        ASSERT_NE(query.facts.ast, nullptr) << "record " << query.record_index;
-      }
-      std::remove(clean_path.c_str());
-      std::remove(removal_path.c_str());
-    }
-  }
-  std::remove(input_path.c_str());
 }
 
 }  // namespace

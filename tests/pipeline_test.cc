@@ -282,7 +282,7 @@ TEST(PipelineTest, RunAndRunStreamingRejectTheSameInvalidOptions) {
       {"threshold_ms", [](PipelineOptions& o) { o.dedup.threshold_ms = -5; }},
       {"max_length", [](PipelineOptions& o) { o.miner.max_length = 0; }},
       {"frequency_fraction", [](PipelineOptions& o) { o.sws.frequency_fraction = 1.5; }},
-      {"detect hook", [](PipelineOptions& o) { o.detector.custom_rules.emplace_back(); }},
+      {"custom rules", [](PipelineOptions& o) { o.detector.custom_rules.emplace_back(); }},
       {"no-such-detector",
        [](PipelineOptions& o) { o.detector.detector_ids = {"no-such-detector"}; }},
       {"batch_size", [](PipelineOptions& o) { o.batch_size = 0; }},

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "catalog/schema.h"
 #include "core/antipattern.h"
 #include "util/string_util.h"
@@ -175,15 +179,18 @@ TEST(SolverTest, SncRewriteNullOnLeft) {
 
 class SolveLogTest : public ::testing::Test {
  protected:
-  SolveOutcome Solve(const std::vector<std::pair<int64_t, std::string>>& statements) {
-    Detect(statements);
+  SolveOutcome Solve(const std::vector<std::pair<int64_t, std::string>>& statements,
+                     const std::vector<std::string>& detector_ids = {}) {
+    Detect(statements, detector_ids);
     SolveOutcome outcome = SolveAntipatterns(log_, parsed_, report_);
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
     return outcome;
   }
 
-  /// Parses and detects, leaving log_/parsed_/report_ ready to solve.
-  void Detect(const std::vector<std::pair<int64_t, std::string>>& statements) {
+  /// Parses and detects with the detectors `detector_ids` (empty: the
+  /// paper's defaults), leaving log_/parsed_/report_ ready to solve.
+  void Detect(const std::vector<std::pair<int64_t, std::string>>& statements,
+              const std::vector<std::string>& detector_ids = {}) {
     log_ = log::QueryLog();
     for (const auto& [t, sql] : statements) {
       log::LogRecord record;
@@ -198,6 +205,7 @@ class SolveLogTest : public ::testing::Test {
     schema_ = catalog::MakeSkyServerSchema();
     DetectorOptions options;
     options.cth_min_support = 1;
+    options.detector_ids = detector_ids;
     auto detectors = DetectorSet::Resolve(options);
     ASSERT_TRUE(detectors.ok()) << detectors.status().ToString();
     report_ = DetectAntipatterns(parsed_, store_, &schema_, options, *detectors);
@@ -293,12 +301,11 @@ TEST_F(SolveLogTest, MemberThatNoLongerParsesFailsNamingTheRecord) {
       {1000, "SELECT name FROM Employee WHERE empId = 8"},
       {2000, "SELECT name FROM Employee WHERE empId = 1"},
   });
-  // Members without an AST are re-parsed from the records handed to the
-  // solver; break the last member's text.
+  // The parser keeps no AST, so members are re-parsed from the records
+  // handed to the solver; break the last member's text.
   ASSERT_EQ(report_.instances.size(), 1u);
   const std::vector<size_t> members = report_.instances[0].query_indices;
   ASSERT_EQ(members.size(), 2u);
-  for (size_t member : members) parsed_.queries[member].facts.ast.reset();
   log::QueryLog changed = log_;
   changed.records()[parsed_.queries[members.back()].record_index].statement =
       "SELECT name FROM";
@@ -325,8 +332,14 @@ TEST_F(SolveLogTest, ParsedLogKeepsExactlyTheAstsItCameWith) {
       {100000000, "SELECT name FROM Employee WHERE empId = 4"},
       {100001000, "SELECT name FROM Employee WHERE empId = 5"},
   });
-  // Mix supplied and missing ASTs across members and non-members.
-  for (size_t q = 0; q < parsed_.queries.size(); q += 2) parsed_.queries[q].facts.ast.reset();
+  // Mix supplied and missing ASTs across members and non-members: the
+  // parser keeps none, so supply every other one.
+  for (size_t q = 1; q < parsed_.queries.size(); q += 2) {
+    auto facts =
+        sql::ParseAndAnalyze(log_.records()[parsed_.queries[q].record_index].statement);
+    ASSERT_TRUE(facts.ok()) << facts.status().ToString();
+    parsed_.queries[q].facts.ast = facts->ast;
+  }
   std::vector<const sql::SelectStatement*> before;
   for (const auto& query : parsed_.queries) before.push_back(query.facts.ast.get());
 
@@ -346,6 +359,78 @@ TEST_F(SolveLogTest, ParsedLogKeepsExactlyTheAstsItCameWith) {
             "select * from bugs where assigned_to is null");
   EXPECT_EQ(outcome.clean_log.records()[2].statement,
             "select empid, name from employee where empid in (4, 5)");
+}
+
+TEST_F(SolveLogTest, InstanceWhoseFirstQueryIsClaimedElsewhereIsNotSolved) {
+  // SNC and null-fear both match the one query; SNC comes first in the
+  // set and claims it, so null-fear's instance has no slot to emit its
+  // rewrite at and is counted nowhere.
+  std::vector<std::string> ids = DefaultDetectorIds();
+  ids.push_back("null-fear");
+  SolveOutcome outcome =
+      Solve({{0, "SELECT name FROM Employee WHERE phone = NULL AND address <> 'x'"}}, ids);
+  ASSERT_EQ(report_.instances.size(), 2u);
+  EXPECT_EQ(outcome.stats.instances_solved, 1u);
+  EXPECT_EQ(outcome.stats.queries_rewritten_in_place, 1u);
+  EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
+  ASSERT_EQ(outcome.clean_log.size(), 1u);
+  EXPECT_EQ(outcome.clean_log.records()[0].statement,
+            "select name from employee where phone is null and address <> 'x'");
+  EXPECT_EQ(outcome.removal_log.size(), 0u);
+}
+
+/// A solvable sequence detector that pairs segment positions `start`
+/// and `start + 1`, in a scan group of its own.
+class PairAtDetector : public Detector {
+ public:
+  PairAtDetector(std::string id, size_t start) : start_(start) {
+    info_.id = id;
+    info_.display_name = id;
+    info_.scope = DetectorScope::kSequence;
+    info_.scan_group = id;
+    info_.solvable = true;
+  }
+  const DetectorInfo& info() const override { return info_; }
+  size_t ScanAt(const SegmentView& segment, size_t pos, const DetectorContext& ctx,
+                AntipatternInstance* instance) const override {
+    (void)ctx;
+    if (pos != start_ || pos + 1 >= segment.size()) return 0;
+    instance->query_indices = {segment.query_index(pos), segment.query_index(pos + 1)};
+    return 2;
+  }
+  Result<std::string> Rewrite(const AntipatternInstance& instance,
+                              const std::vector<const ParsedQuery*>& members) const override {
+    (void)instance;
+    return StrFormat("select %zu merged", members.size());
+  }
+
+ private:
+  DetectorInfo info_;
+  size_t start_;
+};
+
+TEST_F(SolveLogTest, OverlappingPairKeepsTheQueryOnlyItClaims) {
+  // Pairs (0,1) and (1,2) of one segment: the first claims queries 0 and
+  // 1, the second only query 2. The second's first query is taken, so it
+  // is not solved, and query 2 reaches both logs verbatim.
+  static const bool registered =
+      DetectorRegistry::Global().Register(std::make_shared<PairAtDetector>("test-pair-0", 0))
+          .ok() &&
+      DetectorRegistry::Global().Register(std::make_shared<PairAtDetector>("test-pair-1", 1))
+          .ok();
+  ASSERT_TRUE(registered);
+  SolveOutcome outcome = Solve({{0, "SELECT a FROM t WHERE x = 1"},
+                                {1000, "SELECT b FROM t WHERE x = 2"},
+                                {2000, "SELECT c FROM t WHERE x = 3"}},
+                               {"test-pair-0", "test-pair-1"});
+  ASSERT_EQ(report_.instances.size(), 2u);
+  EXPECT_EQ(outcome.stats.instances_solved, 1u);
+  EXPECT_EQ(outcome.stats.queries_merged, 1u);
+  ASSERT_EQ(outcome.clean_log.size(), 2u);
+  EXPECT_EQ(outcome.clean_log.records()[0].statement, "select 2 merged");
+  EXPECT_EQ(outcome.clean_log.records()[1].statement, "SELECT c FROM t WHERE x = 3");
+  ASSERT_EQ(outcome.removal_log.size(), 1u);
+  EXPECT_EQ(outcome.removal_log.records()[0].statement, "SELECT c FROM t WHERE x = 3");
 }
 
 }  // namespace

@@ -131,12 +131,17 @@ Result<log::QueryLog> Load(const char* path,
   return log::LogIo::ReadFile(path, format);
 }
 
+/// The schema catalog every CLI run consults (Def. 11's key axiom).
+const catalog::Schema* CliSchema() {
+  static const catalog::Schema schema = catalog::MakeSkyServerSchema();
+  return &schema;
+}
+
 /// The CLI's pipeline: every core, Def. 11 checked against the SkyServer
 /// schema, the stream flags and the detector selection (empty = the
 /// paper's default set).
 core::Pipeline MakePipeline(const StreamFlags& flags = {},
                             std::vector<std::string> detector_ids = {}) {
-  static catalog::Schema schema = catalog::MakeSkyServerSchema();
   core::PipelineOptions options;
   options.num_threads = 0;  // CLI batch work: use every core
   options.parse_cache = flags.parse_cache;
@@ -145,7 +150,7 @@ core::Pipeline MakePipeline(const StreamFlags& flags = {},
   options.output_format = flags.out_format;
   options.detector.detector_ids = std::move(detector_ids);
   core::Pipeline pipeline(std::move(options));
-  pipeline.SetSchema(&schema);
+  pipeline.SetSchema(CliSchema());
   return pipeline;
 }
 
@@ -529,8 +534,12 @@ int CmdRecommend(int argc, char** argv) {
   // Train on the cleaned log so suggestions are antipattern-free
   // (exactly the setup the paper's future work argues for). A second
   // run over the first run's clean log parses it: its pre-clean log,
-  // templates and parsed queries describe the clean log.
-  const core::Pipeline pipeline = MakePipeline();
+  // templates and parsed queries describe the clean log. Neither run's
+  // patterns are read, so neither mines them.
+  core::PipelineOptions options = MakePipeline().options();
+  options.mine_patterns = false;
+  core::Pipeline pipeline(std::move(options));
+  pipeline.SetSchema(CliSchema());
   auto run = pipeline.Run(*raw);
   if (run.ok()) run = pipeline.Run(run->clean_log);
   if (!run.ok()) {
