@@ -92,7 +92,7 @@ void BM_TemplateGroupingHashFirst(benchmark::State& state) {
   for (auto _ : state) {
     core::TemplateStore store;
     for (size_t i = 0; i < facts.size(); ++i) {
-      benchmark::DoNotOptimize(store.Intern(facts[i].tmpl, i));
+      benchmark::DoNotOptimize(store.Intern(facts[i].shared->tmpl, i));
     }
   }
 }
@@ -110,7 +110,8 @@ void BM_TemplateGroupingStringKey(benchmark::State& state) {
     std::map<std::string, uint64_t> store;
     uint64_t next_id = 0;
     for (const auto& f : facts) {
-      std::string key = f.tmpl.ssc + "|" + f.tmpl.sfc + "|" + f.tmpl.swc + "|" + f.tmpl.tail;
+      const sql::QueryTemplate& t = f.shared->tmpl;
+      std::string key = t.ssc + "|" + t.sfc + "|" + t.swc + "|" + t.tail;
       auto [it, inserted] = store.try_emplace(key, next_id);
       if (inserted) ++next_id;
       benchmark::DoNotOptimize(it->second);

@@ -31,7 +31,7 @@ int main() {
                 100.0 * static_cast<double>(pattern.frequency) /
                     static_cast<double>(parsed),
                 pattern.user_popularity(),
-                analysis::DescribeTemplate(sample.facts).c_str());
+                analysis::DescribeTemplate(*sample.facts.shared).c_str());
     std::printf("%31s %.100s\n", "",
                 (info.tmpl.ssc + " " + info.tmpl.sfc + " " + info.tmpl.swc).c_str());
   }

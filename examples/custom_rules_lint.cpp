@@ -93,13 +93,13 @@ class MissingWhereDetector final : public core::Detector {
                   core::AntipatternInstance*) const override {
     const sqlog::sql::QueryFacts& facts = query.facts;
     if (!facts.wc.empty() || HasTop(facts.sc)) return false;
-    if (facts.tmpl.tail.rfind("group by ", 0) == 0) return false;  // grouped output
+    if (facts.shared->tmpl.tail.rfind("group by ", 0) == 0) return false;  // grouped output
     const std::vector<std::string_view> items = SelectItems(facts.sc);
     if (std::any_of(items.begin(), items.end(), IsFunctionCall)) {
       return false;  // an aggregate without GROUP BY returns one row
     }
-    if (!facts.table_functions.empty()) return false;  // spatial searches bound themselves
-    return !facts.tables.empty();
+    if (!facts.shared->table_functions.empty()) return false;  // spatial searches bound themselves
+    return !facts.shared->tables.empty();
   }
 
  private:
@@ -118,7 +118,7 @@ class UnboundedOrderByDetector final : public core::Detector {
   const core::DetectorInfo& info() const override { return info_; }
   bool MatchQuery(const core::ParsedQuery& query, const core::DetectorContext&,
                   core::AntipatternInstance*) const override {
-    const std::string& tail = query.facts.tmpl.tail;
+    const std::string& tail = query.facts.shared->tmpl.tail;
     const bool ordered =
         tail.rfind("order by ", 0) == 0 || tail.find(" order by ") != std::string::npos;
     return ordered && !HasTop(query.facts.sc);

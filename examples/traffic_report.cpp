@@ -38,7 +38,7 @@ void Report(const char* label, const sqlog::core::ParsedLog& parsed) {
     if (shown++ >= 5) break;
     const auto& sample = parsed.queries[session->query_indices.front()];
     std::printf("    robot session of %zu queries: %s\n", size,
-                sqlog::analysis::DescribeTemplate(sample.facts).c_str());
+                sqlog::analysis::DescribeTemplate(*sample.facts.shared).c_str());
   }
   std::printf("\n");
 }

@@ -137,8 +137,12 @@ cmp "$sentinel.saved" "$sentinel"
 # 3b. Binary-format smoke: convert to `.sqb`, clean from it (exercising
 #     the zero-parse ingest path), convert back, and require the result
 #     to be byte-identical to cleaning the CSV directly. Then the parse
-#     cache's escape hatch: in-memory `clean --no-parse-cache`, which
-#     full-parses every statement, must write the bytes `clean` writes.
+#     cache's escape hatch, which full-parses every statement and gives
+#     each query its own template facts: in-memory `clean
+#     --no-parse-cache` must write the bytes `clean` writes, and
+#     `clean --streaming --no-parse-cache`, from the CSV and from its
+#     `.sqb`, the bytes `clean --streaming` writes (the streaming cache
+#     is where queries share template facts across batches).
 step "sqb convert round-trip smoke"
 smoke_sqb="${smoke_log%.csv}.sqb"
 smoke_back="${smoke_log%.csv}.back.csv"
@@ -153,6 +157,14 @@ cmp /tmp/sqlog_smoke_clean.a.removal.csv /tmp/sqlog_smoke_clean.b.removal.csv
 ./build/tools/sqlog clean --no-parse-cache "$smoke_log" /tmp/sqlog_smoke_clean.g >/dev/null
 cmp /tmp/sqlog_smoke_clean.f.clean.csv /tmp/sqlog_smoke_clean.g.clean.csv
 cmp /tmp/sqlog_smoke_clean.f.removal.csv /tmp/sqlog_smoke_clean.g.removal.csv
+./build/tools/sqlog clean --streaming --no-parse-cache "$smoke_log" \
+  /tmp/sqlog_smoke_clean.h >/dev/null
+./build/tools/sqlog clean --streaming --no-parse-cache "$smoke_sqb" \
+  /tmp/sqlog_smoke_clean.i >/dev/null
+for leg in h i; do
+  cmp /tmp/sqlog_smoke_clean.a.clean.csv "/tmp/sqlog_smoke_clean.$leg.clean.csv"
+  cmp /tmp/sqlog_smoke_clean.a.removal.csv "/tmp/sqlog_smoke_clean.$leg.removal.csv"
+done
 
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/string_util.h"
@@ -75,17 +76,22 @@ std::string DataSpace::SignatureKey() const {
 DataSpace ExtractDataSpace(const sql::QueryFacts& facts) {
   DataSpace space;
 
-  std::vector<std::string> names = facts.tables;
-  for (const auto& fn : facts.table_functions) names.push_back(fn);
+  const sql::TemplateFacts& shared = *facts.shared;
+  std::vector<std::string> names = shared.tables;
+  for (const auto& fn : shared.table_functions) names.push_back(fn);
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
   space.table_key = Join(names, "+");
 
-  for (const auto& pred : facts.predicates) {
+  for (size_t i = 0; i < shared.predicates.size(); ++i) {
+    const sql::Predicate& pred = shared.predicates[i];
     if (pred.column.empty() || !pred.constant_comparison) continue;
+    const std::span<const std::string> values = facts.values(i);
+    // A `.sqb` recipe may pair a constant comparison with fewer values.
+    if (values.size() < (pred.op == sql::PredicateOp::kBetween ? 2u : 1u)) continue;
     switch (pred.op) {
       case sql::PredicateOp::kEq: {
-        const std::string& value = pred.values.at(0);
+        const std::string& value = values[0];
         if (LooksNumeric(value)) {
           Constrain(space, pred.column, Interval::Point(NumberOf(value)));
         } else {
@@ -95,7 +101,7 @@ DataSpace ExtractDataSpace(const sql::QueryFacts& facts) {
       }
       case sql::PredicateOp::kLess:
       case sql::PredicateOp::kLessEq: {
-        const std::string& value = pred.values.at(0);
+        const std::string& value = values[0];
         if (LooksNumeric(value)) {
           Constrain(space, pred.column, Interval{-kInf, NumberOf(value)});
         }
@@ -103,15 +109,15 @@ DataSpace ExtractDataSpace(const sql::QueryFacts& facts) {
       }
       case sql::PredicateOp::kGreater:
       case sql::PredicateOp::kGreaterEq: {
-        const std::string& value = pred.values.at(0);
+        const std::string& value = values[0];
         if (LooksNumeric(value)) {
           Constrain(space, pred.column, Interval{NumberOf(value), kInf});
         }
         break;
       }
       case sql::PredicateOp::kBetween: {
-        const std::string& lo = pred.values.at(0);
-        const std::string& hi = pred.values.at(1);
+        const std::string& lo = values[0];
+        const std::string& hi = values[1];
         if (LooksNumeric(lo) && LooksNumeric(hi)) {
           Constrain(space, pred.column, Interval{NumberOf(lo), NumberOf(hi)});
         }
@@ -121,8 +127,8 @@ DataSpace ExtractDataSpace(const sql::QueryFacts& facts) {
         // Approximate an IN list by its numeric hull.
         double lo = kInf;
         double hi = -kInf;
-        bool numeric = !pred.values.empty();
-        for (const auto& value : pred.values) {
+        bool numeric = !values.empty();
+        for (const auto& value : values) {
           if (!LooksNumeric(value)) {
             numeric = false;
             break;

@@ -8,33 +8,33 @@ namespace sqlog::analysis {
 
 namespace {
 
-bool HasFunction(const sql::QueryFacts& facts, const char* name) {
+bool HasFunction(const sql::TemplateFacts& facts, const char* name) {
   for (const auto& fn : facts.table_functions) {
     if (fn == name) return true;
   }
   return false;
 }
 
-bool HasTable(const sql::QueryFacts& facts, const char* name) {
+bool HasTable(const sql::TemplateFacts& facts, const char* name) {
   for (const auto& table : facts.tables) {
     if (table == name) return true;
   }
   return false;
 }
 
-const sql::Predicate* SinglePredicate(const sql::QueryFacts& facts) {
+const sql::Predicate* SinglePredicate(const sql::TemplateFacts& facts) {
   if (facts.predicates.size() != 1) return nullptr;
   return &facts.predicates[0];
 }
 
-bool IsAggregateOnly(const sql::QueryFacts& facts) {
+bool IsAggregateOnly(const sql::TemplateFacts& facts) {
   return facts.selected_columns.size() == 1 &&
          (facts.selected_columns[0] == "count" || facts.selected_columns[0] == "sum" ||
           facts.selected_columns[0] == "min" || facts.selected_columns[0] == "max" ||
           facts.selected_columns[0] == "avg");
 }
 
-std::string MainTable(const sql::QueryFacts& facts) {
+std::string MainTable(const sql::TemplateFacts& facts) {
   if (!facts.tables.empty()) return facts.tables.front();
   if (!facts.table_functions.empty()) return facts.table_functions.front();
   return "the database";
@@ -42,7 +42,7 @@ std::string MainTable(const sql::QueryFacts& facts) {
 
 }  // namespace
 
-std::string DescribeTemplate(const sql::QueryFacts& facts) {
+std::string DescribeTemplate(const sql::TemplateFacts& facts) {
   // Spatial searches via the SkyServer table-valued functions.
   if (HasFunction(facts, "fgetnearbyobjeq")) {
     return "gets objects within a radius of an equatorial point (cone search)";

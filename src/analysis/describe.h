@@ -12,7 +12,7 @@ namespace sqlog::analysis {
 /// heuristically instead of by hand: spatial searches via the SkyServer
 /// table functions, HTM-range counts, point lookups by key, sliding
 /// range scans, metadata browsing, and generic fallbacks.
-std::string DescribeTemplate(const sql::QueryFacts& facts);
+std::string DescribeTemplate(const sql::TemplateFacts& facts);
 
 }  // namespace sqlog::analysis
 

@@ -15,7 +15,7 @@ void Recommender::ForEachTransition(const core::ParsedLog& parsed, Fn&& fn) cons
       const core::ParsedQuery& prev = parsed.queries[stream[i - 1]];
       const core::ParsedQuery& next = parsed.queries[stream[i]];
       if (next.timestamp_ms - prev.timestamp_ms > options_.max_gap_ms) continue;
-      fn(prev.facts.tmpl.fingerprint, next.facts.tmpl.fingerprint);
+      fn(prev.facts.shared->tmpl.fingerprint, next.facts.shared->tmpl.fingerprint);
     }
   }
 }

@@ -45,7 +45,7 @@ uint64_t AntipatternReport::DistinctOf(const std::string& id) const {
 
 bool StifleEligible(const ParsedQuery& query, const catalog::Schema* schema,
                     bool require_key_attribute) {
-  const sql::QueryFacts& facts = query.facts;
+  const sql::TemplateFacts& facts = *query.facts.shared;
   if (!facts.where_conjunctive) return false;
   if (facts.predicate_count() != 1) return false;
   const sql::Predicate& pred = facts.predicates[0];

@@ -82,11 +82,12 @@ class StifleDetector final : public Detector {
     bool matches = false;
     switch (kind_) {
       case StifleKind::kDw:
-        matches = f1.sc == f2.sc && f1.fc == f2.fc && f1.tmpl.swc == f2.tmpl.swc &&
-                  f1.wc != f2.wc;
+        matches = f1.sc == f2.sc && f1.fc == f2.fc &&
+                  f1.shared->tmpl.swc == f2.shared->tmpl.swc && f1.wc != f2.wc;
         break;
       case StifleKind::kDs:
-        matches = f1.fc == f2.fc && f1.wc == f2.wc && f1.tmpl.ssc != f2.tmpl.ssc;
+        matches =
+            f1.fc == f2.fc && f1.wc == f2.wc && f1.shared->tmpl.ssc != f2.shared->tmpl.ssc;
         break;
       case StifleKind::kDf:
         matches = f1.wc == f2.wc && f1.fc != f2.fc;
@@ -95,7 +96,7 @@ class StifleDetector final : public Detector {
     if (!matches) return 0;
 
     instance->query_indices = {segment.query_index(pos), segment.query_index(pos + 1)};
-    std::unordered_set<std::string> seen_ssc = {f1.tmpl.ssc, f2.tmpl.ssc};
+    std::unordered_set<std::string> seen_ssc = {f1.shared->tmpl.ssc, f2.shared->tmpl.ssc};
     std::unordered_set<std::string> seen_fc = {f1.fc, f2.fc};
     std::unordered_set<std::string> seen_wc = {f1.wc, f2.wc};
 
@@ -107,11 +108,13 @@ class StifleDetector final : public Detector {
       bool extends = false;
       switch (kind_) {
         case StifleKind::kDw:
-          extends = fn.sc == f1.sc && fn.fc == f1.fc && fn.tmpl.swc == f1.tmpl.swc &&
+          extends = fn.sc == f1.sc && fn.fc == f1.fc &&
+                    fn.shared->tmpl.swc == f1.shared->tmpl.swc &&
                     seen_wc.insert(fn.wc).second;
           break;
         case StifleKind::kDs:
-          extends = fn.fc == f1.fc && fn.wc == f1.wc && seen_ssc.insert(fn.tmpl.ssc).second;
+          extends =
+              fn.fc == f1.fc && fn.wc == f1.wc && seen_ssc.insert(fn.shared->tmpl.ssc).second;
           break;
         case StifleKind::kDf:
           extends = fn.wc == f1.wc && seen_fc.insert(fn.fc).second;
@@ -183,7 +186,7 @@ class CthDetector final : public Detector {
   /// A query at position ≥ 2 of a candidate: exactly one equality
   /// predicate against a constant (Def. 15).
   static bool FollowupEligible(const ParsedQuery& query) {
-    const sql::QueryFacts& facts = query.facts;
+    const sql::TemplateFacts& facts = *query.facts.shared;
     if (!facts.where_conjunctive) return false;
     if (facts.predicate_count() != 1) return false;
     const sql::Predicate& pred = facts.predicates[0];
@@ -194,10 +197,10 @@ class CthDetector final : public Detector {
   /// The "information flows forward" heuristic: the follow-up filters on
   /// an attribute the head query exposed (or the head exposed everything).
   static bool Linked(const ParsedQuery& head, const ParsedQuery& followup) {
-    if (head.facts.selects_star) return true;
-    const std::string& col = followup.facts.predicates[0].column;
+    if (head.facts.shared->selects_star) return true;
+    const std::string& col = followup.facts.shared->predicates[0].column;
     if (col.empty()) return false;
-    for (const auto& selected : head.facts.selected_columns) {
+    for (const auto& selected : head.facts.shared->selected_columns) {
       if (selected == col) return true;
     }
     return false;
@@ -222,7 +225,7 @@ class SncDetector final : public Detector {
                   AntipatternInstance* instance) const override {
     (void)ctx;
     (void)instance;
-    for (const auto& pred : query.facts.predicates) {
+    for (const auto& pred : query.facts.shared->predicates) {
       if (pred.compares_to_null_literal) return true;
     }
     return false;
@@ -259,7 +262,7 @@ class SelectStarDetector final : public Detector {
                   AntipatternInstance* instance) const override {
     (void)ctx;
     (void)instance;
-    return query.facts.selects_star;
+    return query.facts.shared->selects_star;
   }
 
  private:
@@ -284,11 +287,11 @@ class NullFearDetector final : public Detector {
                   AntipatternInstance* instance) const override {
     if (ctx.schema == nullptr) return false;  // schema-aware detector
     bool hit = false;
-    for (const auto& pred : query.facts.predicates) {
+    for (const auto& pred : query.facts.shared->predicates) {
       if (pred.op != sql::PredicateOp::kNotEq) continue;
       if (!pred.constant_comparison || pred.compares_to_null_literal) continue;
       if (pred.column.empty()) continue;
-      if (!ctx.schema->IsNullableColumn(pred.column, query.facts.tables)) continue;
+      if (!ctx.schema->IsNullableColumn(pred.column, query.facts.shared->tables)) continue;
       hit = true;
       instance->detail.push_back(pred.column);
     }
@@ -358,7 +361,7 @@ class SpaghettiJoinDetector final : public Detector {
   bool MatchQuery(const ParsedQuery& query, const DetectorContext& ctx,
                   AntipatternInstance* instance) const override {
     (void)ctx;
-    const sql::QueryFacts& facts = query.facts;
+    const sql::TemplateFacts& facts = *query.facts.shared;
     if (facts.from_item_count < 2) return false;
     for (const auto& pred : facts.predicates) {
       if (pred.column_equijoin) return false;
@@ -390,11 +393,11 @@ class NonSargableDetector final : public Detector {
                   AntipatternInstance* instance) const override {
     if (ctx.schema == nullptr) return false;  // schema-aware detector
     bool hit = false;
-    for (const auto& pred : query.facts.predicates) {
+    for (const auto& pred : query.facts.shared->predicates) {
       if (!pred.lhs_computed) continue;
       if (!IsComparison(pred.computed_op)) continue;
       if (pred.column.empty()) continue;
-      if (!ctx.schema->IsKeyColumn(pred.column, query.facts.tables)) continue;
+      if (!ctx.schema->IsKeyColumn(pred.column, query.facts.shared->tables)) continue;
       hit = true;
       instance->detail.push_back(pred.column);
     }

@@ -35,9 +35,28 @@ std::string RenderSlotText(const ParseCacheEntry::Slot& slot, std::string_view t
 
 size_t StringBytes(const std::string& s) { return s.capacity(); }
 
+size_t StringVectorBytes(const std::vector<std::string>& v) {
+  size_t total = 0;
+  for (const auto& s : v) total += sizeof(s) + StringBytes(s);
+  return total;
+}
+
 size_t ClauseBytes(const ParseCacheEntry::Clause& clause) {
   size_t total = clause.slot_refs.capacity() * sizeof(uint32_t);
   for (const auto& piece : clause.pieces) total += sizeof(piece) + StringBytes(piece);
+  return total;
+}
+
+size_t TemplateFactsBytes(const sql::TemplateFacts& facts) {
+  size_t total = sizeof(facts);
+  total += StringBytes(facts.tmpl.ssc) + StringBytes(facts.tmpl.sfc) +
+           StringBytes(facts.tmpl.swc) + StringBytes(facts.tmpl.tail);
+  total += StringVectorBytes(facts.selected_columns) + StringVectorBytes(facts.tables) +
+           StringVectorBytes(facts.table_functions);
+  for (const auto& pred : facts.predicates) {
+    total += sizeof(pred) + StringBytes(pred.qualifier) + StringBytes(pred.column) +
+             StringBytes(pred.computed_fn);
+  }
   return total;
 }
 
@@ -45,18 +64,10 @@ size_t ClauseBytes(const ParseCacheEntry::Clause& clause) {
 
 size_t ParseCacheEntry::bytes() const {
   size_t total = sizeof(*this) + StringBytes(key);
-  total += StringBytes(tmpl.ssc) + StringBytes(tmpl.sfc) + StringBytes(tmpl.swc) +
-           StringBytes(tmpl.tail);
-  for (const auto& s : selected_columns) total += sizeof(s) + StringBytes(s);
-  for (const auto& s : tables) total += sizeof(s) + StringBytes(s);
-  for (const auto& s : table_functions) total += sizeof(s) + StringBytes(s);
+  if (facts != nullptr) total += TemplateFactsBytes(*facts);
   total += slots.capacity() * sizeof(Slot);
   total += ClauseBytes(sc) + ClauseBytes(fc) + ClauseBytes(wc);
-  for (const auto& pred : predicates) {
-    total += sizeof(pred);
-    total += StringBytes(pred.base.qualifier) + StringBytes(pred.base.column);
-    for (const auto& value : pred.values) total += sizeof(value) + StringBytes(value.fixed);
-  }
+  for (const auto& value : values) total += sizeof(value) + StringBytes(value.fixed);
   return total;
 }
 
@@ -84,14 +95,6 @@ void BuildRecipes(const sql::TokenStream& tokens, const sql::QueryFacts& facts,
                   const std::vector<const sql::Expr*>& predicate_value_exprs,
                   ParseCacheEntry& entry) {
   entry.cacheable = false;
-  entry.tmpl = facts.tmpl;
-  entry.where_conjunctive = facts.where_conjunctive;
-  entry.selects_star = facts.selects_star;
-  entry.from_item_count = facts.from_item_count;
-  entry.selected_columns = facts.selected_columns;
-  entry.tables = facts.tables;
-  entry.table_functions = facts.table_functions;
-
   const std::vector<size_t> lit_idx = sql::PlaceholderedTokenIndices(tokens);
 
   // Re-print the clauses recording literal positions. The prints must
@@ -169,7 +172,7 @@ void BuildRecipes(const sql::TokenStream& tokens, const sql::QueryFacts& facts,
   ParseCacheEntry::Clause tail_scratch;
   if (!build_clause(tail, wc_end, print_slots.size(), tail_scratch)) return;
 
-  // Predicate templates: map each recorded value expression to its print
+  // Predicate values: map each recorded value expression to its print
   // slot by node identity; values with no slot (variables, NULLs) are
   // template-constant text.
   std::unordered_map<const sql::Expr*, uint32_t> slot_of;
@@ -177,35 +180,27 @@ void BuildRecipes(const sql::TokenStream& tokens, const sql::QueryFacts& facts,
   for (size_t j = 0; j < print_slots.size(); ++j) {
     slot_of.emplace(print_slots[j].expr, static_cast<uint32_t>(j));
   }
-  size_t flat = 0;
-  entry.predicates.clear();
-  entry.predicates.reserve(facts.predicates.size());
-  for (const auto& pred : facts.predicates) {
-    ParseCacheEntry::PredTemplate pt;
-    pt.base = pred;
-    pt.base.values.clear();
-    pt.values.reserve(pred.values.size());
-    for (const std::string& value : pred.values) {
-      if (flat >= predicate_value_exprs.size()) return;
-      const sql::Expr* value_expr = predicate_value_exprs[flat++];
-      ParseCacheEntry::ValueRef ref;
-      auto it = slot_of.find(value_expr);
-      if (it != slot_of.end()) {
-        // Cross-check: the analyzed value text must equal the slot
-        // render, or reproducing it from the slot would drift.
-        uint32_t j = it->second;
-        if (value != RenderSlotText(entry.slots[j], tokens[lit_idx[j]].text)) return;
-        ref.is_slot = true;
-        ref.slot = j;
-      } else {
-        ref.fixed = value;
-      }
-      pt.values.push_back(std::move(ref));
+  if (facts.predicate_values.size() != predicate_value_exprs.size()) return;
+  entry.values.clear();
+  entry.values.reserve(facts.predicate_values.size());
+  for (size_t k = 0; k < facts.predicate_values.size(); ++k) {
+    const std::string& value = facts.predicate_values[k];
+    ParseCacheEntry::ValueRef ref;
+    auto it = slot_of.find(predicate_value_exprs[k]);
+    if (it != slot_of.end()) {
+      // Cross-check: the analyzed value text must equal the slot
+      // render, or reproducing it from the slot would drift.
+      uint32_t j = it->second;
+      if (value != RenderSlotText(entry.slots[j], tokens[lit_idx[j]].text)) return;
+      ref.is_slot = true;
+      ref.slot = j;
+    } else {
+      ref.fixed = value;
     }
-    entry.predicates.push_back(std::move(pt));
+    entry.values.push_back(std::move(ref));
   }
-  if (flat != predicate_value_exprs.size()) return;
 
+  entry.facts = facts.shared;
   entry.cacheable = true;
 }
 
@@ -224,13 +219,7 @@ sql::QueryFacts RenderFactsFromSlotTexts(const ParseCacheEntry& entry,
   assert(entry.parse_ok && entry.cacheable);
   assert(slot_texts.size() == entry.slots.size());
   sql::QueryFacts facts;
-  facts.tmpl = entry.tmpl;
-  facts.where_conjunctive = entry.where_conjunctive;
-  facts.selects_star = entry.selects_star;
-  facts.from_item_count = entry.from_item_count;
-  facts.selected_columns = entry.selected_columns;
-  facts.tables = entry.tables;
-  facts.table_functions = entry.table_functions;
+  facts.shared = entry.facts;
 
   auto render_clause = [&](const ParseCacheEntry::Clause& clause) {
     size_t total = 0;
@@ -249,14 +238,9 @@ sql::QueryFacts RenderFactsFromSlotTexts(const ParseCacheEntry& entry,
   facts.fc = render_clause(entry.fc);
   facts.wc = render_clause(entry.wc);
 
-  facts.predicates.reserve(entry.predicates.size());
-  for (const auto& pt : entry.predicates) {
-    sql::Predicate pred = pt.base;
-    pred.values.reserve(pt.values.size());
-    for (const auto& ref : pt.values) {
-      pred.values.push_back(ref.is_slot ? slot_texts[ref.slot] : ref.fixed);
-    }
-    facts.predicates.push_back(std::move(pred));
+  facts.predicate_values.reserve(entry.values.size());
+  for (const auto& ref : entry.values) {
+    facts.predicate_values.push_back(ref.is_slot ? slot_texts[ref.slot] : ref.fixed);
   }
   return facts;
 }
@@ -412,27 +396,28 @@ Status DeserializeRecipeImpl(std::string_view recipe, ParseCacheEntry* entry) {
     return Status::OK();
   }
 
-  SQLOG_RETURN_IF_ERROR(ReadString(reader, &entry->tmpl.ssc));
-  SQLOG_RETURN_IF_ERROR(ReadString(reader, &entry->tmpl.sfc));
-  SQLOG_RETURN_IF_ERROR(ReadString(reader, &entry->tmpl.swc));
-  SQLOG_RETURN_IF_ERROR(ReadString(reader, &entry->tmpl.tail));
-  SQLOG_RETURN_IF_ERROR(reader.ReadVarint(&entry->tmpl.fingerprint));
+  auto facts = std::make_shared<sql::TemplateFacts>();
+  SQLOG_RETURN_IF_ERROR(ReadString(reader, &facts->tmpl.ssc));
+  SQLOG_RETURN_IF_ERROR(ReadString(reader, &facts->tmpl.sfc));
+  SQLOG_RETURN_IF_ERROR(ReadString(reader, &facts->tmpl.swc));
+  SQLOG_RETURN_IF_ERROR(ReadString(reader, &facts->tmpl.tail));
+  SQLOG_RETURN_IF_ERROR(reader.ReadVarint(&facts->tmpl.fingerprint));
 
   uint8_t fact_flags = 0;
   SQLOG_RETURN_IF_ERROR(ReadByte(reader, &fact_flags));
   if ((fact_flags & ~(kFactsConjunctive | kFactsSelectsStar)) != 0) {
     return reader.Error("unknown facts flags");
   }
-  entry->where_conjunctive = (fact_flags & kFactsConjunctive) != 0;
-  entry->selects_star = (fact_flags & kFactsSelectsStar) != 0;
+  facts->where_conjunctive = (fact_flags & kFactsConjunctive) != 0;
+  facts->selects_star = (fact_flags & kFactsSelectsStar) != 0;
   uint64_t from_items = 0;
   SQLOG_RETURN_IF_ERROR(reader.ReadVarint(&from_items));
   if (from_items > INT32_MAX) return reader.Error("from-item count out of range");
-  entry->from_item_count = static_cast<int>(from_items);
+  facts->from_item_count = static_cast<int>(from_items);
 
-  SQLOG_RETURN_IF_ERROR(ReadStringVector(reader, &entry->selected_columns));
-  SQLOG_RETURN_IF_ERROR(ReadStringVector(reader, &entry->tables));
-  SQLOG_RETURN_IF_ERROR(ReadStringVector(reader, &entry->table_functions));
+  SQLOG_RETURN_IF_ERROR(ReadStringVector(reader, &facts->selected_columns));
+  SQLOG_RETURN_IF_ERROR(ReadStringVector(reader, &facts->tables));
+  SQLOG_RETURN_IF_ERROR(ReadStringVector(reader, &facts->table_functions));
 
   uint64_t slot_count = 0;
   SQLOG_RETURN_IF_ERROR(ReadCount(reader, &slot_count));
@@ -455,35 +440,40 @@ Status DeserializeRecipeImpl(std::string_view recipe, ParseCacheEntry* entry) {
 
   uint64_t pred_count = 0;
   SQLOG_RETURN_IF_ERROR(ReadCount(reader, &pred_count));
-  entry->predicates.reserve(static_cast<size_t>(pred_count));
+  facts->predicates.reserve(static_cast<size_t>(pred_count));
   for (uint64_t i = 0; i < pred_count; ++i) {
-    ParseCacheEntry::PredTemplate pt;
+    sql::Predicate pred;
     uint8_t op = 0;
     SQLOG_RETURN_IF_ERROR(ReadByte(reader, &op));
     if (op > kMaxPredicateOp) return reader.Error("unknown predicate operator");
-    pt.base.op = static_cast<sql::PredicateOp>(op);
-    SQLOG_RETURN_IF_ERROR(ReadString(reader, &pt.base.qualifier));
-    SQLOG_RETURN_IF_ERROR(ReadString(reader, &pt.base.column));
+    pred.op = static_cast<sql::PredicateOp>(op);
+    SQLOG_RETURN_IF_ERROR(ReadString(reader, &pred.qualifier));
+    SQLOG_RETURN_IF_ERROR(ReadString(reader, &pred.column));
     uint8_t pred_flags = 0;
     SQLOG_RETURN_IF_ERROR(ReadByte(reader, &pred_flags));
     if ((pred_flags & ~(kPredConstantComparison | kPredComparesToNull |
                         kPredLhsComputed | kPredColumnEquijoin)) != 0) {
       return reader.Error("unknown predicate flags");
     }
-    pt.base.constant_comparison = (pred_flags & kPredConstantComparison) != 0;
-    pt.base.compares_to_null_literal = (pred_flags & kPredComparesToNull) != 0;
-    pt.base.lhs_computed = (pred_flags & kPredLhsComputed) != 0;
-    pt.base.column_equijoin = (pred_flags & kPredColumnEquijoin) != 0;
+    pred.constant_comparison = (pred_flags & kPredConstantComparison) != 0;
+    pred.compares_to_null_literal = (pred_flags & kPredComparesToNull) != 0;
+    pred.lhs_computed = (pred_flags & kPredLhsComputed) != 0;
+    pred.column_equijoin = (pred_flags & kPredColumnEquijoin) != 0;
     uint8_t computed_op = 0;
     SQLOG_RETURN_IF_ERROR(ReadByte(reader, &computed_op));
     if (computed_op > kMaxPredicateOp) {
       return reader.Error("unknown predicate operator");
     }
-    pt.base.computed_op = static_cast<sql::PredicateOp>(computed_op);
-    SQLOG_RETURN_IF_ERROR(ReadString(reader, &pt.base.computed_fn));
+    pred.computed_op = static_cast<sql::PredicateOp>(computed_op);
+    SQLOG_RETURN_IF_ERROR(ReadString(reader, &pred.computed_fn));
     uint64_t value_count = 0;
     SQLOG_RETURN_IF_ERROR(ReadCount(reader, &value_count));
-    pt.values.reserve(static_cast<size_t>(value_count));
+    if (value_count > UINT32_MAX - entry->values.size()) {
+      return reader.Error("predicate value count out of range");
+    }
+    pred.value_begin = static_cast<uint32_t>(entry->values.size());
+    pred.value_count = static_cast<uint32_t>(value_count);
+    entry->values.reserve(entry->values.size() + static_cast<size_t>(value_count));
     for (uint64_t j = 0; j < value_count; ++j) {
       ParseCacheEntry::ValueRef ref;
       uint8_t is_slot = 0;
@@ -500,11 +490,12 @@ Status DeserializeRecipeImpl(std::string_view recipe, ParseCacheEntry* entry) {
       } else {
         SQLOG_RETURN_IF_ERROR(ReadString(reader, &ref.fixed));
       }
-      pt.values.push_back(std::move(ref));
+      entry->values.push_back(std::move(ref));
     }
-    entry->predicates.push_back(std::move(pt));
+    facts->predicates.push_back(std::move(pred));
   }
   if (!reader.exhausted()) return reader.Error("trailing bytes");
+  entry->facts = std::move(facts);
   return Status::OK();
 }
 
@@ -520,21 +511,22 @@ std::string SerializeParseCacheEntry(const ParseCacheEntry& entry) {
   AppendString(entry.key, &out);
   if (!entry.cacheable) return out;
 
-  AppendString(entry.tmpl.ssc, &out);
-  AppendString(entry.tmpl.sfc, &out);
-  AppendString(entry.tmpl.swc, &out);
-  AppendString(entry.tmpl.tail, &out);
-  AppendVarint(entry.tmpl.fingerprint, &out);
+  const sql::TemplateFacts& facts = *entry.facts;
+  AppendString(facts.tmpl.ssc, &out);
+  AppendString(facts.tmpl.sfc, &out);
+  AppendString(facts.tmpl.swc, &out);
+  AppendString(facts.tmpl.tail, &out);
+  AppendVarint(facts.tmpl.fingerprint, &out);
 
   uint8_t fact_flags = 0;
-  if (entry.where_conjunctive) fact_flags |= kFactsConjunctive;
-  if (entry.selects_star) fact_flags |= kFactsSelectsStar;
+  if (facts.where_conjunctive) fact_flags |= kFactsConjunctive;
+  if (facts.selects_star) fact_flags |= kFactsSelectsStar;
   out.push_back(static_cast<char>(fact_flags));
-  AppendVarint(static_cast<uint64_t>(entry.from_item_count), &out);
+  AppendVarint(static_cast<uint64_t>(facts.from_item_count), &out);
 
-  AppendStringVector(entry.selected_columns, &out);
-  AppendStringVector(entry.tables, &out);
-  AppendStringVector(entry.table_functions, &out);
+  AppendStringVector(facts.selected_columns, &out);
+  AppendStringVector(facts.tables, &out);
+  AppendStringVector(facts.table_functions, &out);
 
   AppendVarint(entry.slots.size(), &out);
   for (const ParseCacheEntry::Slot& slot : entry.slots) {
@@ -548,21 +540,22 @@ std::string SerializeParseCacheEntry(const ParseCacheEntry& entry) {
   AppendClause(entry.fc, &out);
   AppendClause(entry.wc, &out);
 
-  AppendVarint(entry.predicates.size(), &out);
-  for (const ParseCacheEntry::PredTemplate& pt : entry.predicates) {
-    out.push_back(static_cast<char>(pt.base.op));
-    AppendString(pt.base.qualifier, &out);
-    AppendString(pt.base.column, &out);
+  AppendVarint(facts.predicates.size(), &out);
+  for (const sql::Predicate& pred : facts.predicates) {
+    out.push_back(static_cast<char>(pred.op));
+    AppendString(pred.qualifier, &out);
+    AppendString(pred.column, &out);
     uint8_t pred_flags = 0;
-    if (pt.base.constant_comparison) pred_flags |= kPredConstantComparison;
-    if (pt.base.compares_to_null_literal) pred_flags |= kPredComparesToNull;
-    if (pt.base.lhs_computed) pred_flags |= kPredLhsComputed;
-    if (pt.base.column_equijoin) pred_flags |= kPredColumnEquijoin;
+    if (pred.constant_comparison) pred_flags |= kPredConstantComparison;
+    if (pred.compares_to_null_literal) pred_flags |= kPredComparesToNull;
+    if (pred.lhs_computed) pred_flags |= kPredLhsComputed;
+    if (pred.column_equijoin) pred_flags |= kPredColumnEquijoin;
     out.push_back(static_cast<char>(pred_flags));
-    out.push_back(static_cast<char>(pt.base.computed_op));
-    AppendString(pt.base.computed_fn, &out);
-    AppendVarint(pt.values.size(), &out);
-    for (const ParseCacheEntry::ValueRef& ref : pt.values) {
+    out.push_back(static_cast<char>(pred.computed_op));
+    AppendString(pred.computed_fn, &out);
+    AppendVarint(pred.value_count, &out);
+    for (uint32_t k = 0; k < pred.value_count; ++k) {
+      const ParseCacheEntry::ValueRef& ref = entry.values[pred.value_begin + k];
       out.push_back(ref.is_slot ? '\x01' : '\x00');
       if (ref.is_slot) {
         AppendVarint(ref.slot, &out);

@@ -51,15 +51,18 @@ struct ParseStats {
 };
 
 /// One cached template: everything needed to reproduce the QueryFacts of
-/// any statement whose normalized token key matches, without parsing.
+/// any statement whose normalized key matches, without parsing.
 ///
-/// Per-record facts are rebuilt from *recipes*: each concrete clause is
-/// stored as constant text pieces with literal slots between them, and
-/// each predicate as its template-constant base plus slot references for
-/// its values. Slot texts come from the statement's own tokens, so a
-/// rendered QueryFacts is byte-identical to what a full parse would
-/// produce — validated once, when the entry is built, against the full
-/// parse that built it.
+/// The template-constant facts are one shared, immutable object: the
+/// miss that built the entry, every later hit and every `.sqb`
+/// zero-lex render point at it, so a query stores only what varies —
+/// its clause texts and predicate values. Those are rebuilt from
+/// *recipes*: each concrete clause is stored as constant text pieces
+/// with literal slots between them, and each predicate value as a slot
+/// reference or fixed text. Slot texts come from the statement's own
+/// tokens, so a rendered QueryFacts is byte-identical to what a full
+/// parse would produce — validated once, when the entry is built,
+/// against the full parse that built it.
 struct ParseCacheEntry {
   /// The full normalized key (sql::AppendNormalizedKey), which
   /// ParseCache looks the entry up by.
@@ -75,14 +78,9 @@ struct ParseCacheEntry {
   /// normalization duplicates literals.
   bool cacheable = false;
 
-  // --- template-constant facts (valid when cacheable) ---
-  sql::QueryTemplate tmpl;
-  bool where_conjunctive = true;
-  bool selects_star = false;
-  int from_item_count = 0;
-  std::vector<std::string> selected_columns;
-  std::vector<std::string> tables;
-  std::vector<std::string> table_functions;
+  /// The template-constant facts every rendered statement shares (set
+  /// when cacheable).
+  std::shared_ptr<const sql::TemplateFacts> facts;
 
   /// One slot per placeholdered source token (see
   /// sql::PlaceholderedTokenIndices); slot j renders from token j.
@@ -109,13 +107,12 @@ struct ParseCacheEntry {
     uint32_t slot = 0;
     std::string fixed;
   };
-  struct PredTemplate {
-    sql::Predicate base;  // values left empty; filled per record
-    std::vector<ValueRef> values;
-  };
-  std::vector<PredTemplate> predicates;
+  /// One ref per entry of QueryFacts::predicate_values, in the same
+  /// order (predicate i's are facts->predicates[i]'s value range).
+  std::vector<ValueRef> values;
 
-  /// Approximate heap footprint, for the cache memory gauge.
+  /// Approximate heap footprint, for the cache memory gauge. Counts the
+  /// shared facts once, as part of the entry.
   size_t bytes() const;
 };
 
@@ -159,20 +156,21 @@ class ParseCache {
 
 /// Builds and validates the recipes of `entry` from a successful full
 /// parse: `facts` (with its AST), the statement's token stream, and the
-/// predicate value expressions recorded by Analyze. Sets
-/// `entry.cacheable` on success. On any validation mismatch the entry is
-/// left uncacheable — hits then take the full parse path, so an
-/// unanticipated printer/parser corner can cost performance but never
-/// correctness.
+/// predicate value expressions recorded by Analyze. On success sets
+/// `entry.cacheable` and shares `facts.shared` as the entry's facts (no
+/// copy). On any validation mismatch the entry is left uncacheable —
+/// hits then take the full parse path, so an unanticipated
+/// printer/parser corner can cost performance but never correctness.
 void BuildRecipes(const sql::TokenStream& tokens, const sql::QueryFacts& facts,
                   const std::vector<const sql::Expr*>& predicate_value_exprs,
                   ParseCacheEntry& entry);
 
 /// Renders the QueryFacts of a statement from a cacheable entry and the
-/// statement's own tokens. The result carries no AST (facts.ast is
-/// null); consumers that need one re-parse on demand. Requires
-/// entry.cacheable and a token stream whose normalized key equals
-/// entry.key.
+/// statement's own tokens: the result points at the entry's shared
+/// facts and owns only its clause texts and predicate values. It carries
+/// no AST (facts.ast is null); consumers that need one re-parse on
+/// demand. Requires entry.cacheable and a token stream whose normalized
+/// key equals entry.key.
 sql::QueryFacts RenderFacts(const ParseCacheEntry& entry, const sql::TokenStream& tokens);
 
 /// RenderFacts flavour taking pre-rendered slot texts (one per entry

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "sql/ast.h"
+#include "sql/parser.h"
 #include "sql/printer.h"
 #include "util/string_util.h"
 
@@ -91,10 +92,10 @@ Result<std::string> RewriteDwStifle(const std::vector<const ParsedQuery*>& membe
     return Status::InvalidArgument("DW-Stifle instance needs at least 2 queries");
   }
   const ParsedQuery& first = *members[0];
-  if (first.facts.predicates.size() != 1) {
+  if (first.facts.shared->predicates.size() != 1) {
     return Status::Internal("DW-Stifle member without single predicate");
   }
-  const sql::Predicate& pred = first.facts.predicates[0];
+  const sql::Predicate& pred = first.facts.shared->predicates[0];
 
   auto stmt = first.facts.ast->Clone();
 
@@ -102,11 +103,10 @@ Result<std::string> RewriteDwStifle(const std::vector<const ParsedQuery*>& membe
   std::vector<sql::ExprPtr> values;
   std::unordered_set<std::string> seen;
   for (const ParsedQuery* member : members) {
-    if (member->facts.predicates.size() != 1 ||
-        member->facts.predicates[0].values.size() != 1) {
+    if (member->facts.shared->predicates.size() != 1 || member->facts.values(0).size() != 1) {
       return Status::Internal("DW-Stifle member with unexpected predicate shape");
     }
-    const std::string& text = member->facts.predicates[0].values[0];
+    const std::string& text = member->facts.values(0)[0];
     if (seen.insert(text).second) values.push_back(LiteralFromText(text));
   }
 
@@ -154,7 +154,11 @@ Result<std::string> RewriteDfStifle(const std::vector<const ParsedQuery*>& membe
   // from different tables. Build:
   //   SELECT t1.c…, t2.c… FROM T1 t1 INNER JOIN T2 t2 ON t1.col = t2.col
   //   WHERE t1.col = value
-  const sql::Predicate& pred = members[0]->facts.predicates.at(0);
+  const sql::QueryFacts& first = members[0]->facts;
+  const sql::Predicate& pred = first.shared->predicates.at(0);
+  if (first.values(0).empty()) {
+    return Status::Internal("DF-Stifle member without a constant filter value");
+  }
 
   // Resolve each member's base table and an alias for it.
   std::vector<const sql::TableRef*> tables;
@@ -211,7 +215,7 @@ Result<std::string> RewriteDfStifle(const std::vector<const ParsedQuery*>& membe
 
   stmt->where = sql::MakeNode<sql::BinaryExpr>(
       sql::BinaryOp::kEq, sql::MakeNode<sql::ColumnRefExpr>(aliases[0], pred.column),
-      LiteralFromText(pred.values.at(0)));
+      LiteralFromText(first.values(0)[0]));
   return PrintRewritten(*stmt);
 }
 
@@ -263,6 +267,10 @@ SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed
                                const std::vector<CustomRule>& custom_rules) {
   (void)custom_rules;
   SolveOutcome outcome;
+  // Each pre-clean record reaches each log at most once, so this bounds
+  // both logs and spares them their doubling regrowth.
+  outcome.clean_log.records().reserve(pre_clean.size());
+  outcome.removal_log.records().reserve(pre_clean.size());
   MemoryWriter clean_writer(outcome.clean_log);
   MemoryWriter removal_writer(outcome.removal_log);
   StreamingSolver solver(parsed, report, clean_writer, removal_writer);
@@ -329,13 +337,13 @@ Status StreamingSolver::Feed(const log::LogRecord& record, const log::RecordShap
   if (need_it != ast_needs_.end()) {
     std::shared_ptr<const sql::SelectStatement>& ast = parsed_.queries[q].facts.ast;
     if (ast == nullptr) {
-      auto facts = sql::ParseAndAnalyze(record.statement);
-      if (!facts.ok()) {
+      auto parsed = sql::ParseSelect(record.statement);
+      if (!parsed.ok()) {
         return Status::Internal(StrFormat(
             "pre-clean record %zu (seq %llu) no longer parses: %s", r,
-            (unsigned long long)record.seq, facts.status().message().c_str()));
+            (unsigned long long)record.seq, parsed.status().message().c_str()));
       }
-      ast = std::move(facts.value().ast);
+      ast = std::move(parsed.value());
       need_it->second.restored = true;
     }
     for (uint32_t id : need_it->second.instances) {

@@ -135,7 +135,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
     query.row_count = record.row_count;
     query.facts = std::move(facts);
     size_t local_index = shard.queries.size();
-    query.template_id = shard.store.Intern(query.facts.tmpl, local_index);
+    query.template_id = shard.store.Intern(query.facts.shared->tmpl, local_index);
     query.user_id = shard.store.InternUser(record.user);
     shard.store.RecordUse(query.template_id, query.user_id);
     shard.queries.push_back(std::move(query));
@@ -175,7 +175,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
           size_t local_index = shard.queries.size();
           uint64_t& memo_id = ordinal_template_id[shape.template_ordinal];
           if (memo_id == kUnmapped) {
-            memo_id = shard.store.Intern(query.facts.tmpl, local_index);
+            memo_id = shard.store.Intern(query.facts.shared->tmpl, local_index);
           }
           query.template_id = memo_id;
           query.user_id = shard.store.InternUser(record.user);
@@ -288,7 +288,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
     auto memo = entry_template_id.find(entry);
     if (memo == entry_template_id.end()) {
       memo = entry_template_id
-                 .emplace(entry, shard.store.Intern(query.facts.tmpl, local_index))
+                 .emplace(entry, shard.store.Intern(query.facts.shared->tmpl, local_index))
                  .first;
     }
     query.template_id = memo->second;

@@ -26,7 +26,9 @@ struct TemplateInfo {
   size_t user_popularity() const { return users.size(); }
 };
 
-/// One successfully parsed SELECT of the log.
+/// One successfully parsed SELECT of the log. Its facts own only what
+/// varies per statement (clause texts, predicate values); what its
+/// template fixes is the shared `facts.shared` (see StreamingParser).
 struct ParsedQuery {
   size_t record_index = 0;   // index into the pre-clean log
   int64_t timestamp_ms = 0;
@@ -137,6 +139,12 @@ ParsedLog ParseLog(const log::QueryLog& log, TemplateStore& store,
 /// ASTs alive at once are bounded by the shard count, not the batch.
 /// The miner and the detectors read only the clause facts; the solver
 /// re-parses the few statements it rewrites.
+///
+/// With the cache on, the miss that built an entry, its later hits and
+/// every `.sqb` zero-lex render point at the entry's one
+/// sql::TemplateFacts; the returned log keeps those objects alive after
+/// the parser and its cache are gone. With the cache off, each query
+/// owns a private one.
 class StreamingParser {
  public:
   /// The parse cache persists across batches: shards read it

@@ -104,29 +104,40 @@ bool AsComputedColumn(const Expr& expr, std::string& qualifier, std::string& col
 
 /// Recursively collects leaf predicates from a WHERE tree. Any OR or NOT
 /// above leaf level flips `conjunctive` off; leaves below it are still
-/// collected so CP counts remain meaningful. `value_exprs`, when set,
-/// records the AST node behind every pushed predicate value, in order.
+/// collected so CP counts remain meaningful. Each leaf's constant values
+/// are appended to `values`; `value_exprs`, when set, records the AST
+/// node behind every appended value, in order.
 void CollectPredicates(const Expr& expr, std::vector<Predicate>& out, bool& conjunctive,
+                       std::vector<std::string>& values,
                        std::vector<const Expr*>* value_exprs) {
+  auto new_pred = [&] {
+    Predicate pred;
+    pred.value_begin = static_cast<uint32_t>(values.size());
+    return pred;
+  };
   auto push_value = [&](Predicate& pred, const Expr& value) {
-    pred.values.push_back(ConstantText(value));
+    values.push_back(ConstantText(value));
+    ++pred.value_count;
     if (value_exprs != nullptr) value_exprs->push_back(&value);
+  };
+  auto recurse = [&](const Expr& child) {
+    CollectPredicates(child, out, conjunctive, values, value_exprs);
   };
   switch (expr.kind()) {
     case ExprKind::kBinary: {
       const auto& bin = static_cast<const BinaryExpr&>(expr);
       if (bin.op == BinaryOp::kAnd) {
-        CollectPredicates(*bin.lhs, out, conjunctive, value_exprs);
-        CollectPredicates(*bin.rhs, out, conjunctive, value_exprs);
+        recurse(*bin.lhs);
+        recurse(*bin.rhs);
         return;
       }
       if (bin.op == BinaryOp::kOr) {
         conjunctive = false;
-        CollectPredicates(*bin.lhs, out, conjunctive, value_exprs);
-        CollectPredicates(*bin.rhs, out, conjunctive, value_exprs);
+        recurse(*bin.lhs);
+        recurse(*bin.rhs);
         return;
       }
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = FromBinaryOp(bin.op);
       std::string qualifier;
       std::string column;
@@ -182,17 +193,17 @@ void CollectPredicates(const Expr& expr, std::vector<Predicate>& out, bool& conj
       const auto& unary = static_cast<const UnaryExpr&>(expr);
       if (unary.op == UnaryOp::kNot) {
         conjunctive = false;
-        CollectPredicates(*unary.operand, out, conjunctive, value_exprs);
+        recurse(*unary.operand);
         return;
       }
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = PredicateOp::kOther;
       out.push_back(std::move(pred));
       return;
     }
     case ExprKind::kBetween: {
       const auto& between = static_cast<const BetweenExpr&>(expr);
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = PredicateOp::kBetween;
       std::string qualifier;
       std::string column;
@@ -210,7 +221,7 @@ void CollectPredicates(const Expr& expr, std::vector<Predicate>& out, bool& conj
     }
     case ExprKind::kInList: {
       const auto& in = static_cast<const InListExpr&>(expr);
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = PredicateOp::kIn;
       std::string qualifier;
       std::string column;
@@ -234,7 +245,7 @@ void CollectPredicates(const Expr& expr, std::vector<Predicate>& out, bool& conj
     }
     case ExprKind::kIsNull: {
       const auto& is_null = static_cast<const IsNullExpr&>(expr);
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = is_null.negated ? PredicateOp::kIsNotNull : PredicateOp::kIsNull;
       std::string qualifier;
       std::string column;
@@ -247,7 +258,7 @@ void CollectPredicates(const Expr& expr, std::vector<Predicate>& out, bool& conj
     }
     case ExprKind::kLike: {
       const auto& like = static_cast<const LikeExpr&>(expr);
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = PredicateOp::kLike;
       std::string qualifier;
       std::string column;
@@ -263,7 +274,7 @@ void CollectPredicates(const Expr& expr, std::vector<Predicate>& out, bool& conj
       return;
     }
     default: {
-      Predicate pred;
+      Predicate pred = new_pred();
       pred.op = PredicateOp::kOther;
       out.push_back(std::move(pred));
       return;
@@ -366,8 +377,8 @@ QueryTemplate MakeTemplate(const SelectStatement& stmt) {
 QueryFacts Analyze(std::shared_ptr<const SelectStatement> stmt,
                    std::vector<const Expr*>* predicate_value_exprs) {
   QueryFacts facts;
-  facts.ast = stmt;
-  facts.tmpl = MakeTemplate(*stmt);
+  auto shared = std::make_shared<TemplateFacts>();
+  shared->tmpl = MakeTemplate(*stmt);
 
   PrintOptions concrete;
   concrete.canonical = true;
@@ -377,14 +388,16 @@ QueryFacts Analyze(std::shared_ptr<const SelectStatement> stmt,
   facts.wc = PrintWhereClause(*stmt, concrete);
 
   if (stmt->where) {
-    CollectPredicates(*stmt->where, facts.predicates, facts.where_conjunctive,
-                      predicate_value_exprs);
+    CollectPredicates(*stmt->where, shared->predicates, shared->where_conjunctive,
+                      facts.predicate_values, predicate_value_exprs);
   }
-  CollectSelectedColumns(*stmt, facts.selected_columns, facts.selects_star);
-  facts.from_item_count = static_cast<int>(stmt->from_items.size());
+  CollectSelectedColumns(*stmt, shared->selected_columns, shared->selects_star);
+  shared->from_item_count = static_cast<int>(stmt->from_items.size());
   for (const auto& item : stmt->from_items) {
-    CollectFromNames(*item, facts.tables, facts.table_functions);
+    CollectFromNames(*item, shared->tables, shared->table_functions);
   }
+  facts.shared = std::move(shared);
+  facts.ast = std::move(stmt);
   return facts;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,17 +32,24 @@ enum class PredicateOp {
 /// Returns a stable name for a predicate operator.
 const char* PredicateOpName(PredicateOp op);
 
-/// One leaf predicate extracted from a WHERE clause. The Stifle and CTH
-/// definitions (Defs. 11 and 15) are phrased over these features: CP is
-/// the number of leaf predicates, θ the comparison operator, filCol the
-/// filtered column.
+/// One leaf predicate extracted from a WHERE clause, minus its constant
+/// values: everything here is fixed by the statement's template, so it
+/// lives in the shared TemplateFacts; the values vary per statement and
+/// are read through QueryFacts::values. The Stifle and CTH definitions
+/// (Defs. 11 and 15) are phrased over these features: CP is the number
+/// of leaf predicates, θ the comparison operator, filCol the filtered
+/// column.
 struct Predicate {
   PredicateOp op = PredicateOp::kOther;
   std::string qualifier;  // lower-cased column qualifier, may be empty
   std::string column;     // lower-cased filter column, empty when not a column
-  /// Constant operand(s) as canonical text: 1 for comparisons, 2 for
-  /// BETWEEN, n for IN lists.
-  std::vector<std::string> values;
+  /// Where the predicate's constant operands sit in
+  /// QueryFacts::predicate_values: `value_count` entries from
+  /// `value_begin` (1 for comparisons, 2 for BETWEEN, n for IN lists,
+  /// 0 when an operand is not constant). `value_begin` is the number of
+  /// values of all earlier predicates.
+  uint32_t value_begin = 0;
+  uint32_t value_count = 0;
   /// True when the predicate compares a column against literal /
   /// variable constants (not another column or subquery).
   bool constant_comparison = false;
@@ -67,6 +75,8 @@ struct Predicate {
   /// left-hand column. Its absence over a multi-table FROM is the
   /// implicit-cross-join smell.
   bool column_equijoin = false;
+
+  bool operator==(const Predicate& other) const = default;
 };
 
 /// The query template of Definition 4: the skeleton triple (SFC, SWC,
@@ -84,17 +94,16 @@ struct QueryTemplate {
   }
 };
 
-/// Everything the pipeline needs to know about one parsed SELECT:
-/// concrete clause texts (SC/FC/WC of Def. 3), the skeleton template,
-/// predicate features, output columns and source tables.
-struct QueryFacts {
-  std::shared_ptr<const SelectStatement> ast;
-
+/// The facts of a parsed SELECT that are a function of its normalized
+/// key (sql::AppendNormalizedKey): the skeleton template, the predicate
+/// shapes, output columns and source tables. Statements with one key
+/// have equal TemplateFacts, so the parse cache builds them once per key
+/// and every query of that key points at the same immutable object (the
+/// cache entry holds it beside its recipes).
+struct TemplateFacts {
   QueryTemplate tmpl;
-  std::string sc;  // concrete canonical SELECT clause
-  std::string fc;  // concrete canonical FROM clause
-  std::string wc;  // concrete canonical WHERE clause
 
+  /// Leaf predicates of the WHERE clause, in tree order.
   std::vector<Predicate> predicates;
   /// True when the WHERE tree is a pure AND-conjunction of leaves (no OR
   /// / NOT above leaf level); several detection rules require this.
@@ -116,6 +125,35 @@ struct QueryFacts {
 
   /// Count of leaf predicates — the paper's CP.
   int predicate_count() const { return static_cast<int>(predicates.size()); }
+
+  bool operator==(const TemplateFacts& other) const = default;
+};
+
+/// Everything the pipeline needs to know about one parsed SELECT: the
+/// shared template-constant facts plus what varies per statement — the
+/// concrete clause texts (SC/FC/WC of Def. 3) and the predicates'
+/// constant values.
+struct QueryFacts {
+  std::shared_ptr<const SelectStatement> ast;
+  /// Never null in an analyzed statement. Queries of one normalized key
+  /// share the object when the parse cache is on; ParseAndAnalyze, and
+  /// the parse with the cache off, give each statement its own.
+  std::shared_ptr<const TemplateFacts> shared;
+
+  std::string sc;  // concrete canonical SELECT clause
+  std::string fc;  // concrete canonical FROM clause
+  std::string wc;  // concrete canonical WHERE clause
+
+  /// Every predicate's constant operands as canonical text, predicate
+  /// after predicate (see Predicate::value_begin).
+  std::vector<std::string> predicate_values;
+
+  /// Predicate `i`'s constant operands (shared->predicates[i]).
+  std::span<const std::string> values(size_t i) const {
+    const Predicate& pred = shared->predicates[i];
+    return std::span<const std::string>(predicate_values).subspan(pred.value_begin,
+                                                                  pred.value_count);
+  }
 };
 
 /// Computes the skeleton template of a statement.
@@ -125,10 +163,9 @@ QueryTemplate MakeTemplate(const SelectStatement& stmt);
 /// tables. Never fails for a parsed statement; the Result carries the
 /// analyzed value for API symmetry with ParseSelect.
 ///
-/// When `predicate_value_exprs` is non-null it receives, in order, the
-/// AST node behind every entry of every `Predicate::values` vector (one
-/// Expr* per value, flattened across predicates). The parse cache uses
-/// this to map predicate values back to literal slots.
+/// When `predicate_value_exprs` is non-null it receives the AST node
+/// behind every entry of `QueryFacts::predicate_values`, in order. The
+/// parse cache uses this to map predicate values back to literal slots.
 QueryFacts Analyze(std::shared_ptr<const SelectStatement> stmt,
                    std::vector<const Expr*>* predicate_value_exprs = nullptr);
 

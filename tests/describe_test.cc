@@ -8,7 +8,7 @@ namespace {
 std::string Describe(const std::string& sql) {
   auto facts = sqlog::sql::ParseAndAnalyze(sql);
   EXPECT_TRUE(facts.ok()) << sql;
-  return DescribeTemplate(facts.value());
+  return DescribeTemplate(*facts->shared);
 }
 
 TEST(DescribeTest, ConeSearch) {

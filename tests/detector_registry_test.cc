@@ -323,9 +323,9 @@ TEST(DetectorRewriteTest, NonSargableRewriteFoldsTheConstantAcross) {
   ASSERT_EQ(result.clean_log.size(), 1u);
   auto facts = sql::ParseAndAnalyze(result.clean_log.records()[0].statement);
   ASSERT_TRUE(facts.ok()) << result.clean_log.records()[0].statement;
-  ASSERT_EQ(facts->predicate_count(), 1);
-  EXPECT_FALSE(facts->predicates[0].lhs_computed);
-  EXPECT_EQ(facts->predicates[0].column, "bugid");
+  ASSERT_EQ(facts->shared->predicate_count(), 1);
+  EXPECT_FALSE(facts->shared->predicates[0].lhs_computed);
+  EXPECT_EQ(facts->shared->predicates[0].column, "bugid");
   EXPECT_NE(result.clean_log.records()[0].statement.find("95"), std::string::npos)
       << result.clean_log.records()[0].statement;
 }

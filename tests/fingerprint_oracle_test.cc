@@ -44,23 +44,32 @@ std::string Digest(const core::TemplateStore& store, const core::ParsedLog& pars
     add(query.facts.sc);
     add(query.facts.fc);
     add(query.facts.wc);
-    add(query.facts.tmpl.ssc);
-    add(query.facts.tmpl.sfc);
-    add(query.facts.tmpl.swc);
-    add(query.facts.tmpl.tail);
-    add_n(query.facts.tmpl.fingerprint);
-    add(query.facts.selects_star ? "*" : "-");
-    add(query.facts.where_conjunctive ? "&" : "|");
-    for (const auto& column : query.facts.selected_columns) add(column);
-    for (const auto& table : query.facts.tables) add(table);
-    for (const auto& fn : query.facts.table_functions) add(fn);
-    for (const auto& pred : query.facts.predicates) {
+    const sql::TemplateFacts& shared = *query.facts.shared;
+    add(shared.tmpl.ssc);
+    add(shared.tmpl.sfc);
+    add(shared.tmpl.swc);
+    add(shared.tmpl.tail);
+    add_n(shared.tmpl.fingerprint);
+    add(shared.selects_star ? "*" : "-");
+    add(shared.where_conjunctive ? "&" : "|");
+    add_n(static_cast<uint64_t>(shared.from_item_count));
+    for (const auto& column : shared.selected_columns) add(column);
+    for (const auto& table : shared.tables) add(table);
+    for (const auto& fn : shared.table_functions) add(fn);
+    for (size_t p = 0; p < shared.predicates.size(); ++p) {
+      const sql::Predicate& pred = shared.predicates[p];
       add(sql::PredicateOpName(pred.op));
       add(pred.qualifier);
       add(pred.column);
-      for (const auto& value : pred.values) add(value);
+      add_n(pred.value_begin);
+      add_n(pred.value_count);
+      for (const auto& value : query.facts.values(p)) add(value);
       add(pred.constant_comparison ? "c" : "-");
       add(pred.compares_to_null_literal ? "n" : "-");
+      add(pred.lhs_computed ? "l" : "-");
+      add(sql::PredicateOpName(pred.computed_op));
+      add(pred.computed_fn);
+      add(pred.column_equijoin ? "j" : "-");
     }
     out.push_back('\n');
   }

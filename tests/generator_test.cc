@@ -149,7 +149,7 @@ TEST(GeneratorTest, SwsFamiliesAreSingleUser) {
     if (record.truth != TruthLabel::kSws) continue;
     auto facts = sql::ParseAndAnalyze(record.statement);
     ASSERT_TRUE(facts.ok());
-    users_by_template[facts->tmpl.ssc][record.user]++;
+    users_by_template[facts->shared->tmpl.ssc][record.user]++;
   }
   // Small logs only exercise a few SWS robots; the invariant is that
   // each robot template maps to exactly one user.
@@ -167,9 +167,9 @@ TEST(GeneratorTest, StifleQueriesHaveSingleEqualityOnKey) {
     if (record.truth != TruthLabel::kDwStifle) continue;
     auto facts = sql::ParseAndAnalyze(record.statement);
     ASSERT_TRUE(facts.ok());
-    ASSERT_EQ(facts->predicate_count(), 1);
-    EXPECT_EQ(facts->predicates[0].op, sql::PredicateOp::kEq);
-    EXPECT_EQ(facts->predicates[0].column, "objid");
+    ASSERT_EQ(facts->shared->predicate_count(), 1);
+    EXPECT_EQ(facts->shared->predicates[0].op, sql::PredicateOp::kEq);
+    EXPECT_EQ(facts->shared->predicates[0].column, "objid");
     if (++checked > 200) break;
   }
   EXPECT_GT(checked, 100u);

@@ -130,7 +130,7 @@ OracleResult CheckSkeletonIdempotence(std::string_view input) {
   if (!first.ok()) return Ok();
 
   auto again = sql::ParseAndAnalyze(text);
-  if (!again.ok() || !(again->tmpl == first->tmpl)) {
+  if (!again.ok() || !(again->shared->tmpl == first->shared->tmpl)) {
     return Fail("repeated analysis of the same text changes the template");
   }
 
@@ -141,15 +141,15 @@ OracleResult CheckSkeletonIdempotence(std::string_view input) {
     return Fail(StrFormat("canonical print does not re-analyze: [%s]",
                           Preview(printed).c_str()));
   }
-  if (reparsed->tmpl.fingerprint != first->tmpl.fingerprint ||
-      !(reparsed->tmpl == first->tmpl)) {
+  if (reparsed->shared->tmpl.fingerprint != first->shared->tmpl.fingerprint ||
+      !(reparsed->shared->tmpl == first->shared->tmpl)) {
     return Fail(StrFormat("template not idempotent: (%s | %s | %s | %s) vs (%s | %s | %s | %s)",
-                          first->tmpl.ssc.c_str(), first->tmpl.sfc.c_str(),
-                          first->tmpl.swc.c_str(), first->tmpl.tail.c_str(),
-                          reparsed->tmpl.ssc.c_str(), reparsed->tmpl.sfc.c_str(),
-                          reparsed->tmpl.swc.c_str(), reparsed->tmpl.tail.c_str()));
+                          first->shared->tmpl.ssc.c_str(), first->shared->tmpl.sfc.c_str(),
+                          first->shared->tmpl.swc.c_str(), first->shared->tmpl.tail.c_str(),
+                          reparsed->shared->tmpl.ssc.c_str(), reparsed->shared->tmpl.sfc.c_str(),
+                          reparsed->shared->tmpl.swc.c_str(), reparsed->shared->tmpl.tail.c_str()));
   }
-  if (reparsed->predicates.size() != first->predicates.size()) {
+  if (reparsed->shared->predicates.size() != first->shared->predicates.size()) {
     return Fail("predicate features change across the canonical reprint");
   }
   return Ok();
@@ -169,7 +169,7 @@ OracleResult CheckTemplateInvariance(std::string_view input, uint64_t seed) {
                             Preview(text).c_str(), Preview(mutated).c_str(),
                             facts.status().ToString().c_str()));
     }
-    if (!(facts->tmpl == base->tmpl)) {
+    if (!(facts->shared->tmpl == base->shared->tmpl)) {
       return Fail(StrFormat("template changed under ws/case/literal mutation: [%s] → [%s]",
                             Preview(text).c_str(), Preview(mutated).c_str()));
     }
@@ -255,27 +255,16 @@ OracleResult CheckDedupIdempotence(std::string_view input, uint64_t seed) {
 
 namespace {
 
-bool SamePredicate(const sql::Predicate& a, const sql::Predicate& b) {
-  return a.op == b.op && a.qualifier == b.qualifier && a.column == b.column &&
-         a.values == b.values && a.constant_comparison == b.constant_comparison &&
-         a.compares_to_null_literal == b.compares_to_null_literal;
-}
-
 /// Everything a downstream consumer can observe, except the AST pointer:
 /// cache hits deliberately carry facts.ast == nullptr (consumers that
-/// need an AST re-parse on demand).
+/// need an AST re-parse on demand). The template-constant facts compare
+/// field by field (a defaulted operator==, so a new field is compared
+/// too), each predicate's value range included; with the flat values
+/// equal, so is every predicate's list of values.
 bool SameFacts(const sql::QueryFacts& a, const sql::QueryFacts& b) {
-  if (!(a.tmpl == b.tmpl)) return false;
+  if (!(*a.shared == *b.shared)) return false;
   if (a.sc != b.sc || a.fc != b.fc || a.wc != b.wc) return false;
-  if (a.where_conjunctive != b.where_conjunctive) return false;
-  if (a.selects_star != b.selects_star) return false;
-  if (a.selected_columns != b.selected_columns) return false;
-  if (a.tables != b.tables || a.table_functions != b.table_functions) return false;
-  if (a.predicates.size() != b.predicates.size()) return false;
-  for (size_t i = 0; i < a.predicates.size(); ++i) {
-    if (!SamePredicate(a.predicates[i], b.predicates[i])) return false;
-  }
-  return true;
+  return a.predicate_values == b.predicate_values;
 }
 
 struct ParseRun {

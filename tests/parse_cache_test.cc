@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "core/template_store.h"
+#include "log/log_io.h"
 #include "log/record.h"
 #include "util/thread_pool.h"
 
@@ -57,25 +62,23 @@ void ExpectSameOutput(const ParseRun& want, const ParseRun& got) {
     EXPECT_EQ(a.record_index, b.record_index) << i;
     EXPECT_EQ(a.template_id, b.template_id) << i;
     EXPECT_EQ(a.user_id, b.user_id) << i;
-    EXPECT_TRUE(a.facts.tmpl == b.facts.tmpl) << i;
     EXPECT_EQ(a.facts.sc, b.facts.sc) << i;
     EXPECT_EQ(a.facts.fc, b.facts.fc) << i;
     EXPECT_EQ(a.facts.wc, b.facts.wc) << i;
-    EXPECT_EQ(a.facts.selects_star, b.facts.selects_star) << i;
-    EXPECT_EQ(a.facts.selected_columns, b.facts.selected_columns) << i;
-    EXPECT_EQ(a.facts.tables, b.facts.tables) << i;
-    EXPECT_EQ(a.facts.table_functions, b.facts.table_functions) << i;
-    EXPECT_EQ(a.facts.where_conjunctive, b.facts.where_conjunctive) << i;
-    ASSERT_EQ(a.facts.predicates.size(), b.facts.predicates.size()) << i;
-    for (size_t p = 0; p < a.facts.predicates.size(); ++p) {
-      const sql::Predicate& x = a.facts.predicates[p];
-      const sql::Predicate& y = b.facts.predicates[p];
-      EXPECT_EQ(x.op, y.op) << i << "/" << p;
-      EXPECT_EQ(x.qualifier, y.qualifier) << i << "/" << p;
-      EXPECT_EQ(x.column, y.column) << i << "/" << p;
-      EXPECT_EQ(x.values, y.values) << i << "/" << p;
-      EXPECT_EQ(x.constant_comparison, y.constant_comparison) << i << "/" << p;
-      EXPECT_EQ(x.compares_to_null_literal, y.compares_to_null_literal) << i << "/" << p;
+    const sql::TemplateFacts& x = *a.facts.shared;
+    const sql::TemplateFacts& y = *b.facts.shared;
+    EXPECT_TRUE(x.tmpl == y.tmpl) << i;
+    EXPECT_EQ(x.selects_star, y.selects_star) << i;
+    EXPECT_EQ(x.selected_columns, y.selected_columns) << i;
+    EXPECT_EQ(x.tables, y.tables) << i;
+    EXPECT_EQ(x.table_functions, y.table_functions) << i;
+    EXPECT_EQ(x.where_conjunctive, y.where_conjunctive) << i;
+    EXPECT_EQ(x.from_item_count, y.from_item_count) << i;
+    ASSERT_EQ(x.predicates.size(), y.predicates.size()) << i;
+    for (size_t p = 0; p < x.predicates.size(); ++p) {
+      // Every field, the value range included.
+      EXPECT_TRUE(x.predicates[p] == y.predicates[p]) << i << "/" << p;
+      EXPECT_TRUE(std::ranges::equal(a.facts.values(p), b.facts.values(p))) << i << "/" << p;
     }
   }
   EXPECT_EQ(want.parsed.non_select_count, got.parsed.non_select_count);
@@ -125,9 +128,7 @@ TEST(ParseCacheTest, RepeatedTemplateHitsAndRendersIdenticalFacts) {
   EXPECT_EQ(cached.parsed.queries[1].facts.ast, nullptr);
   // The rendered facts carry the statement's own literals.
   EXPECT_EQ(cached.parsed.queries[1].facts.wc, "where x = 2");
-  ASSERT_EQ(cached.parsed.queries[1].facts.predicates.size(), 1u);
-  EXPECT_EQ(cached.parsed.queries[1].facts.predicates[0].values,
-            std::vector<std::string>{"2"});
+  EXPECT_EQ(cached.parsed.queries[1].facts.predicate_values, std::vector<std::string>{"2"});
 }
 
 TEST(ParseCacheTest, StringEscapesNegativeNumbersAndVariablesRenderExactly) {
@@ -272,6 +273,61 @@ TEST(ParseCacheTest, StreamingParserKeepsItsCacheAcrossBatches) {
   for (size_t id = 0; id < store.size(); ++id) {
     EXPECT_TRUE(store.Get(id).tmpl == reference.store.Get(id).tmpl);
     EXPECT_EQ(store.Get(id).frequency, reference.store.Get(id).frequency);
+  }
+}
+
+TEST(ParseCacheTest, QueriesOfOneTemplateShareOneTemplateFacts) {
+  // Three templates, interleaved and repeated across batches of one
+  // record each: the miss that built an entry and every later hit of its
+  // key hold the same TemplateFacts object, from the CSV (lex + lookup)
+  // and from the `.sqb` (seeded zero-lex) input alike.
+  std::vector<std::string> statements;
+  for (int i = 0; i < 12; ++i) {
+    statements.push_back("SELECT a FROM t WHERE x = " + std::to_string(i));
+    statements.push_back("SELECT b, c FROM u WHERE y BETWEEN " + std::to_string(i) +
+                         " AND " + std::to_string(i + 5));
+    if (i % 3 == 0) statements.push_back("SELECT * FROM v");
+  }
+  const log::QueryLog raw = MakeLog(statements);
+  const std::string dir = ::testing::TempDir();
+  const std::string csv_input = dir + "/parse_cache_share_input.csv";
+  const std::string sqb_input = dir + "/parse_cache_share_input.sqb";
+  const std::string clean = dir + "/parse_cache_share_clean.csv";
+  const std::string removal = dir + "/parse_cache_share_removal.csv";
+  ASSERT_TRUE(log::LogIo::WriteFile(raw, csv_input).ok());
+  ASSERT_TRUE(
+      log::LogIo::WriteFile(raw, sqb_input, log::LogFormat::kSqb, BuildStatementRecipe).ok());
+
+  for (bool parse_cache : {true, false}) {
+    for (const std::string& input : {csv_input, sqb_input}) {
+      SCOPED_TRACE(input + (parse_cache ? " cache on" : " cache off"));
+      PipelineOptions options;
+      options.num_threads = 1;
+      options.batch_size = 1;
+      options.parse_cache = parse_cache;
+      auto run = Pipeline(options).RunStreaming(input, clean, removal);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const std::vector<ParsedQuery>& queries = run->parsed.queries;
+      ASSERT_EQ(queries.size(), statements.size());
+      ASSERT_EQ(run->templates.size(), 3u);
+
+      std::set<const sql::TemplateFacts*> distinct;
+      std::vector<const sql::TemplateFacts*> of_template(3, nullptr);
+      for (const ParsedQuery& query : queries) {
+        ASSERT_NE(query.facts.shared, nullptr);
+        distinct.insert(query.facts.shared.get());
+        const sql::TemplateFacts*& first = of_template[query.template_id];
+        if (first == nullptr) first = query.facts.shared.get();
+        if (parse_cache) {
+          EXPECT_EQ(query.facts.shared.get(), first);
+        }
+      }
+      // With the cache off each query owns a private TemplateFacts.
+      EXPECT_EQ(distinct.size(), parse_cache ? 3u : queries.size());
+    }
+  }
+  for (const std::string& path : {csv_input, sqb_input, clean, removal}) {
+    std::remove(path.c_str());
   }
 }
 

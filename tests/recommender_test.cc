@@ -30,7 +30,7 @@ core::ParsedLog BuildParsedLog(const std::vector<Entry>& entries,
 uint64_t FingerprintOf(const std::string& sql) {
   auto facts = sqlog::sql::ParseAndAnalyze(sql);
   EXPECT_TRUE(facts.ok()) << sql;
-  return facts->tmpl.fingerprint;
+  return facts->shared->tmpl.fingerprint;
 }
 
 TEST(RecommenderTest, LearnsDominantTransition) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "catalog/schema.h"
 #include "core/pipeline.h"
 #include "fuzz/sql_mutator.h"
@@ -51,8 +53,8 @@ TEST(RoundTripPropertyTest, TemplatesSurviveReprinting) {
     std::string printed = Print(*facts->ast, opts);
     auto reparsed = sql::ParseAndAnalyze(printed);
     ASSERT_TRUE(reparsed.ok()) << printed;
-    EXPECT_EQ(facts->tmpl.fingerprint, reparsed->tmpl.fingerprint) << printed;
-    EXPECT_EQ(facts->tmpl, reparsed->tmpl);
+    EXPECT_EQ(facts->shared->tmpl.fingerprint, reparsed->shared->tmpl.fingerprint) << printed;
+    EXPECT_EQ(facts->shared->tmpl, reparsed->shared->tmpl);
     ++checked;
   }
   EXPECT_GT(checked, 5000u);
@@ -67,11 +69,11 @@ TEST(RoundTripPropertyTest, PredicateFeaturesSurviveReprinting) {
     if (!facts.ok()) continue;
     auto reparsed = sql::ParseAndAnalyze(Print(*facts->ast, opts));
     ASSERT_TRUE(reparsed.ok());
-    ASSERT_EQ(facts->predicates.size(), reparsed->predicates.size());
-    for (size_t i = 0; i < facts->predicates.size(); ++i) {
-      EXPECT_EQ(facts->predicates[i].op, reparsed->predicates[i].op);
-      EXPECT_EQ(facts->predicates[i].column, reparsed->predicates[i].column);
-      EXPECT_EQ(facts->predicates[i].values, reparsed->predicates[i].values);
+    ASSERT_EQ(facts->shared->predicates.size(), reparsed->shared->predicates.size());
+    for (size_t i = 0; i < facts->shared->predicates.size(); ++i) {
+      EXPECT_EQ(facts->shared->predicates[i].op, reparsed->shared->predicates[i].op);
+      EXPECT_EQ(facts->shared->predicates[i].column, reparsed->shared->predicates[i].column);
+      EXPECT_TRUE(std::ranges::equal(facts->values(i), reparsed->values(i)));
     }
     ++checked;
   }
@@ -93,7 +95,7 @@ TEST(RoundTripPropertyTest, TemplatesAreInvariantUnderSemanticPreservingMutation
       std::string jittered = fuzz::MutatePreservingTemplate(record.statement, rng);
       auto mutated = sql::ParseAndAnalyze(jittered);
       ASSERT_TRUE(mutated.ok()) << record.statement << " → " << jittered;
-      EXPECT_EQ(base->tmpl, mutated->tmpl) << record.statement << " → " << jittered;
+      EXPECT_EQ(base->shared->tmpl, mutated->shared->tmpl) << record.statement << " → " << jittered;
 
       std::string cosmetic =
           fuzz::MutatePreservingCanonicalForm(record.statement, rng);

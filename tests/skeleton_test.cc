@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "util/string_util.h"
 
 namespace sqlog::sql {
@@ -13,25 +17,31 @@ QueryFacts MustAnalyze(const std::string& sql) {
   return facts.ok() ? std::move(facts.value()) : QueryFacts{};
 }
 
+/// Predicate `i`'s values as a vector, for whole-list comparisons.
+std::vector<std::string> Values(const QueryFacts& facts, size_t i) {
+  const std::span<const std::string> values = facts.values(i);
+  return std::vector<std::string>(values.begin(), values.end());
+}
+
 TEST(SkeletonTest, TemplateTripleOfExample8) {
   QueryFacts facts = MustAnalyze("SELECT a, b FROM T WHERE a = 0 AND b >= 3");
-  EXPECT_EQ(facts.tmpl.ssc, "select a, b");
-  EXPECT_EQ(facts.tmpl.sfc, "from t");
-  EXPECT_EQ(facts.tmpl.swc, "where a = <num> and b >= <num>");
-  EXPECT_EQ(facts.tmpl.tail, "");
+  EXPECT_EQ(facts.shared->tmpl.ssc, "select a, b");
+  EXPECT_EQ(facts.shared->tmpl.sfc, "from t");
+  EXPECT_EQ(facts.shared->tmpl.swc, "where a = <num> and b >= <num>");
+  EXPECT_EQ(facts.shared->tmpl.tail, "");
 }
 
 TEST(SkeletonTest, EqualQueriesShareFingerprint) {
   QueryFacts a = MustAnalyze("SELECT a, b FROM T WHERE a = 0 AND b >= 3");
   QueryFacts b = MustAnalyze("select A, B from t where A = 10 and B >= 5");
-  EXPECT_EQ(a.tmpl, b.tmpl);
-  EXPECT_EQ(a.tmpl.fingerprint, b.tmpl.fingerprint);
+  EXPECT_EQ(a.shared->tmpl, b.shared->tmpl);
+  EXPECT_EQ(a.shared->tmpl.fingerprint, b.shared->tmpl.fingerprint);
 }
 
 TEST(SkeletonTest, DifferentTailMakesDifferentTemplate) {
   QueryFacts a = MustAnalyze("SELECT a FROM t WHERE x = 1");
   QueryFacts b = MustAnalyze("SELECT a FROM t WHERE x = 1 ORDER BY a");
-  EXPECT_FALSE(a.tmpl == b.tmpl);
+  EXPECT_FALSE(a.shared->tmpl == b.shared->tmpl);
 }
 
 TEST(SkeletonTest, ConcreteClausesKeepConstants) {
@@ -43,109 +53,120 @@ TEST(SkeletonTest, ConcreteClausesKeepConstants) {
 
 TEST(SkeletonTest, SingleEqualityPredicateExtraction) {
   QueryFacts facts = MustAnalyze("SELECT name FROM Employee WHERE empId = 8");
-  ASSERT_EQ(facts.predicate_count(), 1);
-  const Predicate& pred = facts.predicates[0];
+  ASSERT_EQ(facts.shared->predicate_count(), 1);
+  const Predicate& pred = facts.shared->predicates[0];
   EXPECT_EQ(pred.op, PredicateOp::kEq);
   EXPECT_EQ(pred.column, "empid");
   EXPECT_TRUE(pred.constant_comparison);
-  ASSERT_EQ(pred.values.size(), 1u);
-  EXPECT_EQ(pred.values[0], "8");
-  EXPECT_TRUE(facts.where_conjunctive);
+  EXPECT_EQ(Values(facts, 0), std::vector<std::string>{"8"});
+  EXPECT_TRUE(facts.shared->where_conjunctive);
 }
 
 TEST(SkeletonTest, ReversedComparisonIsMirrored) {
   QueryFacts facts = MustAnalyze("SELECT a FROM t WHERE 5 < r");
-  ASSERT_EQ(facts.predicate_count(), 1);
-  EXPECT_EQ(facts.predicates[0].op, PredicateOp::kGreater);
-  EXPECT_EQ(facts.predicates[0].column, "r");
+  ASSERT_EQ(facts.shared->predicate_count(), 1);
+  EXPECT_EQ(facts.shared->predicates[0].op, PredicateOp::kGreater);
+  EXPECT_EQ(facts.shared->predicates[0].column, "r");
 }
 
 TEST(SkeletonTest, ConjunctionCountsPredicates) {
   QueryFacts facts =
       MustAnalyze("SELECT a FROM t WHERE x = 1 AND y > 2 AND z BETWEEN 3 AND 4");
-  EXPECT_EQ(facts.predicate_count(), 3);
-  EXPECT_TRUE(facts.where_conjunctive);
+  EXPECT_EQ(facts.shared->predicate_count(), 3);
+  EXPECT_TRUE(facts.shared->where_conjunctive);
+}
+
+TEST(SkeletonTest, PredicateValuesAreOneFlatListInPredicateOrder) {
+  QueryFacts facts = MustAnalyze(
+      "SELECT a FROM t, u WHERE x = 1 AND t.id = u.id AND z IN (3, 4) AND w BETWEEN 5 AND 6");
+  ASSERT_EQ(facts.shared->predicate_count(), 4);
+  EXPECT_EQ(facts.predicate_values, (std::vector<std::string>{"1", "3", "4", "5", "6"}));
+  EXPECT_EQ(Values(facts, 0), std::vector<std::string>{"1"});
+  EXPECT_TRUE(Values(facts, 1).empty());
+  EXPECT_EQ(facts.shared->predicates[1].value_begin, 1u);
+  EXPECT_EQ(Values(facts, 2), (std::vector<std::string>{"3", "4"}));
+  EXPECT_EQ(Values(facts, 3), (std::vector<std::string>{"5", "6"}));
 }
 
 TEST(SkeletonTest, OrMakesNonConjunctive) {
   QueryFacts facts = MustAnalyze("SELECT a FROM t WHERE x = 1 OR y = 2");
-  EXPECT_EQ(facts.predicate_count(), 2);
-  EXPECT_FALSE(facts.where_conjunctive);
+  EXPECT_EQ(facts.shared->predicate_count(), 2);
+  EXPECT_FALSE(facts.shared->where_conjunctive);
 }
 
 TEST(SkeletonTest, NotMakesNonConjunctive) {
   QueryFacts facts = MustAnalyze("SELECT a FROM t WHERE NOT x = 1");
-  EXPECT_FALSE(facts.where_conjunctive);
+  EXPECT_FALSE(facts.shared->where_conjunctive);
 }
 
 TEST(SkeletonTest, BetweenCapturesBothBounds) {
   QueryFacts facts = MustAnalyze("SELECT a FROM t WHERE r BETWEEN 14 AND 17");
-  ASSERT_EQ(facts.predicate_count(), 1);
-  const Predicate& pred = facts.predicates[0];
+  ASSERT_EQ(facts.shared->predicate_count(), 1);
+  const Predicate& pred = facts.shared->predicates[0];
   EXPECT_EQ(pred.op, PredicateOp::kBetween);
-  EXPECT_EQ(pred.values, (std::vector<std::string>{"14", "17"}));
+  EXPECT_EQ(Values(facts, 0), (std::vector<std::string>{"14", "17"}));
 }
 
 TEST(SkeletonTest, InListCapturesAllValues) {
   QueryFacts facts = MustAnalyze("SELECT a FROM t WHERE id IN (8, 1, 5)");
-  ASSERT_EQ(facts.predicate_count(), 1);
-  EXPECT_EQ(facts.predicates[0].op, PredicateOp::kIn);
-  EXPECT_EQ(facts.predicates[0].values, (std::vector<std::string>{"8", "1", "5"}));
+  ASSERT_EQ(facts.shared->predicate_count(), 1);
+  EXPECT_EQ(facts.shared->predicates[0].op, PredicateOp::kIn);
+  EXPECT_EQ(Values(facts, 0), (std::vector<std::string>{"8", "1", "5"}));
 }
 
 TEST(SkeletonTest, NullComparisonIsFlagged) {
   QueryFacts eq = MustAnalyze("SELECT * FROM Bugs WHERE assigned_to = NULL");
-  ASSERT_EQ(eq.predicate_count(), 1);
-  EXPECT_TRUE(eq.predicates[0].compares_to_null_literal);
+  ASSERT_EQ(eq.shared->predicate_count(), 1);
+  EXPECT_TRUE(eq.shared->predicates[0].compares_to_null_literal);
 
   QueryFacts neq = MustAnalyze("SELECT * FROM Bugs WHERE assigned_to <> NULL");
-  EXPECT_TRUE(neq.predicates[0].compares_to_null_literal);
+  EXPECT_TRUE(neq.shared->predicates[0].compares_to_null_literal);
 
   QueryFacts is_null = MustAnalyze("SELECT * FROM Bugs WHERE assigned_to IS NULL");
-  EXPECT_EQ(is_null.predicates[0].op, PredicateOp::kIsNull);
-  EXPECT_FALSE(is_null.predicates[0].compares_to_null_literal);
+  EXPECT_EQ(is_null.shared->predicates[0].op, PredicateOp::kIsNull);
+  EXPECT_FALSE(is_null.shared->predicates[0].compares_to_null_literal);
 }
 
 TEST(SkeletonTest, ColumnToColumnComparisonIsNotConstant) {
   QueryFacts facts = MustAnalyze("SELECT a FROM t, u WHERE t.id = u.id");
-  ASSERT_EQ(facts.predicate_count(), 1);
-  EXPECT_FALSE(facts.predicates[0].constant_comparison);
+  ASSERT_EQ(facts.shared->predicate_count(), 1);
+  EXPECT_FALSE(facts.shared->predicates[0].constant_comparison);
 }
 
 TEST(SkeletonTest, VariableComparisonIsConstant) {
   // Log variables stand in for constants (Sec. 4.1.2).
   QueryFacts facts = MustAnalyze("SELECT a FROM t WHERE htmid >= @h1");
-  ASSERT_EQ(facts.predicate_count(), 1);
-  EXPECT_TRUE(facts.predicates[0].constant_comparison);
+  ASSERT_EQ(facts.shared->predicate_count(), 1);
+  EXPECT_TRUE(facts.shared->predicates[0].constant_comparison);
 }
 
 TEST(SkeletonTest, SelectedColumnsUnqualifiedAndLowercased) {
   QueryFacts facts = MustAnalyze("SELECT E.Name, E.SurName FROM Employees E WHERE E.id = 1");
-  EXPECT_EQ(facts.selected_columns, (std::vector<std::string>{"name", "surname"}));
-  EXPECT_FALSE(facts.selects_star);
+  EXPECT_EQ(facts.shared->selected_columns, (std::vector<std::string>{"name", "surname"}));
+  EXPECT_FALSE(facts.shared->selects_star);
 }
 
 TEST(SkeletonTest, AliasWinsAsOutputColumn) {
   QueryFacts facts = MustAnalyze("SELECT u - g AS ug FROM t");
-  EXPECT_EQ(facts.selected_columns, (std::vector<std::string>{"ug"}));
+  EXPECT_EQ(facts.shared->selected_columns, (std::vector<std::string>{"ug"}));
 }
 
 TEST(SkeletonTest, StarSetsFlag) {
   QueryFacts facts = MustAnalyze("SELECT * FROM t");
-  EXPECT_TRUE(facts.selects_star);
-  EXPECT_TRUE(facts.selected_columns.empty());
+  EXPECT_TRUE(facts.shared->selects_star);
+  EXPECT_TRUE(facts.shared->selected_columns.empty());
 }
 
 TEST(SkeletonTest, TablesCollectedFromJoinsAndSubqueries) {
   QueryFacts facts = MustAnalyze(
       "SELECT * FROM a JOIN b ON a.x = b.x, (SELECT * FROM c) s, fGetNearbyObjEq(1,2,3) n");
-  EXPECT_EQ(facts.tables, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(facts.table_functions, (std::vector<std::string>{"fgetnearbyobjeq"}));
+  EXPECT_EQ(facts.shared->tables, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(facts.shared->table_functions, (std::vector<std::string>{"fgetnearbyobjeq"}));
 }
 
 TEST(SkeletonTest, FunctionCallInSelectNamedByFunction) {
   QueryFacts facts = MustAnalyze("SELECT count(orders) FROM Orders WHERE empId = 12");
-  EXPECT_EQ(facts.selected_columns, (std::vector<std::string>{"count"}));
+  EXPECT_EQ(facts.shared->selected_columns, (std::vector<std::string>{"count"}));
 }
 
 // Property-style sweep: a query and its skeleton must agree for any
@@ -157,8 +178,8 @@ TEST_P(SkeletonParamTest, ConstantsDoNotChangeTemplate) {
   QueryFacts base = MustAnalyze("SELECT rowc_g, colc_g FROM photoPrimary WHERE objid = 1");
   QueryFacts variant = MustAnalyze(
       StrFormat("SELECT rowc_g, colc_g FROM photoPrimary WHERE objid = %d", v));
-  EXPECT_EQ(base.tmpl, variant.tmpl);
-  EXPECT_EQ(variant.predicates[0].values[0], std::to_string(v));
+  EXPECT_EQ(base.shared->tmpl, variant.shared->tmpl);
+  EXPECT_EQ(Values(variant, 0), std::vector<std::string>{std::to_string(v)});
 }
 
 INSTANTIATE_TEST_SUITE_P(Constants, SkeletonParamTest,

@@ -18,8 +18,8 @@ TEST(TemplateStoreTest, InternReturnsSameIdForEqualTemplates) {
   auto a = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 1");
   auto b = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 999");
   ASSERT_TRUE(a.ok() && b.ok());
-  uint64_t id_a = store.Intern(a->tmpl, 0);
-  uint64_t id_b = store.Intern(b->tmpl, 1);
+  uint64_t id_a = store.Intern(a->shared->tmpl, 0);
+  uint64_t id_b = store.Intern(b->shared->tmpl, 1);
   EXPECT_EQ(id_a, id_b);
   EXPECT_EQ(store.size(), 1u);
 }
@@ -29,7 +29,7 @@ TEST(TemplateStoreTest, DifferentTemplatesGetDifferentIds) {
   auto a = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 1");
   auto b = sql::ParseAndAnalyze("SELECT y FROM t WHERE id = 1");
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_NE(store.Intern(a->tmpl, 0), store.Intern(b->tmpl, 1));
+  EXPECT_NE(store.Intern(a->shared->tmpl, 0), store.Intern(b->shared->tmpl, 1));
   EXPECT_EQ(store.size(), 2u);
 }
 
@@ -37,7 +37,7 @@ TEST(TemplateStoreTest, RecordUseTracksFrequencyAndUsers) {
   TemplateStore store;
   auto facts = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 1");
   ASSERT_TRUE(facts.ok());
-  uint64_t id = store.Intern(facts->tmpl, 0);
+  uint64_t id = store.Intern(facts->shared->tmpl, 0);
   uint32_t alice = store.InternUser("alice");
   uint32_t bob = store.InternUser("bob");
   store.RecordUse(id, alice);

@@ -374,7 +374,7 @@ int CmdPatterns(int argc, char** argv) {
     std::printf("%-4zu %-10llu %-6zu %-4s %s\n", i + 1,
                 (unsigned long long)pattern.frequency, pattern.user_popularity(),
                 result.PatternIsAntipattern(i) ? "yes" : "",
-                analysis::DescribeTemplate(sample.facts).c_str());
+                analysis::DescribeTemplate(*sample.facts.shared).c_str());
   }
   return 0;
 }
@@ -489,7 +489,7 @@ int CmdReport(int argc, char** argv) {
       std::printf(
           "   cluster %zu: %zu groups, %llu queries — %s\n", i + 1, rows[i].group_count,
           rows[i].queries,
-          analysis::DescribeTemplate(result.parsed.queries[rows[i].sample_query].facts)
+          analysis::DescribeTemplate(*result.parsed.queries[rows[i].sample_query].facts.shared)
               .c_str());
     }
     if (rows.size() > 8) std::printf("   ... %zu more clusters\n", rows.size() - 8);
@@ -556,7 +556,7 @@ int CmdRecommend(int argc, char** argv) {
     std::fprintf(stderr, "cannot parse query: %s\n", facts.status().ToString().c_str());
     return 1;
   }
-  auto suggestions = model.Recommend(facts->tmpl.fingerprint, 5);
+  auto suggestions = model.Recommend(facts->shared->tmpl.fingerprint, 5);
   if (suggestions.empty()) {
     std::printf("no suggestions (template unseen in the cleaned log)\n");
     return 0;
@@ -568,7 +568,7 @@ int CmdRecommend(int argc, char** argv) {
       if (info.tmpl.fingerprint != fp) continue;
       const auto& sample = clean.parsed.queries[info.first_query];
       std::printf("  - %s\n     e.g. %.100s\n",
-                  analysis::DescribeTemplate(sample.facts).c_str(),
+                  analysis::DescribeTemplate(*sample.facts.shared).c_str(),
                   clean.pre_clean.records()[sample.record_index].statement.c_str());
       break;
     }
