@@ -26,7 +26,7 @@ int main() {
   for (const auto& d : result.antipatterns.distinct) {
     if (!detector_set.info(d.detector).solvable) continue;
     for (uint64_t id : d.template_ids) {
-      antipattern_fps.insert(result.templates.Get(id).tmpl.fingerprint);
+      antipattern_fps.insert(result.templates.Get(id).facts->tmpl.fingerprint);
     }
   }
 

@@ -92,7 +92,7 @@ void BM_TemplateGroupingHashFirst(benchmark::State& state) {
   for (auto _ : state) {
     core::TemplateStore store;
     for (size_t i = 0; i < facts.size(); ++i) {
-      benchmark::DoNotOptimize(store.Intern(facts[i].shared->tmpl, i));
+      benchmark::DoNotOptimize(store.Intern(facts[i].shared, i));
     }
   }
 }

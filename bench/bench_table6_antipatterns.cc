@@ -31,7 +31,7 @@ int main() {
     const auto& d = distinct[i];
     std::string skeletons;
     for (size_t k = 0; k < d.template_ids.size() && k < 2; ++k) {
-      const auto& tmpl = result.templates.Get(d.template_ids[k]).tmpl;
+      const auto& tmpl = result.templates.Get(d.template_ids[k]).facts->tmpl;
       if (k > 0) skeletons += "  ||  ";
       skeletons += tmpl.ssc + " " + tmpl.sfc + " " + tmpl.swc;
     }

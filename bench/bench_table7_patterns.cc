@@ -32,8 +32,8 @@ int main() {
                     static_cast<double>(parsed),
                 pattern.user_popularity(),
                 analysis::DescribeTemplate(*sample.facts.shared).c_str());
-    std::printf("%31s %.100s\n", "",
-                (info.tmpl.ssc + " " + info.tmpl.sfc + " " + info.tmpl.swc).c_str());
+    const auto& tmpl = info.facts->tmpl;
+    std::printf("%31s %.100s\n", "", (tmpl.ssc + " " + tmpl.sfc + " " + tmpl.swc).c_str());
   }
 
   std::printf("\nShape check vs paper Table 7: spatial-search robots dominate; the\n"

@@ -65,8 +65,8 @@ int main() {
   for (const auto& info : result.templates.templates()) {
     std::printf("  [t%llu] freq=%llu users=%zu  %s %s %s\n",
                 (unsigned long long)info.id, (unsigned long long)info.frequency,
-                info.user_popularity(), info.tmpl.ssc.c_str(), info.tmpl.sfc.c_str(),
-                info.tmpl.swc.c_str());
+                info.user_popularity(), info.facts->tmpl.ssc.c_str(), info.facts->tmpl.sfc.c_str(),
+                info.facts->tmpl.swc.c_str());
   }
 
   std::printf("\n== Antipattern instances ==\n");

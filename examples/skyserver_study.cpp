@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   size_t shown = 0;
   for (size_t i = 0; i < result.patterns.size() && shown < 10; ++i, ++shown) {
     const auto& pattern = result.patterns[i];
-    const auto& tmpl = result.templates.Get(pattern.template_ids[0]).tmpl;
+    const auto& tmpl = result.templates.Get(pattern.template_ids[0]).facts->tmpl;
     std::printf("  %2zu. freq=%9s users=%4zu %s  %.90s\n", shown + 1,
                 sqlog::WithThousands((long long)pattern.frequency).c_str(),
                 pattern.user_popularity(),
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
             [](const auto& a, const auto& b) { return a.query_count > b.query_count; });
   for (size_t i = 0; i < distinct.size() && i < 5; ++i) {
     const auto& d = distinct[i];
-    const auto& tmpl = result.templates.Get(d.template_ids[0]).tmpl;
+    const auto& tmpl = result.templates.Get(d.template_ids[0]).facts->tmpl;
     std::printf("  %2zu. %-9s queries=%9s users=%3zu  %.80s\n", i + 1,
                 result.antipatterns.detectors->info(d.detector).display_name.c_str(),
                 sqlog::WithThousands((long long)d.query_count).c_str(),

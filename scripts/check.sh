@@ -84,11 +84,19 @@ fi
 # 3. CLI smoke: the report subcommand must run the full detector catalog
 #    over a generated log without errors (the per-detector P/R tests live
 #    in detector_registry_test; this catches CLI-level wiring breaks).
-step "sqlog report smoke"
+#    `patterns`, `antipatterns` and `recommend` read the per-template and
+#    per-antipattern usage (frequency, users); `recommend` must resolve
+#    a template of the log (this log's htmid range scan) to suggestions.
+step "sqlog report, patterns, antipatterns, recommend smoke"
 smoke_log=$(mktemp /tmp/sqlog_smoke.XXXXXX.csv)
 trap 'rm -f "$smoke_log" "${smoke_log%.csv}".* /tmp/sqlog_smoke_clean.*' EXIT
 ./build/tools/sqlog generate 2000 "$smoke_log"
 ./build/tools/sqlog report "$smoke_log" >/dev/null
+./build/tools/sqlog patterns "$smoke_log" >/dev/null
+./build/tools/sqlog antipatterns "$smoke_log" >/dev/null
+./build/tools/sqlog recommend "$smoke_log" \
+  "SELECT top 10 * FROM photoPrimary WHERE htmid between 1 and 2" |
+  grep '^likely next queries:' >/dev/null
 
 # 3a. Malformed numeric arguments are usage errors (exit 2), never a
 #     crash or a silently truncated number.

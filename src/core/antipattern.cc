@@ -259,11 +259,15 @@ AntipatternReport DetectAntipatterns(const ParsedLog& parsed, const TemplateStor
     ++d.instance_count;
     d.query_count += instance.query_indices.size();
     for (size_t idx : instance.query_indices) {
-      d.users.insert(parsed.queries[idx].user_id);
+      d.users.push_back(parsed.queries[idx].user_id);
     }
     kept.push_back(std::move(instance));
   }
   report.instances = std::move(kept);
+  for (DistinctAntipattern& d : report.distinct) {
+    std::sort(d.users.begin(), d.users.end());
+    d.users.erase(std::unique(d.users.begin(), d.users.end()), d.users.end());
+  }
 
   // query → instance map. Solvable instances claim their queries first
   // (Sec. 5.5: when types overlap, the solvable rewrite proceeds);

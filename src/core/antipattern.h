@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -25,7 +24,7 @@ struct DistinctAntipattern {
   std::vector<uint64_t> template_ids;  // distinct templates, first-seen order
   uint64_t instance_count = 0;
   uint64_t query_count = 0;
-  std::unordered_set<uint32_t> users;
+  std::vector<uint32_t> users;  // distinct interned user ids, ascending
   size_t sample_query = 0;  // a ParsedQuery index from some instance
 
   size_t user_popularity() const { return users.size(); }

@@ -33,7 +33,14 @@ std::string RenderSlotText(const ParseCacheEntry::Slot& slot, std::string_view t
   return out;
 }
 
-size_t StringBytes(const std::string& s) { return s.capacity(); }
+/// Heap bytes of `s`: its block (capacity plus the terminator) when the
+/// buffer is on the heap, nothing when the string is held inline.
+size_t StringBytes(const std::string& s) {
+  const uintptr_t self = reinterpret_cast<uintptr_t>(&s);
+  const uintptr_t data = reinterpret_cast<uintptr_t>(s.data());
+  const bool inline_buffer = data >= self && data < self + sizeof(s);
+  return inline_buffer ? 0 : s.capacity() + 1;
+}
 
 size_t StringVectorBytes(const std::vector<std::string>& v) {
   size_t total = 0;

@@ -112,7 +112,8 @@ struct ParseCacheEntry {
   std::vector<ValueRef> values;
 
   /// Approximate heap footprint, for the cache memory gauge. Counts the
-  /// shared facts once, as part of the entry.
+  /// shared facts once, as part of the entry, and a string only when its
+  /// buffer is on the heap.
   size_t bytes() const;
 };
 

@@ -1,5 +1,6 @@
 #include "core/solver.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 
@@ -300,25 +301,15 @@ StreamingSolver::StreamingSolver(ParsedLog& parsed, const AntipatternReport& rep
     }
     uint32_t id = static_cast<uint32_t>(k + 1);
     if (!ClaimsFirstQuery(id)) continue;  // not solved, counted nowhere
-    members_pending_[id] = instance.query_indices.size();
-    for (size_t idx : instance.query_indices) {
-      AstNeed& need = ast_needs_[idx];
-      need.instances.push_back(id);
-      ++need.unresolved;
-    }
+    const auto& members = instance.query_indices;
+    by_last_member_.emplace_back(*std::max_element(members.begin(), members.end()), id);
   }
+  std::sort(by_last_member_.begin(), by_last_member_.end());
 }
 
 bool StreamingSolver::ClaimsFirstQuery(uint32_t instance_id) const {
   const AntipatternInstance& instance = report_.instances[instance_id - 1];
   return report_.instance_of_query[instance.query_indices.front()] == instance_id;
-}
-
-StreamingSolver::~StreamingSolver() {
-  // sqlog-lint: deterministic-merge(each entry clears its own query's AST)
-  for (const auto& [idx, need] : ast_needs_) {
-    if (need.restored) parsed_.queries[idx].facts.ast.reset();
-  }
 }
 
 Status StreamingSolver::Feed(const log::LogRecord& record, const log::RecordShape* shape) {
@@ -330,30 +321,6 @@ Status StreamingSolver::Feed(const log::LogRecord& record, const log::RecordShap
     return Status::OK();
   }
   const size_t q = next_query_++;
-
-  // Members of solvable instances need their AST to be rewritten.
-  std::vector<uint32_t> completed;
-  auto need_it = ast_needs_.find(q);
-  if (need_it != ast_needs_.end()) {
-    std::shared_ptr<const sql::SelectStatement>& ast = parsed_.queries[q].facts.ast;
-    if (ast == nullptr) {
-      auto parsed = sql::ParseSelect(record.statement);
-      if (!parsed.ok()) {
-        return Status::Internal(StrFormat(
-            "pre-clean record %zu (seq %llu) no longer parses: %s", r,
-            (unsigned long long)record.seq, parsed.status().message().c_str()));
-      }
-      ast = std::move(parsed.value());
-      need_it->second.restored = true;
-    }
-    for (uint32_t id : need_it->second.instances) {
-      auto pending_it = members_pending_.find(id);
-      if (pending_it != members_pending_.end() && --pending_it->second == 0) {
-        members_pending_.erase(pending_it);
-        completed.push_back(id);
-      }
-    }
-  }
 
   Slot slot;
   const uint32_t claiming = report_.instance_of_query[q];
@@ -383,17 +350,49 @@ Status StreamingSolver::Feed(const log::LogRecord& record, const log::RecordShap
   slot.shape.CopyFrom(shape);
   slots_.push_back(std::move(slot));
 
-  for (uint32_t id : completed) ResolveInstance(id);
+  while (next_solved_ < by_last_member_.size() && by_last_member_[next_solved_].first == q) {
+    SQLOG_RETURN_IF_ERROR(ResolveInstance(by_last_member_[next_solved_++].second));
+  }
   return Drain();
 }
 
-void StreamingSolver::ResolveInstance(uint32_t instance_id) {
+Status StreamingSolver::ResolveInstance(uint32_t instance_id) {
   const AntipatternInstance& instance = report_.instances[instance_id - 1];
+  // Members without an AST are re-parsed from their queued records (the
+  // instance's unresolved first slot keeps every later slot queued) and
+  // cleared again before this returns.
+  const size_t queued_begin = next_query_ - slots_.size();
+  std::vector<size_t> reparsed;
+  auto clear_reparsed = [&] {
+    for (size_t idx : reparsed) parsed_.queries[idx].facts.ast.reset();
+  };
   std::vector<const ParsedQuery*> members;
   members.reserve(instance.query_indices.size());
-  for (size_t idx : instance.query_indices) members.push_back(&parsed_.queries[idx]);
+  for (size_t idx : instance.query_indices) {
+    ParsedQuery& member = parsed_.queries[idx];
+    members.push_back(&member);
+    if (member.facts.ast != nullptr) continue;
+    if (idx < queued_begin) {
+      clear_reparsed();
+      return Status::Internal(StrFormat(
+          "pre-clean record %zu, listed before its instance's first member, left the "
+          "output queue before the instance resolved (members must be in log order)",
+          member.record_index));
+    }
+    const log::LogRecord& record = slots_[idx - queued_begin].record;
+    auto ast = sql::ParseSelect(record.statement);
+    if (!ast.ok()) {
+      clear_reparsed();
+      return Status::Internal(StrFormat(
+          "pre-clean record %zu (seq %llu) no longer parses: %s", member.record_index,
+          (unsigned long long)record.seq, ast.status().message().c_str()));
+    }
+    member.facts.ast = std::move(ast.value());
+    reparsed.push_back(idx);
+  }
 
   Result<std::string> rewrite = report_.detectors->Rewrite(instance, members);
+  clear_reparsed();
   if (rewrite.ok()) {
     ++stats_.instances_solved;
     // Single-query instances are in-place fixes; multi-query instances
@@ -425,16 +424,7 @@ void StreamingSolver::ResolveInstance(uint32_t instance_id) {
       slot.to_removal = true;
     }
   }
-
-  // Release restored member ASTs once no unresolved instance still
-  // needs them.
-  for (size_t idx : instance.query_indices) {
-    auto it = ast_needs_.find(idx);
-    if (it != ast_needs_.end() && --it->second.unresolved == 0) {
-      if (it->second.restored) parsed_.queries[idx].facts.ast.reset();
-      ast_needs_.erase(it);
-    }
-  }
+  return Status::OK();
 }
 
 Status StreamingSolver::Drain() {

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/antipattern.h"
@@ -66,10 +66,11 @@ Result<std::string> RewriteSnc(const ParsedQuery& query);
 /// A loop feeding `pre_clean` through a StreamingSolver into two
 /// in-memory logs, so the in-memory and streaming paths share one
 /// implementation of Sec. 5.5. `parsed` is borrowed: members without an
-/// AST (the parser keeps none) get one restored while their instance is
-/// open, and `parsed` is handed back with exactly the ASTs it came with.
-/// Rewrites dispatch through the report's detector set; `custom_rules`
-/// is ignored (it must be empty; see DetectorOptions).
+/// AST (the parser keeps none) get one only while their instance's
+/// rewrite runs, and `parsed` is handed back with exactly the ASTs it
+/// came with, on success and on failure. Rewrites dispatch through the
+/// report's detector set; `custom_rules` is ignored (it must be empty;
+/// see DetectorOptions).
 SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed,
                                const AntipatternReport& report,
                                const std::vector<CustomRule>& custom_rules = {});
@@ -85,15 +86,16 @@ SolveOutcome SolveAntipatterns(const log::QueryLog& pre_clean, ParsedLog& parsed
 /// `.sqb` writer can re-encode it without lexing; a rewritten statement
 /// loses its shape. Shapes never change the bytes written.
 ///
-/// Rewriting needs member ASTs. A member that carries none (the parser
-/// never returns one) is re-parsed as it streams past — the parser is
-/// deterministic, so the AST, and therefore the rewrite, is the one a
-/// full parse would have produced — restored into `parsed`, and cleared
-/// again once every instance listing it has resolved. ASTs the caller supplied are
-/// neither replaced nor released. Records are buffered only while an
-/// instance that contains them is still unresolved, so the buffer is
-/// bounded by the detector's gap-bounded segment span, not the log
-/// length.
+/// A solved instance resolves when its last listed member is fed. Each
+/// member without an AST (the parser never returns one) is re-parsed
+/// from its record, still queued behind the instance's unresolved first
+/// slot, into `parsed` for the Rewrite call and cleared again before the
+/// instance resolves; a member listed by two solved instances is
+/// re-parsed for each. The parser is deterministic, so the rewrite is
+/// the one a full parse would give. ASTs the caller supplied are neither
+/// replaced nor released. Records are buffered only while an instance
+/// that contains them is still unresolved, so the buffer is bounded by
+/// the detector's gap-bounded segment span, not the log length.
 ///
 /// `parsed.queries` must be in ascending record order, as ParseLog and
 /// StreamingParser produce them.
@@ -104,17 +106,14 @@ class StreamingSolver {
   StreamingSolver(ParsedLog& parsed, const AntipatternReport& report,
                   log::RecordWriter& clean_writer, log::RecordWriter& removal_writer);
 
-  /// Clears any AST still restored (a run abandoned after an error), so
-  /// `parsed` is handed back as it came.
-  ~StreamingSolver();
-
   StreamingSolver(const StreamingSolver&) = delete;
   StreamingSolver& operator=(const StreamingSolver&) = delete;
 
   /// Feeds the next pre-clean record (call in pre-clean order, starting
   /// at position 0), with its shape in the `.sqb` file it was read from
-  /// (BinLogReader::last_shape(); copied) or null. Fails, naming the
-  /// record, when a member statement no longer parses.
+  /// (BinLogReader::last_shape(); copied) or null. Fails when a member
+  /// statement of an instance this record completes no longer parses,
+  /// naming that member's record.
   Status Feed(const log::LogRecord& record, const log::RecordShape* shape = nullptr);
 
   /// Flushes remaining output. Every parsed query must have been fed;
@@ -135,20 +134,13 @@ class StreamingSolver {
     bool to_removal = false;
   };
 
-  /// AST bookkeeping for one query listed by ≥1 solved instance.
-  /// Instances overlap (claiming is first-wins), so a query's re-parsed
-  /// AST stays restored until every instance listing it has resolved.
-  struct AstNeed {
-    std::vector<uint32_t> instances;  // solved instances listing the query
-    uint32_t unresolved = 0;
-    bool restored = false;  // the AST was re-parsed here (cleared on release)
-  };
-
   /// True when instance `instance_id` (1-based) claims its own first
   /// query, the slot a rewrite is emitted at. A solvable instance that
   /// does not is never solved.
   bool ClaimsFirstQuery(uint32_t instance_id) const;
-  void ResolveInstance(uint32_t instance_id);
+  /// Rewrites instance `instance_id` and marks its queued slots. Fails,
+  /// counting no rewrite failure, when a member no longer parses.
+  Status ResolveInstance(uint32_t instance_id);
   Status Drain();
 
   ParsedLog& parsed_ SQLOG_SHARD_LOCAL;
@@ -157,10 +149,12 @@ class StreamingSolver {
   log::RecordWriter& removal_writer_ SQLOG_SHARD_LOCAL;
   SolveStats stats_ SQLOG_SHARD_LOCAL;
 
-  /// query index → AST bookkeeping (solved-instance members only).
-  std::unordered_map<size_t, AstNeed> ast_needs_ SQLOG_SHARD_LOCAL;
-  /// instance id (1-based, solved only) → members not yet fed.
-  std::unordered_map<uint32_t, size_t> members_pending_ SQLOG_SHARD_LOCAL;
+  /// (last member's query index, instance id) of every solved instance,
+  /// ascending: the order Feed resolves them in.
+  std::vector<std::pair<size_t, uint32_t>> by_last_member_ SQLOG_CONST_AFTER_INIT;
+  size_t next_solved_ SQLOG_SHARD_LOCAL = 0;  // first entry not yet resolved
+  /// One slot per fed query not yet written: queries
+  /// [next_query_ - slots_.size(), next_query_).
   std::deque<Slot> slots_ SQLOG_SHARD_LOCAL;
   size_t next_record_ SQLOG_SHARD_LOCAL = 0;  // position assigned to the next Feed
   size_t next_query_ SQLOG_SHARD_LOCAL = 0;   // first parsed query not yet fed

@@ -21,25 +21,39 @@ TemplateStore::TemplateStore() {
   user_ids_[""] = 0;
 }
 
-uint64_t TemplateStore::Intern(const sql::QueryTemplate& tmpl, size_t query_index) {
-  auto& bucket = by_fingerprint_[tmpl.fingerprint];
+uint64_t TemplateStore::Intern(const std::shared_ptr<const sql::TemplateFacts>& facts,
+                              size_t query_index) {
+  auto& bucket = by_fingerprint_[facts->tmpl.fingerprint];
   for (uint64_t id : bucket) {
-    if (templates_[id].tmpl == tmpl) return id;
+    if (templates_[id].facts->tmpl == facts->tmpl) return id;
   }
   uint64_t id = templates_.size();
   TemplateInfo info;
   info.id = id;
-  info.tmpl = tmpl;
+  info.facts = facts;
   info.first_query = query_index;
   templates_.push_back(std::move(info));
   bucket.push_back(id);
   return id;
 }
 
-void TemplateStore::RecordUse(uint64_t id, uint32_t user_id) {
-  TemplateInfo& info = templates_[id];
-  ++info.frequency;
-  info.users.insert(user_id);
+void TemplateStore::CountUses(const ParsedLog& parsed) {
+  constexpr uint32_t kNoUser = ~uint32_t{0};
+  std::vector<uint32_t> last_user(templates_.size(), kNoUser);
+  for (TemplateInfo& info : templates_) {
+    info.frequency = 0;
+    info.users.clear();
+  }
+  for (uint32_t user = 0; user < parsed.user_streams.size(); ++user) {
+    for (size_t q : parsed.user_streams[user]) {
+      const uint64_t id = parsed.queries[q].template_id;
+      ++templates_[id].frequency;
+      if (last_user[id] != user) {
+        last_user[id] = user;
+        templates_[id].users.push_back(user);
+      }
+    }
+  }
 }
 
 uint32_t TemplateStore::InternUser(const std::string& user) {
@@ -49,15 +63,6 @@ uint32_t TemplateStore::InternUser(const std::string& user) {
   user_names_.push_back(user);
   user_ids_[user] = id;
   return id;
-}
-
-void TemplateStore::MergeUses(uint64_t id, uint64_t frequency,
-                              const std::unordered_set<uint32_t>& local_users,
-                              const std::vector<uint32_t>& user_map) {
-  TemplateInfo& info = templates_[id];
-  info.frequency += frequency;
-  // sqlog-lint: deterministic-merge(set-into-set union; the result is the same for any visit order)
-  for (uint32_t local : local_users) info.users.insert(user_map[local]);
 }
 
 namespace {
@@ -105,8 +110,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
                            const std::vector<const ParseCacheEntry*>& seed_table) {
   ParseShard shard;
   shard.queries.reserve(end - begin);
-  // Local template ids already assigned to hit entries, so repeated hits
-  // skip the store's skeleton-equality probe too.
+  // Local template ids already assigned to hit entries.
   std::unordered_map<const ParseCacheEntry*, uint64_t> entry_template_id;
   std::string key;                      // reused normalized-key buffer
   std::vector<std::string> slot_texts;  // reused fast-path slot buffer
@@ -125,19 +129,26 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
       shard.diagnostics.push_back(std::move(diagnostic));
     }
   };
-  // Every full parse ends here, after BuildRecipes (on a miss) has read
-  // its AST: the AST is dropped at once, so none outlives its shard.
-  auto push_query = [&](size_t i, const log::LogRecord& record, sql::QueryFacts facts) {
+  // Every parsed query ends here. `memo` (null for full parses) caches
+  // the local template id of a cache entry or dictionary ordinal, so its
+  // repeats skip the store's skeleton-equality probe. A full parse's AST
+  // is dropped here, after BuildRecipes (on a miss) has read it, so none
+  // outlives its shard.
+  auto append = [&](size_t i, const log::LogRecord& record, sql::QueryFacts facts,
+                    uint64_t* memo) {
     facts.ast.reset();
     ParsedQuery query;
     query.record_index = i;
     query.timestamp_ms = record.timestamp_ms;
     query.row_count = record.row_count;
     query.facts = std::move(facts);
-    size_t local_index = shard.queries.size();
-    query.template_id = shard.store.Intern(query.facts.shared->tmpl, local_index);
+    if (memo == nullptr || *memo == kUnmapped) {
+      query.template_id = shard.store.Intern(query.facts.shared, shard.queries.size());
+      if (memo != nullptr) *memo = query.template_id;
+    } else {
+      query.template_id = *memo;
+    }
     query.user_id = shard.store.InternUser(record.user);
-    shard.store.RecordUse(query.template_id, query.user_id);
     shard.queries.push_back(std::move(query));
   };
 
@@ -167,20 +178,8 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
                    DeriveSlotTexts(*entry, record.statement, shape.constants,
                                    &slot_texts)) {
           ++shard.stats.cache_hits;
-          ParsedQuery query;
-          query.record_index = i;
-          query.timestamp_ms = record.timestamp_ms;
-          query.row_count = record.row_count;
-          query.facts = RenderFactsFromSlotTexts(*entry, slot_texts);
-          size_t local_index = shard.queries.size();
-          uint64_t& memo_id = ordinal_template_id[shape.template_ordinal];
-          if (memo_id == kUnmapped) {
-            memo_id = shard.store.Intern(query.facts.shared->tmpl, local_index);
-          }
-          query.template_id = memo_id;
-          query.user_id = shard.store.InternUser(record.user);
-          shard.store.RecordUse(query.template_id, query.user_id);
-          shard.queries.push_back(std::move(query));
+          append(i, record, RenderFactsFromSlotTexts(*entry, slot_texts),
+                 &ordinal_template_id[shape.template_ordinal]);
           continue;
         }
         // Uncacheable entry, slot-count mismatch, non-canonical span, or
@@ -200,7 +199,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
         record_failure(i, record, facts.status().message());
         continue;
       }
-      push_query(i, record, std::move(facts.value()));
+      append(i, record, std::move(facts.value()), nullptr);
       continue;
     }
 
@@ -237,7 +236,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
       fresh->parse_ok = true;
       BuildRecipes(tokens, facts.value(), value_exprs, *fresh);
       shard.cache.Insert(std::move(fresh));
-      push_query(i, record, std::move(facts.value()));
+      append(i, record, std::move(facts.value()), nullptr);
       continue;
     }
 
@@ -259,7 +258,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
       }
       // Unreachable if the key invariant holds; keep the parse rather
       // than miscount it.
-      push_query(i, record, std::move(facts.value()));
+      append(i, record, std::move(facts.value()), nullptr);
       continue;
     }
 
@@ -272,38 +271,23 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
         record_failure(i, record, facts.status().message());
         continue;
       }
-      push_query(i, record, std::move(facts.value()));
+      append(i, record, std::move(facts.value()), nullptr);
       continue;
     }
 
     // Hit: facts come from the entry's recipes plus this statement's own
     // tokens — no AST is built (consumers re-parse on demand).
     ++shard.stats.cache_hits;
-    ParsedQuery query;
-    query.record_index = i;
-    query.timestamp_ms = record.timestamp_ms;
-    query.row_count = record.row_count;
-    query.facts = RenderFacts(*entry, tokens);
-    size_t local_index = shard.queries.size();
-    auto memo = entry_template_id.find(entry);
-    if (memo == entry_template_id.end()) {
-      memo = entry_template_id
-                 .emplace(entry, shard.store.Intern(query.facts.shared->tmpl, local_index))
-                 .first;
-    }
-    query.template_id = memo->second;
-    query.user_id = shard.store.InternUser(record.user);
-    shard.store.RecordUse(query.template_id, query.user_id);
-    shard.queries.push_back(std::move(query));
+    append(i, record, RenderFacts(*entry, tokens),
+           &entry_template_id.try_emplace(entry, kUnmapped).first->second);
   }
   return shard;
 }
 
 /// Merges parse shards into `store`/`parsed` in shard order. Shards are
 /// contiguous record ranges, so shard order visits queries in exactly
-/// the serial order — global template ids, user ids, first_query
-/// indices, and per-template statistics come out byte-identical to the
-/// serial path.
+/// the serial order — global template ids, user ids and first_query
+/// indices come out byte-identical to the serial path.
 ///
 /// The join runs in two phases so the per-query work scales with the
 /// pool (a serial merge of every query would not):
@@ -311,9 +295,7 @@ ParseShard ParseShardRange(const log::LogRecord* records, size_t begin, size_t e
 ///     users only. Within a shard, local ids are dense in first-use
 ///     order, so walking local ids ascending inside an in-order shard
 ///     walk replays the exact serial intern sequence — template ids,
-///     user ids, and first_query indices match the serial path. The
-///     per-template frequency/user aggregates fold in here too
-///     (order-independent).
+///     user ids, and first_query indices match the serial path.
 ///  2. Parallel remap + placement: every query's template_id/user_id is
 ///     translated through its shard's id maps and the query is moved
 ///     into its precomputed slot in `parsed.queries`. Shards own
@@ -359,9 +341,7 @@ void MergeShards(std::vector<ParseShard>& shards, TemplateStore& store,
     template_map.resize(locals.size());
     for (uint64_t local_id = 0; local_id < locals.size(); ++local_id) {
       const TemplateInfo& local = locals[local_id];
-      uint64_t global_id = store.Intern(local.tmpl, offsets[s] + local.first_query);
-      template_map[local_id] = global_id;
-      store.MergeUses(global_id, local.frequency, local.users, user_map);
+      template_map[local_id] = store.Intern(local.facts, offsets[s] + local.first_query);
     }
   }
 
@@ -395,7 +375,6 @@ void MergeShards(std::vector<ParseShard>& shards, TemplateStore& store,
 /// sorted streams are identical regardless of scheduling.
 void BuildUserStreams(const TemplateStore& store, ParsedLog& parsed,
                       util::ThreadPool* pool) {
-  parsed.user_names = store.user_names();
   parsed.user_streams.assign(store.user_names().size(), {});
   for (size_t i = 0; i < parsed.queries.size(); ++i) {
     parsed.user_streams[parsed.queries[i].user_id].push_back(i);
@@ -517,6 +496,7 @@ ParsedLog StreamingParser::Finish() {
   parsed_.parse_stats.templates_cached = cache_.size();
   parsed_.parse_stats.cache_bytes = cache_.bytes();
   BuildUserStreams(store_, parsed_, pool_);
+  store_.CountUses(parsed_);
   return std::move(parsed_);
 }
 

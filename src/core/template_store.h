@@ -2,9 +2,9 @@
 #define SQLOG_CORE_TEMPLATE_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/parse_cache.h"
@@ -15,13 +15,16 @@
 
 namespace sqlog::core {
 
-/// Interned query template with usage statistics (Defs. 9-10).
+/// Interned query template with usage statistics (Defs. 9-10). `facts`
+/// is the constant half its first query holds (`facts->tmpl` is the
+/// template), shared, not copied. StreamingParser::Finish counts
+/// `frequency` and `users` from the user streams.
 struct TemplateInfo {
   uint64_t id = 0;
-  sql::QueryTemplate tmpl;
-  uint64_t frequency = 0;                 // occurrences in the parsed log
-  std::unordered_set<uint32_t> users;     // interned user ids
-  size_t first_query = 0;                 // index of first ParsedQuery
+  std::shared_ptr<const sql::TemplateFacts> facts;
+  uint64_t frequency = 0;        // occurrences in the parsed log
+  std::vector<uint32_t> users;   // distinct interned user ids, ascending
+  size_t first_query = 0;        // index of first ParsedQuery
 
   size_t user_popularity() const { return users.size(); }
 };
@@ -58,10 +61,10 @@ struct ParsedLog {
   /// (`syntax_error_count` still counts them all).
   std::vector<ParseDiagnostic> diagnostics;
 
-  /// Per-user streams: indices into `queries`, time-ordered. Stream 0 is
-  /// the anonymous user (empty user field).
+  /// Per-user streams: indices into `queries`, time-ordered, indexed by
+  /// interned user id (TemplateStore::user_names). Stream 0 is the
+  /// anonymous user (empty user field).
   std::vector<std::vector<size_t>> user_streams;
-  std::vector<std::string> user_names;  // user_names[user_id]
 
   /// Parse-avoidance counters. Hit/miss splits depend on sharding, so
   /// these are reported separately and never enter the golden-compared
@@ -77,24 +80,21 @@ struct ParseCacheOptions {
   bool enabled = true;
 };
 
-/// Interns templates and users and tracks per-template statistics.
+/// Interns templates and users and holds per-template statistics.
 class TemplateStore {
  public:
   TemplateStore();
 
-  /// Interns a template, returning its id (stable for equal templates).
-  uint64_t Intern(const sql::QueryTemplate& tmpl, size_t query_index);
+  /// Interns the template `facts->tmpl`, returning its id (stable for
+  /// equal templates). A new template keeps `facts` and `query_index`.
+  uint64_t Intern(const std::shared_ptr<const sql::TemplateFacts>& facts,
+                  size_t query_index);
 
-  /// Records one occurrence by `user_id` for template `id`.
-  void RecordUse(uint64_t id, uint32_t user_id);
-
-  /// Merge hook for the sharded parse: folds `frequency` occurrences and
-  /// a shard's local user-id set (translated through `user_map`) into
-  /// template `id` — the same aggregate per-query RecordUse calls would
-  /// have built serially.
-  void MergeUses(uint64_t id, uint64_t frequency,
-                 const std::unordered_set<uint32_t>& local_users,
-                 const std::vector<uint32_t>& user_map);
+  /// Sets every template's frequency and users from `parsed`'s user
+  /// streams. Streams are visited in ascending user id, so a template
+  /// appends a user only when its last appended user differs, and each
+  /// list comes out ascending without a set.
+  void CountUses(const ParsedLog& parsed);
 
   const TemplateInfo& Get(uint64_t id) const { return templates_[id]; }
   size_t size() const { return templates_.size(); }
@@ -185,12 +185,13 @@ class StreamingParser {
 
   /// Capacity hint: reserve for `n` total queries up front. Readers that
   /// know the record count (`.sqb` carries it in the footer) use this to
-  /// spare the accumulated-query vector its geometric realloc moves —
-  /// ParsedQuery is a fat object, so those moves are measurable.
+  /// spare the accumulated-query vector its geometric regrowth, which
+  /// moves every query so far and briefly holds both buffers.
   void ReserveQueries(size_t n);
 
-  /// Builds the per-user streams and returns the accumulated log. The
-  /// parser must not be fed afterwards.
+  /// Builds the per-user streams, counts every template's frequency and
+  /// users from them (TemplateStore::CountUses), and returns the
+  /// accumulated log. The parser must not be fed afterwards.
   ParsedLog Finish();
 
  private:

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -84,18 +83,16 @@ std::string Digest(const core::TemplateStore& store, const core::ParsedLog& pars
     for (size_t index : stream) add_n(index);
     out.push_back(';');
   }
-  for (const auto& name : parsed.user_names) add(name);
+  for (const auto& name : store.user_names()) add(name);
   for (const auto& info : store.templates()) {
     add_n(info.id);
     add_n(info.frequency);
     add_n(info.first_query);
-    add(info.tmpl.ssc);
-    add(info.tmpl.sfc);
-    add(info.tmpl.swc);
-    add(info.tmpl.tail);
-    std::vector<uint32_t> users(info.users.begin(), info.users.end());
-    std::sort(users.begin(), users.end());
-    for (uint32_t user : users) add_n(user);
+    add(info.facts->tmpl.ssc);
+    add(info.facts->tmpl.sfc);
+    add(info.facts->tmpl.swc);
+    add(info.facts->tmpl.tail);
+    for (uint32_t user : info.users) add_n(user);
     out.push_back('\n');
   }
   return out;

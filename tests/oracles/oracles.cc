@@ -312,7 +312,7 @@ OracleResult CompareParseRuns(const char* label, const ParseRun& want,
                             Preview(b.diagnostics[i].message).c_str()));
     }
   }
-  if (a.user_streams != b.user_streams || a.user_names != b.user_names) {
+  if (a.user_streams != b.user_streams || want.store.user_names() != got.store.user_names()) {
     return Fail(StrFormat("%s: user streams differ", label));
   }
   if (want.store.size() != got.store.size()) {
@@ -322,7 +322,7 @@ OracleResult CompareParseRuns(const char* label, const ParseRun& want,
   for (size_t id = 0; id < want.store.size(); ++id) {
     const core::TemplateInfo& x = want.store.Get(id);
     const core::TemplateInfo& y = got.store.Get(id);
-    if (!(x.tmpl == y.tmpl) || x.frequency != y.frequency || x.users != y.users ||
+    if (!(x.facts->tmpl == y.facts->tmpl) || x.frequency != y.frequency || x.users != y.users ||
         x.first_query != y.first_query) {
       return Fail(StrFormat("%s: template %zu differs", label, id));
     }

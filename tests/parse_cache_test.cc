@@ -90,12 +90,12 @@ void ExpectSameOutput(const ParseRun& want, const ParseRun& got) {
     EXPECT_EQ(want.parsed.diagnostics[i].message, got.parsed.diagnostics[i].message);
   }
   EXPECT_EQ(want.parsed.user_streams, got.parsed.user_streams);
-  EXPECT_EQ(want.parsed.user_names, got.parsed.user_names);
+  EXPECT_EQ(want.store.user_names(), got.store.user_names());
   ASSERT_EQ(want.store.size(), got.store.size());
   for (size_t id = 0; id < want.store.size(); ++id) {
     const TemplateInfo& a = want.store.Get(id);
     const TemplateInfo& b = got.store.Get(id);
-    EXPECT_TRUE(a.tmpl == b.tmpl) << id;
+    EXPECT_TRUE(a.facts->tmpl == b.facts->tmpl) << id;
     EXPECT_EQ(a.frequency, b.frequency) << id;
     EXPECT_EQ(a.users, b.users) << id;
     EXPECT_EQ(a.first_query, b.first_query) << id;
@@ -271,7 +271,7 @@ TEST(ParseCacheTest, StreamingParserKeepsItsCacheAcrossBatches) {
   }
   ASSERT_EQ(store.size(), reference.store.size());
   for (size_t id = 0; id < store.size(); ++id) {
-    EXPECT_TRUE(store.Get(id).tmpl == reference.store.Get(id).tmpl);
+    EXPECT_TRUE(store.Get(id).facts->tmpl == reference.store.Get(id).facts->tmpl);
     EXPECT_EQ(store.Get(id).frequency, reference.store.Get(id).frequency);
   }
 }
@@ -400,6 +400,33 @@ TEST(ParseCacheEntryTest, BytesAccountsForKeyAndRecipes) {
   entry.key = std::string(100, 'k');
   entry.sc.pieces.push_back(std::string(50, 'p'));
   EXPECT_GE(entry.bytes(), empty_bytes + 150);
+}
+
+TEST(ParseCacheEntryTest, BytesCountOnlyStringsHeldOnTheHeap) {
+  // An entry whose strings all fit inside their std::string objects
+  // weighs what the same entry with empty strings weighs.
+  auto entry_of = [](const std::string& text) {
+    auto facts = std::make_shared<sql::TemplateFacts>();
+    facts->tmpl.ssc = text;
+    facts->tables = {text};
+    sql::Predicate pred;
+    pred.column = text;
+    facts->predicates.push_back(pred);
+    ParseCacheEntry entry;
+    entry.key = text;
+    entry.facts = std::move(facts);
+    entry.sc.pieces = {text, text};
+    entry.values.resize(1);
+    entry.values[0].fixed = text;
+    return entry;
+  };
+  EXPECT_EQ(entry_of("ab").bytes(), entry_of("").bytes());
+
+  // A long string counts its heap block: capacity plus the terminator.
+  ParseCacheEntry entry;
+  const size_t empty_bytes = entry.bytes();
+  entry.key = std::string(100, 'k');
+  EXPECT_EQ(entry.bytes(), empty_bytes + entry.key.capacity() + 1);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Golden-file integration test: a fixed-seed generator log pushed
 // through Pipeline::Run must reproduce the checked-in statistics
 // overview byte for byte — at 1 thread and at 8 threads (the engine
-// guarantees byte-identical results at any thread count).
+// guarantees byte-identical results at any thread count). A second
+// golden file pins what the parse and detect steps count per template
+// and per distinct antipattern (frequency, users; Defs. 9-10), in every
+// Run and RunStreaming leg over the same log.
 //
-// Regenerate after an intentional pipeline change with:
+// Regenerate both after an intentional pipeline change with:
 //   SQLOG_REGEN_GOLDEN=1 ./build/tests/pipeline_golden_test
 
 #include <gtest/gtest.h>
@@ -32,6 +35,7 @@ namespace sqlog {
 namespace {
 
 constexpr const char* kGoldenPath = SQLOG_GOLDEN_DIR "/pipeline_stats.golden";
+constexpr const char* kUsageGoldenPath = SQLOG_GOLDEN_DIR "/pipeline_usage.golden";
 
 log::QueryLog FixedLog() {
   log::GeneratorConfig config;
@@ -60,11 +64,52 @@ core::PipelineResult RunAt(size_t threads, const log::QueryLog& raw,
   return std::move(result.value());
 }
 
-std::string ReadGolden() {
-  std::ifstream in(kGoldenPath, std::ios::binary);
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+std::string ReadGolden() { return ReadAll(kGoldenPath); }
+
+template <typename Ids>
+std::string Join(const Ids& ids) {
+  std::string out;
+  for (uint64_t id : ids) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(id);
+  }
+  return out;
+}
+
+/// One line per template (id, first query, frequency, users) and per
+/// distinct antipattern (detector, templates, instance and query
+/// counts, users), in store and report order. Lists print in their
+/// own order, so the file also pins that user lists are ascending.
+std::string UsageTable(const core::TemplateStore& store, const core::AntipatternReport& report) {
+  std::ostringstream out;
+  out << "templates " << store.size() << "\n";
+  for (const core::TemplateInfo& info : store.templates()) {
+    out << "template " << info.id << " first_query " << info.first_query << " frequency "
+        << info.frequency << " users " << Join(info.users) << "\n";
+  }
+  out << "distinct " << report.distinct.size() << "\n";
+  for (const core::DistinctAntipattern& d : report.distinct) {
+    out << report.detectors->info(d.detector).id << " templates " << Join(d.template_ids)
+        << " instances " << d.instance_count << " queries " << d.query_count << " users "
+        << Join(d.users) << "\n";
+  }
+  return out.str();
+}
+
+/// Asserts `store` and `report` against the usage golden file.
+void ExpectUsageGolden(const core::TemplateStore& store, const core::AntipatternReport& report) {
+  static const std::string golden = ReadAll(kUsageGoldenPath);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << kUsageGoldenPath
+                               << " — regenerate with SQLOG_REGEN_GOLDEN=1";
+  EXPECT_TRUE(UsageTable(store, report) == golden)
+      << "template or antipattern usage drifted from " << kUsageGoldenPath;
 }
 
 TEST(PipelineGoldenTest, StatisticsMatchTheGoldenFileAtOneAndEightThreads) {
@@ -75,9 +120,10 @@ TEST(PipelineGoldenTest, StatisticsMatchTheGoldenFileAtOneAndEightThreads) {
   const std::string table = serial.stats.ToTable();
 
   if (std::getenv("SQLOG_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath, std::ios::binary | std::ios::trunc);
-    out << table;
-    GTEST_SKIP() << "regenerated " << kGoldenPath;
+    std::ofstream(kGoldenPath, std::ios::binary | std::ios::trunc) << table;
+    std::ofstream(kUsageGoldenPath, std::ios::binary | std::ios::trunc)
+        << UsageTable(serial.templates, serial.antipatterns);
+    GTEST_SKIP() << "regenerated " << kGoldenPath << " and " << kUsageGoldenPath;
   }
 
   const std::string golden = ReadGolden();
@@ -86,6 +132,7 @@ TEST(PipelineGoldenTest, StatisticsMatchTheGoldenFileAtOneAndEightThreads) {
   EXPECT_EQ(table, golden)
       << "pipeline statistics drifted from the golden file; if the change is "
          "intentional, regenerate with SQLOG_REGEN_GOLDEN=1";
+  ExpectUsageGolden(serial.templates, serial.antipatterns);
 
   // The parse cache must be output-invisible: with it disabled, and at
   // 8 threads either way, the stats table still matches the golden file
@@ -97,6 +144,7 @@ TEST(PipelineGoldenTest, StatisticsMatchTheGoldenFileAtOneAndEightThreads) {
                    " parse_cache=" + (parse_cache ? "on" : "off"));
       core::PipelineResult other = RunAt(threads, raw, schema, parse_cache);
       EXPECT_EQ(other.stats.ToTable(), golden);
+      ExpectUsageGolden(other.templates, other.antipatterns);
 
       // The determinism contract goes beyond the stats table: the
       // actual clean logs must agree record for record.
@@ -126,13 +174,7 @@ TEST(PipelineGoldenTest, ExplicitDefaultDetectorSelectionMatchesTheGoldenFile) {
   const std::string golden = ReadGolden();
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(result->stats.ToTable(), golden);
-}
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  ExpectUsageGolden(result->templates, result->antipatterns);
 }
 
 TEST(PipelineGoldenTest, StreamingIsByteIdenticalAtAnyBatchSizeAndThreadCount) {
@@ -166,6 +208,7 @@ TEST(PipelineGoldenTest, StreamingIsByteIdenticalAtAnyBatchSizeAndThreadCount) {
         ASSERT_TRUE(run.ok()) << run.status().ToString();
 
         EXPECT_EQ(run->stats.ToTable(), want_table);
+        ExpectUsageGolden(run->templates, run->antipatterns);
         EXPECT_EQ(ReadAll(clean_path), want_clean);
         EXPECT_EQ(ReadAll(removal_path), want_removal);
         std::remove(clean_path.c_str());
@@ -194,6 +237,7 @@ TEST(PipelineGoldenTest, StreamingAtTheLargestBatchSizeMatchesTheDefault) {
     options.batch_size = batch_size;
     auto run = WithSchema(options, schema).RunStreaming(input_path, clean_path, removal_path);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectUsageGolden(run->templates, run->antipatterns);
     outputs.push_back(run->stats.ToTable() + ReadAll(clean_path) + ReadAll(removal_path));
     std::remove(clean_path.c_str());
     std::remove(removal_path.c_str());
@@ -250,6 +294,7 @@ TEST(PipelineGoldenTest, StreamingSqbFormatsAreByteIdenticalToTheCsvReference) {
           auto run = WithSchema(options, schema).RunStreaming(input, clean_path, removal_path);
           ASSERT_TRUE(run.ok()) << run.status().ToString();
           EXPECT_EQ(run->stats.ToTable(), want_table);
+          ExpectUsageGolden(run->templates, run->antipatterns);
 
           if (sqb_output) {
             auto clean = log::LogIo::ReadFile(clean_path);
@@ -340,6 +385,8 @@ TEST(PipelineGoldenTest, RunSortsAShuffledLogIntoTheSameOutputs) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     core::PipelineResult want = RunAt(threads, raw, schema);
     core::PipelineResult got = RunAt(threads, shuffled, schema);
+    ExpectUsageGolden(want.templates, want.antipatterns);
+    ExpectUsageGolden(got.templates, got.antipatterns);
     EXPECT_EQ(got.stats.ToTable(), want.stats.ToTable());
     EXPECT_EQ(log::LogIo::ToCsv(got.pre_clean), log::LogIo::ToCsv(want.pre_clean));
     EXPECT_EQ(log::LogIo::ToCsv(got.clean_log), log::LogIo::ToCsv(want.clean_log));

@@ -63,7 +63,7 @@ void ExpectResultsIdentical(const core::PipelineResult& serial,
   for (uint64_t id = 0; id < serial.templates.size(); ++id) {
     const auto& ta = serial.templates.Get(id);
     const auto& tb = parallel.templates.Get(id);
-    ASSERT_EQ(ta.tmpl, tb.tmpl) << "template " << id;
+    ASSERT_EQ(ta.facts->tmpl, tb.facts->tmpl) << "template " << id;
     ASSERT_EQ(ta.first_query, tb.first_query) << "template " << id;
     ASSERT_EQ(ta.frequency, tb.frequency) << "template " << id;
     ASSERT_EQ(ta.users, tb.users) << "template " << id;

@@ -316,10 +316,63 @@ TEST_F(SolveLogTest, MemberThatNoLongerParsesFailsNamingTheRecord) {
   EXPECT_NE(outcome.status.message().find("record 2 (seq 2)"), std::string::npos)
       << outcome.status.ToString();
   EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
-  // The first member's AST was restored before the failure; abandoning
-  // the run clears it again.
+  // The first member was re-parsed before the last one failed; the
+  // failing call clears it again.
   for (size_t member : members) {
     EXPECT_EQ(parsed_.queries[member].facts.ast, nullptr) << "query " << member;
+  }
+}
+
+/// RecordWriter that only counts the records it is handed.
+class CountingWriter final : public log::RecordWriter {
+ public:
+  Status Open(const std::string& path) override {
+    (void)path;
+    return Status::OK();
+  }
+  Status Append(const log::LogRecord& record) override {
+    (void)record;
+    ++count_;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  uint64_t records_written() const override { return count_; }
+
+ private:
+  uint64_t count_ = 0;
+};
+
+TEST_F(SolveLogTest, FirstMemberThatNoLongerParsesFailsWhenTheLastIsFed) {
+  Detect({
+      {0, "SELECT count(*) FROM photoPrimary WHERE htmid >= 1 and htmid <= 2"},
+      {1000, "SELECT name FROM Employee WHERE empId = 8"},
+      {2000, "SELECT name FROM Employee WHERE empId = 1"},
+      {3000, "SELECT name FROM Employee WHERE empId = 3"},
+  });
+  ASSERT_EQ(report_.instances.size(), 1u);
+  const std::vector<size_t> members = report_.instances[0].query_indices;
+  ASSERT_EQ(members.size(), 3u);
+  log::QueryLog changed = log_;
+  changed.records()[parsed_.queries[members.front()].record_index].statement =
+      "SELECT name FROM";
+
+  // Members are re-parsed when their instance resolves, at its last
+  // member: every earlier record feeds cleanly.
+  CountingWriter clean;
+  CountingWriter removal;
+  StreamingSolver solver(parsed_, report_, clean, removal);
+  for (size_t r = 0; r + 1 < changed.size(); ++r) {
+    ASSERT_TRUE(solver.Feed(changed.records()[r]).ok()) << "record " << r;
+  }
+  Status status = solver.Feed(changed.records().back());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("record 1 (seq 1)"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(solver.stats().rewrite_failures, 0u);
+  EXPECT_EQ(solver.stats().instances_solved, 0u);
+  for (const ParsedQuery& query : parsed_.queries) {
+    EXPECT_EQ(query.facts.ast, nullptr) << "record " << query.record_index;
   }
 }
 
@@ -347,8 +400,8 @@ TEST_F(SolveLogTest, ParsedLogKeepsExactlyTheAstsItCameWith) {
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.stats.instances_solved, 3u);
   EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
-  // Missing ASTs were restored only while needed; supplied ones are the
-  // very same objects.
+  // Missing ASTs were re-parsed only while their rewrite ran; supplied
+  // ones are the very same objects.
   for (size_t q = 0; q < parsed_.queries.size(); ++q) {
     EXPECT_EQ(parsed_.queries[q].facts.ast.get(), before[q]) << "query " << q;
   }
@@ -379,11 +432,13 @@ TEST_F(SolveLogTest, InstanceWhoseFirstQueryIsClaimedElsewhereIsNotSolved) {
   EXPECT_EQ(outcome.removal_log.size(), 0u);
 }
 
-/// A solvable sequence detector that pairs segment positions `start`
-/// and `start + 1`, in a scan group of its own.
+/// A solvable sequence detector that pairs segment positions `first`
+/// and `second`, in a scan group of its own. Its rewrite fails unless
+/// every member carries an AST.
 class PairAtDetector : public Detector {
  public:
-  PairAtDetector(std::string id, size_t start) : start_(start) {
+  PairAtDetector(std::string id, size_t first, size_t second)
+      : first_(first), second_(second) {
     info_.id = id;
     info_.display_name = id;
     info_.scope = DetectorScope::kSequence;
@@ -394,19 +449,23 @@ class PairAtDetector : public Detector {
   size_t ScanAt(const SegmentView& segment, size_t pos, const DetectorContext& ctx,
                 AntipatternInstance* instance) const override {
     (void)ctx;
-    if (pos != start_ || pos + 1 >= segment.size()) return 0;
-    instance->query_indices = {segment.query_index(pos), segment.query_index(pos + 1)};
-    return 2;
+    if (pos != first_ || second_ >= segment.size()) return 0;
+    instance->query_indices = {segment.query_index(first_), segment.query_index(second_)};
+    return 1;
   }
   Result<std::string> Rewrite(const AntipatternInstance& instance,
                               const std::vector<const ParsedQuery*>& members) const override {
     (void)instance;
+    for (const ParsedQuery* member : members) {
+      if (member->facts.ast == nullptr) return Status::Internal("member without an AST");
+    }
     return StrFormat("select %zu merged", members.size());
   }
 
  private:
   DetectorInfo info_;
-  size_t start_;
+  size_t first_;
+  size_t second_;
 };
 
 TEST_F(SolveLogTest, OverlappingPairKeepsTheQueryOnlyItClaims) {
@@ -414,9 +473,11 @@ TEST_F(SolveLogTest, OverlappingPairKeepsTheQueryOnlyItClaims) {
   // 1, the second only query 2. The second's first query is taken, so it
   // is not solved, and query 2 reaches both logs verbatim.
   static const bool registered =
-      DetectorRegistry::Global().Register(std::make_shared<PairAtDetector>("test-pair-0", 0))
+      DetectorRegistry::Global()
+          .Register(std::make_shared<PairAtDetector>("test-pair-0", 0, 1))
           .ok() &&
-      DetectorRegistry::Global().Register(std::make_shared<PairAtDetector>("test-pair-1", 1))
+      DetectorRegistry::Global()
+          .Register(std::make_shared<PairAtDetector>("test-pair-1", 1, 2))
           .ok();
   ASSERT_TRUE(registered);
   SolveOutcome outcome = Solve({{0, "SELECT a FROM t WHERE x = 1"},
@@ -431,6 +492,63 @@ TEST_F(SolveLogTest, OverlappingPairKeepsTheQueryOnlyItClaims) {
   EXPECT_EQ(outcome.clean_log.records()[1].statement, "SELECT c FROM t WHERE x = 3");
   ASSERT_EQ(outcome.removal_log.size(), 1u);
   EXPECT_EQ(outcome.removal_log.records()[0].statement, "SELECT c FROM t WHERE x = 3");
+}
+
+TEST_F(SolveLogTest, InstancesSharingAMemberBothRewrite) {
+  // Pairs (0,2) and (1,2) of one segment: the first claims queries 0 and
+  // 2, the second only query 1, its own first. Both resolve when query 2
+  // is fed, each re-parsing query 2 for its rewrite, and no query keeps
+  // an AST afterwards.
+  static const bool registered =
+      DetectorRegistry::Global()
+          .Register(std::make_shared<PairAtDetector>("test-pair-0-2", 0, 2))
+          .ok() &&
+      DetectorRegistry::Global()
+          .Register(std::make_shared<PairAtDetector>("test-pair-1-2", 1, 2))
+          .ok();
+  ASSERT_TRUE(registered);
+  SolveOutcome outcome = Solve({{0, "SELECT a FROM t WHERE x = 1"},
+                                {1000, "SELECT b FROM t WHERE x = 2"},
+                                {2000, "SELECT c FROM t WHERE x = 3"}},
+                               {"test-pair-0-2", "test-pair-1-2"});
+  ASSERT_EQ(report_.instances.size(), 2u);
+  EXPECT_EQ(report_.instances[0].query_indices, (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(report_.instances[1].query_indices, (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(outcome.stats.instances_solved, 2u);
+  EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
+  ASSERT_EQ(outcome.clean_log.size(), 2u);
+  EXPECT_EQ(outcome.clean_log.records()[0].statement, "select 2 merged");
+  EXPECT_EQ(outcome.clean_log.records()[1].statement, "select 2 merged");
+  EXPECT_EQ(outcome.removal_log.size(), 0u);
+  for (const ParsedQuery& query : parsed_.queries) {
+    EXPECT_EQ(query.facts.ast, nullptr) << "record " << query.record_index;
+  }
+}
+
+TEST_F(SolveLogTest, MemberListedBeforeItsFirstFailsOnceItsRecordIsWritten) {
+  // Instances list their members in log order. Pair (1,0) lists query 0
+  // after its first, query 1; SNC claims and rewrites query 0, which is
+  // written before query 1 arrives, so the pair cannot re-parse it: the
+  // run fails naming that record instead of reading past the queue.
+  static const bool registered =
+      DetectorRegistry::Global()
+          .Register(std::make_shared<PairAtDetector>("test-pair-1-0", 1, 0))
+          .ok();
+  ASSERT_TRUE(registered);
+  Detect({{0, "SELECT * FROM Bugs WHERE assigned_to = NULL"},
+          {1000, "SELECT b FROM t WHERE x = 2"}},
+         {"snc", "test-pair-1-0"});
+  ASSERT_EQ(report_.instances.size(), 2u);
+  SolveOutcome outcome = SolveAntipatterns(log_, parsed_, report_);
+  ASSERT_FALSE(outcome.status.ok());
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInternal);
+  EXPECT_NE(outcome.status.message().find("record 0, listed before"), std::string::npos)
+      << outcome.status.ToString();
+  EXPECT_EQ(outcome.stats.instances_solved, 1u);
+  EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
+  for (const ParsedQuery& query : parsed_.queries) {
+    EXPECT_EQ(query.facts.ast, nullptr) << "record " << query.record_index;
+  }
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ TEST(TemplateStoreTest, InternReturnsSameIdForEqualTemplates) {
   auto a = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 1");
   auto b = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 999");
   ASSERT_TRUE(a.ok() && b.ok());
-  uint64_t id_a = store.Intern(a->shared->tmpl, 0);
-  uint64_t id_b = store.Intern(b->shared->tmpl, 1);
+  uint64_t id_a = store.Intern(a->shared, 0);
+  uint64_t id_b = store.Intern(b->shared, 1);
   EXPECT_EQ(id_a, id_b);
   EXPECT_EQ(store.size(), 1u);
 }
@@ -29,20 +29,21 @@ TEST(TemplateStoreTest, DifferentTemplatesGetDifferentIds) {
   auto a = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 1");
   auto b = sql::ParseAndAnalyze("SELECT y FROM t WHERE id = 1");
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_NE(store.Intern(a->shared->tmpl, 0), store.Intern(b->shared->tmpl, 1));
+  EXPECT_NE(store.Intern(a->shared, 0), store.Intern(b->shared, 1));
   EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(TemplateStoreTest, RecordUseTracksFrequencyAndUsers) {
+  // Three uses of one template by two users, counted by ParseLog from
+  // the user streams.
   TemplateStore store;
-  auto facts = sql::ParseAndAnalyze("SELECT x FROM t WHERE id = 1");
-  ASSERT_TRUE(facts.ok());
-  uint64_t id = store.Intern(facts->shared->tmpl, 0);
-  uint32_t alice = store.InternUser("alice");
-  uint32_t bob = store.InternUser("bob");
-  store.RecordUse(id, alice);
-  store.RecordUse(id, alice);
-  store.RecordUse(id, bob);
+  log::QueryLog log;
+  log.Append(Make(1000, "alice", "SELECT x FROM t WHERE id = 1"));
+  log.Append(Make(2000, "alice", "SELECT x FROM t WHERE id = 2"));
+  log.Append(Make(3000, "bob", "SELECT x FROM t WHERE id = 3"));
+  ParsedLog parsed = ParseLog(log, store);
+  ASSERT_EQ(store.size(), 1u);
+  uint64_t id = parsed.queries[0].template_id;
   EXPECT_EQ(store.Get(id).frequency, 3u);
   EXPECT_EQ(store.Get(id).user_popularity(), 2u);
 }
@@ -78,8 +79,8 @@ TEST(ParseLogTest, UserStreamsAreTimeOrdered) {
   ParsedLog parsed = ParseLog(log, store);
   // Streams indexed by interned user id; user "a" interned first.
   uint32_t a_id = 0;
-  for (size_t i = 0; i < parsed.user_names.size(); ++i) {
-    if (parsed.user_names[i] == "a") a_id = static_cast<uint32_t>(i);
+  for (size_t i = 0; i < store.user_names().size(); ++i) {
+    if (store.user_names()[i] == "a") a_id = static_cast<uint32_t>(i);
   }
   const auto& stream = parsed.user_streams[a_id];
   ASSERT_EQ(stream.size(), 2u);

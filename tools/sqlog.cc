@@ -401,7 +401,7 @@ int CmdAntipatterns(int argc, char** argv) {
   const core::DetectorSet& set = *result.antipatterns.detectors;
   for (size_t i = 0; i < distinct.size() && i < k; ++i) {
     const auto& d = distinct[i];
-    const auto& tmpl = result.templates.Get(d.template_ids[0]).tmpl;
+    const auto& tmpl = result.templates.Get(d.template_ids[0]).facts->tmpl;
     std::printf("%-4zu %-12s %-10llu %-6zu %.80s\n", i + 1,
                 set.info(d.detector).display_name.c_str(),
                 (unsigned long long)d.query_count, d.user_popularity(),
@@ -565,7 +565,7 @@ int CmdRecommend(int argc, char** argv) {
   std::printf("likely next queries:\n");
   for (uint64_t fp : suggestions) {
     for (const auto& info : clean.templates.templates()) {
-      if (info.tmpl.fingerprint != fp) continue;
+      if (info.facts->tmpl.fingerprint != fp) continue;
       const auto& sample = clean.parsed.queries[info.first_query];
       std::printf("  - %s\n     e.g. %.100s\n",
                   analysis::DescribeTemplate(*sample.facts.shared).c_str(),
