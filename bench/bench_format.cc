@@ -10,10 +10,15 @@
 // cost is columnar decode + rendering facts from the constant spans.
 //
 //   ./build/bench/bench_format [--json=BENCH_format.json]
+//
+// Run it from the repository root: the JSON records the commit it ran
+// on (`git rev-parse HEAD`, plus whether tracked files had uncommitted
+// changes), the host's core count, the compiler and the build type.
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -112,6 +117,43 @@ IngestResult Ingest(const std::string& path, bool is_sqb) {
   return best;
 }
 
+/// The first line `command` prints, without its line break; empty when
+/// it cannot run or prints nothing.
+std::string FirstLineOf(const char* command) {
+  std::FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return "";
+  char line[256];
+  const bool got = std::fgets(line, sizeof(line), pipe) != nullptr;
+  pclose(pipe);
+  std::string out = got ? line : "";
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out;
+}
+
+std::string Compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// Where the numbers come from: commit, uncommitted changes, cores,
+/// compiler and build type, as one JSON object.
+std::string ProvenanceJson() {
+  std::string sha = FirstLineOf("git rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) sha = "unknown";
+  const bool dirty =
+      !FirstLineOf("git status --porcelain --untracked-files=no 2>/dev/null").empty();
+  return StrFormat(
+      "{\"git_sha\": \"%s\", \"git_dirty\": %s, \"nproc\": %u, \"compiler\": \"%s\", "
+      "\"build_type\": \"%s\"}",
+      sha.c_str(), dirty ? "true" : "false", std::thread::hardware_concurrency(),
+      Compiler().c_str(), SQLOG_BENCH_BUILD_TYPE);
+}
+
 size_t FileSize(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return 0;
@@ -174,6 +216,7 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "{\n"
                  "  \"benchmark\": \"binary_log_format\",\n"
+                 "  \"provenance\": %s,\n"
                  "  \"records\": %llu,\n"
                  "  \"csv\": {\"bytes\": %zu, \"seconds\": %.6f, "
                  "\"records_per_sec\": %.1f, \"full_parses\": %llu},\n"
@@ -183,7 +226,8 @@ int main(int argc, char** argv) {
                  "  \"ingest_speedup\": %.3f,\n"
                  "  \"peak_rss_bytes\": %zu\n"
                  "}\n",
-                 (unsigned long long)csv.records, csv_bytes, csv.seconds,
+                 ProvenanceJson().c_str(), (unsigned long long)csv.records, csv_bytes,
+                 csv.seconds,
                  csv.records_per_sec(),
                  (unsigned long long)csv.parse_stats.full_parses, sqb_bytes,
                  sqb.seconds, sqb.records_per_sec(),

@@ -174,6 +174,34 @@ for leg in h i; do
   cmp /tmp/sqlog_smoke_clean.a.removal.csv "/tmp/sqlog_smoke_clean.$leg.removal.csv"
 done
 
+# 3b2. CRLF line endings: a CRLF twin of the smoke log (generated
+#      statements hold no CR, LF or quote, so `sed` adds a CR to every
+#      record's line end and nowhere else) must clean to the bytes the LF
+#      log cleans to, in memory and streaming, with a batch boundary
+#      every 7 records too, and `convert` through `.sqb` and back to CSV
+#      must reproduce the LF log.
+step "CRLF input smoke"
+smoke_crlf="${smoke_log%.csv}.crlf.csv"
+sed 's/$/\r/' "$smoke_log" >"$smoke_crlf"
+if cmp -s "$smoke_log" "$smoke_crlf"; then
+  echo "the CRLF twin equals the LF log" >&2
+  exit 1
+fi
+./build/tools/sqlog clean "$smoke_crlf" /tmp/sqlog_smoke_clean.crlf_f >/dev/null
+./build/tools/sqlog clean --streaming "$smoke_crlf" /tmp/sqlog_smoke_clean.crlf_a >/dev/null
+./build/tools/sqlog clean --streaming --batch-size=7 "$smoke_log" \
+  /tmp/sqlog_smoke_clean.b7 >/dev/null
+./build/tools/sqlog clean --streaming --batch-size=7 "$smoke_crlf" \
+  /tmp/sqlog_smoke_clean.crlf_b7 >/dev/null
+for leg in f a b7; do
+  cmp "/tmp/sqlog_smoke_clean.$leg.clean.csv" "/tmp/sqlog_smoke_clean.crlf_$leg.clean.csv"
+  cmp "/tmp/sqlog_smoke_clean.$leg.removal.csv" "/tmp/sqlog_smoke_clean.crlf_$leg.removal.csv"
+done
+./build/tools/sqlog convert "$smoke_crlf" "${smoke_log%.csv}.crlf.sqb" >/dev/null
+./build/tools/sqlog convert "${smoke_log%.csv}.crlf.sqb" "${smoke_log%.csv}.crlf.back.csv" \
+  >/dev/null
+cmp "$smoke_log" "${smoke_log%.csv}.crlf.back.csv"
+
 # 3c. Binary clean *output*: `clean --out-format=sqb` must produce `.sqb`
 #     logs that convert back byte-identical to the CSV clean outputs, in
 #     both the in-memory and streaming pipelines. From a `.sqb` input the

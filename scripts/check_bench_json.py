@@ -11,7 +11,9 @@ This gate rejects:
   * files missing the common envelope: a top-level object with a
     "benchmark" string and a numeric "peak_rss_bytes",
   * sec63_runtime artifacts without a populated "out_of_core" section
-    (the storage-engine sweep must be part of the checked-in run).
+    (the storage-engine sweep must be part of the checked-in run),
+  * binary_log_format artifacts without a "provenance" object naming
+    the git sha, nproc, compiler and build type they were measured with.
 
 Usage: check_bench_json.py FILE [FILE...]
 """
@@ -58,8 +60,24 @@ def check_file(path):
         errors.append(f"{path}: missing numeric \"peak_rss_bytes\"")
     if doc.get("benchmark") == "sec63_runtime":
         errors.extend(f"{path}: {e}" for e in check_sec63(doc))
+    if doc.get("benchmark") == "binary_log_format":
+        errors.extend(f"{path}: {e}" for e in check_provenance(doc))
     errors.extend(f"{path}: {e}" for e in check_numbers(doc, "$"))
     return errors
+
+
+def check_provenance(doc):
+    """Yields errors for a missing or incomplete "provenance" object."""
+    prov = doc.get("provenance")
+    if not isinstance(prov, dict):
+        yield 'missing "provenance" object'
+        return
+    for key in ("git_sha", "compiler", "build_type"):
+        if not isinstance(prov.get(key), str) or not prov[key]:
+            yield f'missing or empty "provenance.{key}" string'
+    nproc = prov.get("nproc")
+    if isinstance(nproc, bool) or not isinstance(nproc, int) or nproc < 1:
+        yield 'missing positive integer "provenance.nproc"'
 
 
 def check_sec63(doc):

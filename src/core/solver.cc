@@ -396,12 +396,8 @@ Status StreamingSolver::ResolveInstance(uint32_t instance_id) {
   if (rewrite.ok()) {
     ++stats_.instances_solved;
     // Single-query instances are in-place fixes; multi-query instances
-    // merge into their first member.
-    if (instance.query_indices.size() == 1) {
-      ++stats_.queries_rewritten_in_place;
-    } else {
-      stats_.queries_merged += instance.query_indices.size() - 1;
-    }
+    // merge into their first member (counted per slot below).
+    if (instance.query_indices.size() == 1) ++stats_.queries_rewritten_in_place;
   } else {
     ++stats_.rewrite_failures;
   }
@@ -416,8 +412,11 @@ Status StreamingSolver::ResolveInstance(uint32_t instance_id) {
         slot.record.statement = rewrite.value();
         slot.shape.CopyFrom(nullptr);  // the source shape describes the old text
         slot.to_clean = true;
+      } else {
+        // Non-first members of solved instances reach neither log. A
+        // member two instances list is claimed, so counted, once.
+        ++stats_.queries_merged;
       }
-      // Non-first members of solved instances reach neither log.
     } else {
       // Failed rewrites keep the instance verbatim in both logs.
       slot.to_clean = true;

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "log/record.h"
-#include "util/csv.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -20,7 +20,10 @@ inline constexpr const char* kLogCsvHeader =
 
 /// Appends one CSV row (no trailing work left to the caller: includes
 /// the '\n') for `record`, with `seq` written in place of record.seq.
-/// Byte-identical to the rows LogIo::ToCsv emits.
+/// Byte-identical to the rows LogIo::ToCsv emits. Integers are written
+/// with std::to_chars; a text field holding a comma, quote, CR or LF is
+/// quoted, with each embedded quote doubled. Every byte goes straight
+/// into `out`.
 void AppendCsvRow(const LogRecord& record, uint64_t seq, std::string& out);
 
 /// Format-agnostic record-stream seams. The CSV LogReader/LogWriter and
@@ -80,13 +83,18 @@ struct LogReaderOptions {
 };
 
 /// Chunked, bounded-memory CSV log reader, and the only CSV read path
-/// (LogIo::ReadFile and LogIo::OpenLogReader use it): records are
-/// decoded incrementally from fixed-size file reads, so peak memory is
-/// independent of file size. Quoted multi-line statements are handled
-/// across chunk boundaries (util::Csv::LineSplitter). The header is
-/// recognized only on the first logical line; a stray header mid-file is
-/// a ParseError, as is any malformed numeric field or a final record
-/// truncated inside a quoted field.
+/// (LogIo::ReadFile and LogIo::OpenLogReader use it). The file is read
+/// `chunk_bytes` at a time into one buffer, and each record is decoded
+/// in place from it: one scan finds the logical line's end (a byte loop
+/// outside quotes, memchr inside them; quote state carries across reads,
+/// so a quoted multi-line statement may span any number of them), and a
+/// second splits its seven fields and assigns them into the caller's
+/// LogRecord. The buffer grows only for a logical line longer than one
+/// chunk. The header is recognized only on the first logical line; a
+/// stray header mid-file is a ParseError, as is a wrong field count or
+/// any malformed numeric field, each naming its 1-based logical line. A
+/// final record truncated inside a quoted field is a ParseError naming
+/// its own line, returned after every complete record before it.
 class LogReader : public RecordReader {
  public:
   explicit LogReader(LogReaderOptions options = {});
@@ -98,8 +106,9 @@ class LogReader : public RecordReader {
   /// later IoError names `path` too.
   Status Open(const std::string& path) override;
 
-  /// Reads the next record into `*record`. Sets `*eof` (and leaves
-  /// `*record` untouched) when the input is exhausted.
+  /// Reads the next record into `*record`, reusing its strings'
+  /// capacity. Sets `*eof` (and leaves `*record` untouched) when the
+  /// input is exhausted; an error leaves it untouched too.
   Status ReadRecord(LogRecord* record, bool* eof) override;
 
   /// True once the underlying file is fully consumed.
@@ -109,15 +118,30 @@ class LogReader : public RecordReader {
   uint64_t records_read() const override { return records_read_; }
 
  private:
-  /// Pulls the next logical line; false at end of input.
-  Status NextLine(std::string* line, bool* got);
+  /// Scans the line starting at begin_ from scan_ on, in quote state
+  /// in_quotes_. True when the line is complete: its content ends at
+  /// `*line_end` and the next line starts at `*next`. False when the
+  /// buffered bytes end first (or end in a CR whose LF may still come).
+  bool FindLineEnd(size_t* line_end, size_t* next);
+
+  /// Moves the unconsumed bytes to the front of the buffer, doubles it
+  /// when they fill it, and reads up to chunk_bytes more.
+  Status Refill();
+
+  /// Splits one complete logical line into its fields and decodes them
+  /// into `*record`.
+  Status DecodeRecord(std::string_view line, LogRecord* record);
 
   LogReaderOptions options_ SQLOG_CONST_AFTER_INIT;
   std::string path_ SQLOG_SHARD_LOCAL;  // named by every IoError
   std::ifstream in_ SQLOG_SHARD_LOCAL;
-  std::vector<char> chunk_ SQLOG_SHARD_LOCAL;
-  Csv::LineSplitter splitter_ SQLOG_SHARD_LOCAL;
-  bool source_drained_ SQLOG_SHARD_LOCAL = false;  // file fully fed to the splitter
+  std::vector<char> buffer_ SQLOG_SHARD_LOCAL;
+  size_t begin_ SQLOG_SHARD_LOCAL = 0;  // first byte of the current logical line
+  size_t scan_ SQLOG_SHARD_LOCAL = 0;   // first byte of it not yet scanned
+  size_t end_ SQLOG_SHARD_LOCAL = 0;    // end of the bytes read
+  bool in_quotes_ SQLOG_SHARD_LOCAL = false;       // quote state at scan_
+  std::string unquoted_ SQLOG_SHARD_LOCAL;         // a field with doubled or inner quotes
+  bool source_drained_ SQLOG_SHARD_LOCAL = false;  // the file is fully read
   bool exhausted_ SQLOG_SHARD_LOCAL = false;       // no more records will be produced
   uint64_t line_number_ SQLOG_SHARD_LOCAL = 0;     // 1-based logical line counter
   uint64_t records_read_ SQLOG_SHARD_LOCAL = 0;

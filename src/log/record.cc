@@ -26,7 +26,7 @@ const char* TruthLabelName(TruthLabel label) {
   return "unlabeled";
 }
 
-TruthLabel ParseTruthLabel(const std::string& name) {
+TruthLabel ParseTruthLabel(std::string_view name) {
   static constexpr TruthLabel kAll[] = {
       TruthLabel::kUnlabeled, TruthLabel::kOrganic,  TruthLabel::kDwStifle,
       TruthLabel::kDsStifle,  TruthLabel::kDfStifle, TruthLabel::kCthReal,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,7 +35,7 @@ enum class TruthLabel {
 const char* TruthLabelName(TruthLabel label);
 
 /// Parses a truth-label name; unknown names map to kUnlabeled.
-TruthLabel ParseTruthLabel(const std::string& name);
+TruthLabel ParseTruthLabel(std::string_view name);
 
 /// How a `.sqb` record was encoded on disk: the dictionary ordinal of
 /// its template plus the byte range of each constant inside the decoded

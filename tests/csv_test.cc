@@ -1,159 +1,254 @@
-#include "util/csv.h"
+// The CSV log codec: AppendCsvRow's escaping, and LogReader's line and
+// field rules. Every reader case runs at every chunk_bytes from 1 to the
+// input size, so a read boundary lands on every byte: inside quoted
+// runs, between a CR and its LF, and between the two quotes of a doubled
+// quote. The expected records are written out by hand, and the naive
+// reference decoder in tests/oracles must agree with them too.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "log/log_stream.h"
+#include "log/record.h"
+#include "oracles.h"
 
 #ifndef SQLOG_FUZZ_CORPUS_DIR
 #error "SQLOG_FUZZ_CORPUS_DIR must point at fuzz/corpus"
 #endif
 
-namespace sqlog {
+namespace sqlog::log {
 namespace {
 
+/// The records a decoder returned, and the status it ended with.
+struct Decoded {
+  std::vector<LogRecord> records;
+  Status status;
+};
+
+LogRecord Row(uint64_t seq, std::string user, std::string session, std::string statement) {
+  LogRecord record;
+  record.seq = seq;
+  record.timestamp_ms = static_cast<int64_t>(seq) * 1000;
+  record.user = std::move(user);
+  record.session = std::move(session);
+  record.row_count = 1;
+  record.truth = TruthLabel::kOrganic;
+  record.statement = std::move(statement);
+  return record;
+}
+
+/// The row Row(seq, ...) stands for, with `statement` written as is.
+std::string RowText(uint64_t seq, std::string_view statement) {
+  return std::to_string(seq) + "," + std::to_string(seq * 1000) + ",u,s,1,organic," +
+         std::string(statement);
+}
+
+Decoded ReadAt(const std::string& path, size_t chunk_bytes) {
+  Decoded out;
+  LogReaderOptions options;
+  options.chunk_bytes = chunk_bytes;
+  LogReader reader(options);
+  out.status = reader.Open(path);
+  // One record reused throughout, as the pipeline's pass 2 does: each
+  // read assigns over the previous record's strings.
+  LogRecord record;
+  bool eof = false;
+  while (out.status.ok()) {
+    out.status = reader.ReadRecord(&record, &eof);
+    if (!out.status.ok() || eof) break;
+    out.records.push_back(record);
+  }
+  return out;
+}
+
+::testing::AssertionResult Same(const Decoded& got, const Decoded& want) {
+  if (got.status.code() != want.status.code() ||
+      got.status.message() != want.status.message()) {
+    return ::testing::AssertionFailure() << "ends with '" << got.status.ToString()
+                                         << "', want '" << want.status.ToString() << "'";
+  }
+  if (got.records.size() != want.records.size()) {
+    return ::testing::AssertionFailure() << got.records.size() << " records, want "
+                                         << want.records.size();
+  }
+  for (size_t i = 0; i < want.records.size(); ++i) {
+    const LogRecord& a = got.records[i];
+    const LogRecord& b = want.records[i];
+    if (a.seq != b.seq || a.timestamp_ms != b.timestamp_ms || a.user != b.user ||
+        a.session != b.session || a.row_count != b.row_count || a.truth != b.truth ||
+        a.statement != b.statement) {
+      return ::testing::AssertionFailure()
+             << "record " << i << " is (" << a.seq << ", " << a.timestamp_ms << ", '"
+             << a.user << "', '" << a.session << "', " << a.row_count << ", "
+             << TruthLabelName(a.truth) << ", '" << a.statement << "'), want (" << b.seq
+             << ", " << b.timestamp_ms << ", '" << b.user << "', '" << b.session << "', "
+             << b.row_count << ", " << TruthLabelName(b.truth) << ", '" << b.statement
+             << "')";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Decodes `bytes` with the reference decoder, and from a file with a
+/// LogReader at every chunk_bytes from 1 to the input size and at the
+/// default; every one must return `want`.
+void ExpectAtEveryChunkSize(std::string_view bytes, const Decoded& want) {
+  Decoded reference;
+  reference.status = oracle::DecodeCsvLogReference(bytes, &reference.records);
+  ASSERT_TRUE(Same(reference, want)) << "reference decoder";
+  const std::string path = ::testing::TempDir() + "/csv_test_input.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  for (size_t chunk = 1; chunk <= std::max<size_t>(bytes.size(), 1); ++chunk) {
+    ASSERT_TRUE(Same(ReadAt(path, chunk), want)) << "chunk_bytes " << chunk;
+  }
+  ASSERT_TRUE(Same(ReadAt(path, LogReaderOptions{}.chunk_bytes), want)) << "default chunk";
+  std::remove(path.c_str());
+}
+
+Decoded Ok(std::vector<LogRecord> records) { return {std::move(records), Status::OK()}; }
+
+std::string CsvRow(const LogRecord& record) {
+  std::string out;
+  AppendCsvRow(record, record.seq, out);
+  return out;
+}
+
 TEST(CsvTest, PlainFieldsNeedNoQuoting) {
-  EXPECT_EQ(Csv::EscapeField("hello"), "hello");
-  EXPECT_EQ(Csv::EscapeField(""), "");
+  EXPECT_EQ(CsvRow(Row(7, "alice", "alice#1", "SELECT 1")),
+            "7,7000,alice,alice#1,1,organic,SELECT 1\n");
+  EXPECT_EQ(CsvRow(Row(0, "", "", "")), "0,0,,,1,organic,\n");
 }
 
 TEST(CsvTest, FieldsWithSeparatorAreQuoted) {
-  EXPECT_EQ(Csv::EscapeField("a,b"), "\"a,b\"");
+  EXPECT_EQ(CsvRow(Row(1, "a,b", "s", "SELECT a, b FROM t")),
+            "1,1000,\"a,b\",s,1,organic,\"SELECT a, b FROM t\"\n");
 }
 
 TEST(CsvTest, EmbeddedQuotesAreDoubled) {
-  EXPECT_EQ(Csv::EscapeField("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(CsvRow(Row(1, "u", "say \"hi\"", "\"")),
+            "1,1000,u,\"say \"\"hi\"\"\",1,organic,\"\"\"\"\n");
 }
 
-TEST(CsvTest, NewlinesForceQuoting) {
-  EXPECT_EQ(Csv::EscapeField("a\nb"), "\"a\nb\"");
+TEST(CsvTest, LineBreaksForceQuoting) {
+  EXPECT_EQ(CsvRow(Row(1, "a\nb", "c\rd", "SELECT 1\r\nFROM t")),
+            "1,1000,\"a\nb\",\"c\rd\",1,organic,\"SELECT 1\r\nFROM t\"\n");
 }
 
-TEST(CsvTest, JoinLineEscapesEachField) {
-  EXPECT_EQ(Csv::JoinLine({"a", "b,c", "d"}), "a,\"b,c\",d");
+TEST(CsvTest, IntegersAreWrittenInFull) {
+  LogRecord record = Row(0, "u", "s", "SELECT 1");
+  record.timestamp_ms = std::numeric_limits<int64_t>::min();
+  record.row_count = -1;
+  record.truth = TruthLabel::kNonSargable;
+  std::string out;
+  AppendCsvRow(record, std::numeric_limits<uint64_t>::max(), out);
+  EXPECT_EQ(out,
+            "18446744073709551615,-9223372036854775808,u,s,-1,non_sargable,SELECT 1\n");
 }
 
-TEST(CsvTest, ParseSimpleLine) {
-  auto fields = Csv::ParseLine("a,b,c");
-  ASSERT_TRUE(fields.ok());
-  EXPECT_EQ(*fields, (std::vector<std::string>{"a", "b", "c"}));
+TEST(CsvTest, ReaderAppliesTheQuoteRulesToEveryField) {
+  // Quoted separators, doubled quotes, empty fields, quotes opening and
+  // closing mid-field, and quoted numbers.
+  const std::string text =
+      "0,0,\"a,b\",\"d\"\"q\",1,organic,\"SELECT '\"\"' FROM quotes\"\n"
+      "1,1000,,,1,organic,\n"
+      "2,2000,u,\"\",1,organic,mid\"dle, quoted\"run\n"
+      "\"3\",\"3000\",u,s,\"1\",\"organic\",\"\"\"\"\"\"\n";
+  ExpectAtEveryChunkSize(text, Ok({Row(0, "a,b", "d\"q", "SELECT '\"' FROM quotes"),
+                                   Row(1, "", "", ""), Row(2, "u", "", "middle, quotedrun"),
+                                   Row(3, "u", "s", "\"\"")}));
 }
 
-TEST(CsvTest, ParseQuotedFieldWithSeparator) {
-  auto fields = Csv::ParseLine("a,\"b,c\",d");
-  ASSERT_TRUE(fields.ok());
-  EXPECT_EQ(*fields, (std::vector<std::string>{"a", "b,c", "d"}));
+TEST(CsvTest, RowsRoundTripThroughTheWriter) {
+  const std::vector<LogRecord> rows = {
+      Row(0, "alice", "alice#1", "SELECT a, b FROM t WHERE s = 'x,\"y\"'\nAND b > 1"),
+      Row(1, "", "", "SELECT '\"' FROM quotes"),
+      Row(2, "eve,comma", "e\"q", "SELECT 1\r\nFROM crlf\r"),
+      Row(3, "d", "s", " SELECT padded FROM spaces "),
+      Row(4, "\"", "\"\"", "\n"),
+  };
+  std::string text;
+  for (const LogRecord& row : rows) AppendCsvRow(row, row.seq, text);
+  ExpectAtEveryChunkSize(text, Ok(rows));
 }
 
-TEST(CsvTest, ParseDoubledQuote) {
-  auto fields = Csv::ParseLine("\"say \"\"hi\"\"\"");
-  ASSERT_TRUE(fields.ok());
-  EXPECT_EQ((*fields)[0], "say \"hi\"");
+// Every stateful construct of the line scan: doubled quotes inside
+// quoted fields, a quoted newline, CRLF and lone-CR terminators, and an
+// unterminated final line. A boundary inside a `""` pair must not flip
+// the quote state, and one between a CR and its LF must not add a line.
+TEST(CsvTest, ReaderSplitsLinesAtEveryChunkSize) {
+  const std::string text = RowText(0, "\"x\"\"y\"\n") +
+                           RowText(1, "\"line\nbreak\"\r\n") +
+                           RowText(2, "\"\"\"lead\"\r") +
+                           RowText(3, "plain\r\n") +
+                           RowText(4, "\"trail\"\"\"\n") +
+                           RowText(5, "last");
+  ExpectAtEveryChunkSize(text, Ok({Row(0, "u", "s", "x\"y"), Row(1, "u", "s", "line\nbreak"),
+                                   Row(2, "u", "s", "\"lead"), Row(3, "u", "s", "plain"),
+                                   Row(4, "u", "s", "trail\""), Row(5, "u", "s", "last")}));
 }
 
-TEST(CsvTest, ParseEmptyFields) {
-  auto fields = Csv::ParseLine(",,");
-  ASSERT_TRUE(fields.ok());
-  EXPECT_EQ(*fields, (std::vector<std::string>{"", "", ""}));
+// Line numbers show every logical line the reader saw: a phantom empty
+// line from a CRLF split across reads would move the error to line 3.
+TEST(CsvTest, CrLfSplitAcrossReadsIsOneTerminator) {
+  const std::string text = RowText(0, "SELECT 1\r\n") + "1,1000,u,s,1,organic\n";
+  Decoded want = Ok({Row(0, "u", "s", "SELECT 1")});
+  want.status = Status::ParseError("line 2: expected 7 CSV fields, got 6");
+  ExpectAtEveryChunkSize(text, want);
 }
 
-TEST(CsvTest, UnterminatedQuoteIsError) {
-  auto fields = Csv::ParseLine("\"oops");
-  EXPECT_FALSE(fields.ok());
-  EXPECT_EQ(fields.status().code(), StatusCode::kParseError);
+TEST(CsvTest, LoneCrBeforeAnotherByteEndsTheLine) {
+  ExpectAtEveryChunkSize(RowText(0, "SELECT 1\r") + RowText(1, "SELECT 2\n"),
+                         Ok({Row(0, "u", "s", "SELECT 1"), Row(1, "u", "s", "SELECT 2")}));
 }
 
-TEST(CsvTest, RoundTripWithSqlStatement) {
-  std::string sql = "SELECT a, b FROM t WHERE s = 'x,\"y\"'\nAND b > 1";
-  std::string line = Csv::JoinLine({"1", sql, "end"});
-  auto fields = Csv::ParseLine(line);
-  ASSERT_TRUE(fields.ok());
-  ASSERT_EQ(fields->size(), 3u);
-  EXPECT_EQ((*fields)[1], sql);
+TEST(CsvTest, TrailingCrAtEofEndsTheFinalLine) {
+  ExpectAtEveryChunkSize(RowText(0, "SELECT 1\r"), Ok({Row(0, "u", "s", "SELECT 1")}));
+  // LF, then an empty CR-terminated line.
+  ExpectAtEveryChunkSize(RowText(0, "SELECT 1\n\r"), Ok({Row(0, "u", "s", "SELECT 1")}));
 }
 
-TEST(CsvTest, SplitLogicalLinesRespectsQuotedNewlines) {
-  std::string content = "a,\"line1\nline2\",c\nd,e,f\n";
-  auto lines = Csv::SplitLogicalLines(content);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "a,\"line1\nline2\",c");
-  EXPECT_EQ(lines[1], "d,e,f");
+TEST(CsvTest, DoubledQuoteSplitAcrossReadsStaysInsideTheField) {
+  ExpectAtEveryChunkSize(RowText(0, "\"ab\"\"cd\nef\",x\n"),
+                         {{}, Status::ParseError("line 1: expected 7 CSV fields, got 8")});
+  ExpectAtEveryChunkSize(RowText(0, "\"ab\"\"cd\nef\"\n"),
+                         Ok({Row(0, "u", "s", "ab\"cd\nef")}));
 }
 
-TEST(CsvTest, SplitLogicalLinesHandlesCrLf) {
-  auto lines = Csv::SplitLogicalLines("a,b\r\nc,d\r\n");
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "a,b");
-  EXPECT_EQ(lines[1], "c,d");
+TEST(CsvTest, BlankLinesAndTheHeaderCountAsLines) {
+  const std::string text = std::string(kLogCsvHeader) + "\n\n \t\r\n" + RowText(0, "SELECT 1") +
+                           "\n\n" + "1,1000,u,s,1,organic\n";
+  Decoded want = Ok({Row(0, "u", "s", "SELECT 1")});
+  want.status = Status::ParseError("line 6: expected 7 CSV fields, got 6");
+  ExpectAtEveryChunkSize(text, want);
 }
 
-TEST(CsvTest, SplitLogicalLinesWithoutTrailingNewline) {
-  auto lines = Csv::SplitLogicalLines("a,b");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "a,b");
+// A record cut off inside a quoted field fails on its own line, after
+// every complete record before it. (The line-string reader failed as
+// soon as its last read ended inside quotes, before returning record 0,
+// and named the line after the last one it had returned.)
+TEST(CsvTest, TruncatedQuoteFailsOnItsOwnLineAfterTheCompleteRecords) {
+  const std::string text = RowText(0, "SELECT 1\n") + "\n" +
+                           RowText(1, "\"SELECT 2\nFROM never_closed");
+  Decoded want = Ok({Row(0, "u", "s", "SELECT 1")});
+  want.status = Status::ParseError("line 3: input truncated inside a quoted field");
+  ExpectAtEveryChunkSize(text, want);
 }
 
-// Feeds `content` to a LineSplitter split at `cut`, draining after each
-// Feed like a streaming reader would, then Finish() for the tail.
-std::vector<std::string> SplitAtBoundary(std::string_view content, size_t cut) {
-  Csv::LineSplitter splitter;
-  std::vector<std::string> lines;
-  std::string line;
-  splitter.Feed(content.substr(0, cut));
-  while (splitter.Next(&line)) lines.push_back(line);
-  splitter.Feed(content.substr(cut));
-  while (splitter.Next(&line)) lines.push_back(line);
-  splitter.Finish();
-  while (splitter.Next(&line)) lines.push_back(line);
-  return lines;
-}
-
-// Feeds `content` in `chunk`-byte pieces, draining after each Feed.
-std::vector<std::string> SplitInChunks(std::string_view content, size_t chunk) {
-  Csv::LineSplitter splitter;
-  std::vector<std::string> lines;
-  std::string line;
-  for (size_t i = 0; i < content.size(); i += chunk) {
-    splitter.Feed(content.substr(i, chunk));
-    while (splitter.Next(&line)) lines.push_back(line);
-  }
-  splitter.Finish();
-  while (splitter.Next(&line)) lines.push_back(line);
-  return lines;
-}
-
-// A file exercising every stateful construct the splitter tracks:
-// doubled quotes inside quoted fields, quoted separators and newlines,
-// CRLF and lone-CR terminators, and an unterminated final line. Every
-// split point must yield exactly the SplitLogicalLines result — the
-// chunk boundary can land inside a `""` pair or between a CR and its
-// LF, where a naive splitter would mis-toggle quote state or emit a
-// phantom empty line.
-constexpr std::string_view kBoundaryFile =
-    "a,\"x\"\"y\",b\n"
-    "\"line\nbreak\",2\r\n"
-    "\"\"\"lead\",3\r"
-    "plain,4\r\n"
-    "\"trail\"\"\",5\n"
-    "last,6";
-
-TEST(CsvTest, LineSplitterMatchesSplitLogicalLinesAtEverySplitPoint) {
-  const auto expected = Csv::SplitLogicalLines(kBoundaryFile);
-  ASSERT_EQ(expected.size(), 6u);
-  for (size_t cut = 0; cut <= kBoundaryFile.size(); ++cut) {
-    EXPECT_EQ(expected, SplitAtBoundary(kBoundaryFile, cut)) << "split at " << cut;
-  }
-}
-
-TEST(CsvTest, LineSplitterHandlesOneByteChunks) {
-  EXPECT_EQ(Csv::SplitLogicalLines(kBoundaryFile), SplitInChunks(kBoundaryFile, 1));
-}
-
-// Every fuzz corpus entry (SQL, binary logs, solver inputs: quotes, CRs
-// and high bytes in arbitrary places) must split the same streamed at
-// any chunk size as in one buffer.
-TEST(CsvTest, LineSplitterMatchesSplitLogicalLinesOnFuzzCorpus) {
+// Every fuzz corpus entry (SQL, binary logs, solver seeds, CSV logs:
+// quotes, CRs and high bytes in arbitrary places) must decode the same
+// at every chunk size as with the reference decoder.
+TEST(CsvTest, ReaderMatchesTheReferenceOnTheFuzzCorpus) {
   namespace fs = std::filesystem;
   const fs::path root(SQLOG_FUZZ_CORPUS_DIR);
   size_t entries = 0;
@@ -162,78 +257,14 @@ TEST(CsvTest, LineSplitterMatchesSplitLogicalLinesOnFuzzCorpus) {
     std::ifstream in(file.path(), std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-    const auto expected = Csv::SplitLogicalLines(bytes);
-    for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
-      EXPECT_EQ(expected, SplitInChunks(bytes, chunk))
-          << file.path().lexically_relative(root).string() << " chunk " << chunk;
-    }
+    Decoded want;
+    want.status = oracle::DecodeCsvLogReference(bytes, &want.records);
+    SCOPED_TRACE(file.path().lexically_relative(root).string());
+    ExpectAtEveryChunkSize(bytes, want);
     ++entries;
   }
   EXPECT_GT(entries, 0u);
 }
 
-TEST(CsvTest, LineSplitterDefersLoneCrAtChunkEnd) {
-  // A chunk ending in an unquoted CR must not emit until the next chunk
-  // reveals whether an LF follows (CRLF is one terminator, not two).
-  Csv::LineSplitter splitter;
-  std::string line;
-  splitter.Feed("a\r");
-  EXPECT_FALSE(splitter.Next(&line));
-  splitter.Feed("\nb\n");
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_EQ(line, "a");
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_EQ(line, "b");
-  EXPECT_FALSE(splitter.Next(&line));
-}
-
-TEST(CsvTest, LineSplitterLoneCrBeforeNonLfTerminatesLine) {
-  Csv::LineSplitter splitter;
-  std::string line;
-  splitter.Feed("a\r");
-  splitter.Feed("b\n");
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_EQ(line, "a");
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_EQ(line, "b");
-}
-
-TEST(CsvTest, LineSplitterTrailingCrAtFinishEmitsLine) {
-  Csv::LineSplitter splitter;
-  std::string line;
-  splitter.Feed("a\r");
-  splitter.Finish();
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_EQ(line, "a");
-  EXPECT_FALSE(splitter.Next(&line));
-  EXPECT_FALSE(splitter.truncated_in_quotes());
-}
-
-TEST(CsvTest, LineSplitterQuoteStateSurvivesSplitInsideDoubledQuotes) {
-  // Boundary exactly between the two quotes of a `""` escape: the field
-  // stays open, the line must not end at the quoted newline.
-  Csv::LineSplitter splitter;
-  std::string line;
-  splitter.Feed("\"ab\"");
-  EXPECT_FALSE(splitter.Next(&line));
-  splitter.Feed("\"cd\nef\",x\n");
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_EQ(line, "\"ab\"\"cd\nef\",x");
-  EXPECT_FALSE(splitter.Next(&line));
-}
-
-TEST(CsvTest, LineSplitterReportsTruncationInsideQuotes) {
-  Csv::LineSplitter splitter;
-  std::string line;
-  splitter.Feed("\"open,field\n");
-  EXPECT_FALSE(splitter.Next(&line));
-  splitter.Finish();
-  EXPECT_TRUE(splitter.truncated_in_quotes());
-  ASSERT_TRUE(splitter.Next(&line));
-  // The newline is quoted-field content, not a terminator, so the
-  // truncated tail keeps it — same as SplitLogicalLines.
-  EXPECT_EQ(line, "\"open,field\n");
-}
-
 }  // namespace
-}  // namespace sqlog
+}  // namespace sqlog::log

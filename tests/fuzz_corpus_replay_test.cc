@@ -4,7 +4,9 @@
 // entries are named regression-*; the rest are seeds. Entries under
 // solver/ hold a text seed for the solver-vs-engine equivalence oracle
 // instead of raw SQL; entries under binlog/ hold `.sqb` container bytes
-// (valid and deliberately corrupted) for the binlog robustness oracle.
+// (valid and deliberately corrupted) for the binlog robustness oracle;
+// entries under csv/ hold CSV log bytes for the differential CSV reader
+// oracle.
 //
 // Run just this suite with:  ctest -L check-fuzz-corpus
 
@@ -53,7 +55,7 @@ TEST(FuzzCorpusReplayTest, CorpusCoversEveryHarness) {
   std::map<std::string, size_t> per_harness;
   for (const auto& entry : LoadCorpus()) per_harness[entry.harness]++;
   for (const char* harness :
-       {"lexer", "parser", "printer", "skeleton", "dedup", "solver", "binlog"}) {
+       {"lexer", "parser", "printer", "skeleton", "dedup", "solver", "binlog", "csv"}) {
     EXPECT_GT(per_harness[harness], 0u) << "no corpus entries for " << harness;
   }
 }
@@ -72,6 +74,10 @@ TEST(FuzzCorpusReplayTest, EveryEntryPassesItsOracles) {
       // Binary `.sqb` container bytes, not SQL text: the robustness
       // oracle (structured rejection + deterministic decode) applies.
       result = oracle::CheckBinLogRobustness(entry.bytes);
+    } else if (entry.harness == "csv") {
+      // CSV log bytes: every LogReader read size must decode them as the
+      // reference decoder does.
+      result = oracle::CheckCsvReader(entry.bytes);
     } else {
       result = oracle::RunFrontEndOracles(entry.bytes, seed);
     }

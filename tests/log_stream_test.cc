@@ -11,7 +11,6 @@
 #include "log/arena.h"
 #include "log/log_io.h"
 #include "log/record.h"
-#include "util/csv.h"
 
 namespace sqlog::log {
 namespace {
@@ -246,97 +245,6 @@ TEST(LogStreamTest, ReadFailureNamesTheFile) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_NE(status.message().find(dir), std::string::npos) << status.ToString();
-}
-
-TEST(LineSplitterTest, AnyChunkingMatchesWholeInput) {
-  const std::string text =
-      "plain line\n"
-      "\"quoted\nwith newline\",and more\r\n"
-      "crlf line\r\n"
-      "\"doubled \"\" quote, and comma\"\n"
-      "tail without newline";
-  // Reference: feed the whole text at once.
-  std::vector<std::string> want;
-  {
-    Csv::LineSplitter splitter;
-    splitter.Feed(text);
-    splitter.Finish();
-    std::string line;
-    while (splitter.Next(&line)) want.push_back(line);
-  }
-  ASSERT_EQ(want.size(), 5u);
-  // Every chunk size — including 1 byte, which splits the CRLF pair and
-  // the doubled quotes across feeds — must yield the same lines.
-  for (size_t chunk = 1; chunk <= text.size(); ++chunk) {
-    Csv::LineSplitter splitter;
-    std::vector<std::string> got;
-    std::string line;
-    for (size_t pos = 0; pos < text.size(); pos += chunk) {
-      splitter.Feed(std::string_view(text).substr(pos, chunk));
-      while (splitter.Next(&line)) got.push_back(line);
-    }
-    splitter.Finish();
-    while (splitter.Next(&line)) got.push_back(line);
-    EXPECT_EQ(got, want) << "chunk size " << chunk;
-    EXPECT_FALSE(splitter.truncated_in_quotes());
-  }
-}
-
-TEST(LineSplitterTest, FlagsUnterminatedQuote) {
-  Csv::LineSplitter splitter;
-  splitter.Feed("a,\"open quote\nnever closed");
-  splitter.Finish();
-  std::string line;
-  ASSERT_TRUE(splitter.Next(&line));
-  EXPECT_TRUE(splitter.truncated_in_quotes());
-}
-
-// Regression: a final unterminated record whose last byte lands exactly
-// on a Feed() chunk boundary used to be dropped — Finish() only flushed
-// bytes it considered "pending", and the chunk-edge state confused that
-// test. The unified Finish() emits it regardless of where chunks fell.
-TEST(LineSplitterTest, FinalLineAtExactChunkBoundaryIsEmitted) {
-  const std::string text = "first\nfinal";  // no trailing newline
-  for (size_t chunk : {size_t{1}, size_t{5}, size_t{6}, text.size()}) {
-    Csv::LineSplitter splitter;
-    std::vector<std::string> got;
-    std::string line;
-    for (size_t pos = 0; pos < text.size(); pos += chunk) {
-      splitter.Feed(std::string_view(text).substr(pos, chunk));
-      while (splitter.Next(&line)) got.push_back(line);
-    }
-    splitter.Finish();
-    while (splitter.Next(&line)) got.push_back(line);
-    ASSERT_EQ(got.size(), 2u) << "chunk size " << chunk;
-    EXPECT_EQ(got[0], "first");
-    EXPECT_EQ(got[1], "final");
-  }
-}
-
-// Regression companion: an input ending in a bare CR defers the line
-// break (an LF might follow in the next chunk) — at Finish() that CR is
-// a real terminator, even for an empty final line.
-TEST(LineSplitterTest, TrailingCrTerminatesTheFinalLine) {
-  {
-    Csv::LineSplitter splitter;
-    splitter.Feed("abc\r");
-    splitter.Finish();
-    std::string line;
-    ASSERT_TRUE(splitter.Next(&line));
-    EXPECT_EQ(line, "abc");
-    EXPECT_FALSE(splitter.Next(&line));
-  }
-  {
-    Csv::LineSplitter splitter;
-    splitter.Feed("x\n\r");  // "x", then an empty CR-terminated line
-    splitter.Finish();
-    std::vector<std::string> got;
-    std::string line;
-    while (splitter.Next(&line)) got.push_back(line);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], "x");
-    EXPECT_EQ(got[1], "");
-  }
 }
 
 // Reader-level regression: a file whose final record has no trailing

@@ -1,5 +1,6 @@
 #include "oracles.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include "engine/executor.h"
 #include "fuzz/sql_mutator.h"
 #include "log/binlog.h"
+#include "log/log_stream.h"
 #include "log/record.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -626,6 +628,183 @@ OracleResult CheckBinLogRobustness(std::string_view input) {
   if (!result.ok) return result;
   if (!first.ok()) return Ok();
   return CheckBinLogReencoding(input, first_records);
+}
+
+namespace {
+
+/// The reference decoder's logical lines; `truncated` when the bytes end
+/// inside quotes, which cuts the last line off.
+struct ReferenceLines {
+  std::vector<std::string> lines;
+  bool truncated = false;
+};
+
+ReferenceLines SplitLogicalLines(std::string_view content) {
+  ReferenceLines out;
+  std::string current;
+  bool in_quotes = false;
+  for (size_t i = 0; i < content.size(); ++i) {
+    const char c = content[i];
+    if (c == '"') {
+      in_quotes = !in_quotes;
+      current.push_back(c);
+      continue;
+    }
+    if (!in_quotes && (c == '\n' || c == '\r')) {
+      if (c == '\r' && i + 1 < content.size() && content[i + 1] == '\n') ++i;
+      out.lines.push_back(std::move(current));
+      current.clear();
+      continue;
+    }
+    current.push_back(c);
+  }
+  if (!current.empty()) out.lines.push_back(std::move(current));
+  out.truncated = in_quotes;
+  return out;
+}
+
+/// Splits one logical line into unescaped fields; false when a quoted
+/// field is left open.
+bool ParseCsvLine(std::string_view line, std::vector<std::string>* fields) {
+  std::string current;
+  bool in_quotes = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_quotes) {
+      if (c != '"') {
+        current.push_back(c);
+      } else if (i + 1 < line.size() && line[i + 1] == '"') {
+        current.push_back('"');
+        ++i;
+      } else {
+        in_quotes = false;
+      }
+    } else if (c == '"') {
+      in_quotes = true;
+    } else if (c == ',') {
+      fields->push_back(std::move(current));
+      current.clear();
+    } else {
+      current.push_back(c);
+    }
+  }
+  fields->push_back(std::move(current));
+  return !in_quotes;
+}
+
+template <typename IntT>
+Status ReferenceIntField(const std::string& field, const char* name, uint64_t line_number,
+                         IntT* out) {
+  const std::string preview = field.size() <= 32 ? field : field.substr(0, 32) + "...";
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out, 10);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::ParseError(StrFormat("line %llu: %s out of range: '%s'",
+                                        (unsigned long long)line_number, name,
+                                        preview.c_str()));
+  }
+  if (ec != std::errc() || ptr != end) {
+    return Status::ParseError(StrFormat("line %llu: invalid %s: '%s'",
+                                        (unsigned long long)line_number, name,
+                                        preview.c_str()));
+  }
+  return Status::OK();
+}
+
+/// Decodes the file at `path` with a LogReader reading `chunk_bytes` at
+/// a time (0: the default) into `*records`, reusing one record so every
+/// read assigns over the previous one's strings.
+Status DrainCsvLog(const std::string& path, size_t chunk_bytes,
+                   std::vector<log::LogRecord>* records) {
+  log::LogReaderOptions options;
+  if (chunk_bytes != 0) options.chunk_bytes = chunk_bytes;
+  log::LogReader reader(options);
+  SQLOG_RETURN_IF_ERROR(reader.Open(path));
+  log::LogRecord record;
+  bool eof = false;
+  while (true) {
+    SQLOG_RETURN_IF_ERROR(reader.ReadRecord(&record, &eof));
+    if (eof) return Status::OK();
+    records->push_back(record);
+  }
+}
+
+}  // namespace
+
+Status DecodeCsvLogReference(std::string_view bytes, std::vector<log::LogRecord>* records) {
+  const ReferenceLines split = SplitLogicalLines(bytes);
+  for (size_t k = 0; k < split.lines.size(); ++k) {
+    const std::string& line = split.lines[k];
+    const auto line_number = static_cast<unsigned long long>(k + 1);
+    if (split.truncated && k + 1 == split.lines.size()) {
+      return Status::ParseError(
+          StrFormat("line %llu: input truncated inside a quoted field", line_number));
+    }
+    if (Trim(line).empty()) continue;
+    if (StartsWithIgnoreCase(line, "seq,")) {
+      if (line_number == 1) continue;
+      return Status::ParseError(StrFormat("line %llu: stray header row", line_number));
+    }
+    std::vector<std::string> fields;
+    if (!ParseCsvLine(line, &fields)) {
+      return Status::ParseError(
+          StrFormat("line %llu: unterminated quoted CSV field", line_number));
+    }
+    if (fields.size() != 7) {
+      return Status::ParseError(StrFormat("line %llu: expected 7 CSV fields, got %zu",
+                                          line_number, fields.size()));
+    }
+    log::LogRecord record;
+    SQLOG_RETURN_IF_ERROR(ReferenceIntField(fields[0], "seq", line_number, &record.seq));
+    SQLOG_RETURN_IF_ERROR(
+        ReferenceIntField(fields[1], "timestamp_ms", line_number, &record.timestamp_ms));
+    SQLOG_RETURN_IF_ERROR(
+        ReferenceIntField(fields[4], "row_count", line_number, &record.row_count));
+    record.user = fields[2];
+    record.session = fields[3];
+    record.truth = log::ParseTruthLabel(fields[5]);
+    record.statement = fields[6];
+    records->push_back(std::move(record));
+  }
+  return Status::OK();
+}
+
+OracleResult CheckCsvReader(std::string_view input) {
+  std::vector<log::LogRecord> want;
+  const Status want_status = DecodeCsvLogReference(input, &want);
+  const std::string path = OracleTempPath("reader.csv");
+  if (path.empty()) return Fail("no temp directory for the CSV file");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(input.data(), static_cast<std::streamsize>(input.size()));
+    if (!out) return Fail("cannot write " + path);
+  }
+  OracleResult result;
+  for (size_t chunk : {size_t{1}, size_t{2}, size_t{7}, size_t{4096}, size_t{0}}) {
+    std::vector<log::LogRecord> got;
+    const Status status = DrainCsvLog(path, chunk, &got);
+    if (status.code() != want_status.code() || status.message() != want_status.message()) {
+      result = Fail(StrFormat("LogReader at chunk %zu ends with '%s', the reference with '%s'",
+                              chunk, status.ToString().c_str(),
+                              want_status.ToString().c_str()));
+      break;
+    }
+    if (got.size() != want.size()) {
+      result = Fail(StrFormat("LogReader at chunk %zu returns %zu records, the reference %zu",
+                              chunk, got.size(), want.size()));
+      break;
+    }
+    for (size_t i = 0; i < got.size() && result.ok; ++i) {
+      if (!SameRecord(got[i], want[i])) {
+        result = Fail(StrFormat("LogReader at chunk %zu differs from the reference at record %zu",
+                                chunk, i));
+      }
+    }
+    if (!result.ok) break;
+  }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  return result;
 }
 
 OracleResult RunFrontEndOracles(std::string_view input, uint64_t seed) {

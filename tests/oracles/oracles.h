@@ -4,6 +4,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "log/record.h"
+#include "util/status.h"
 
 namespace sqlog::oracle {
 
@@ -69,6 +73,24 @@ OracleResult CheckSolverEngineEquivalence(uint64_t seed);
 /// reader's shapes: the two files must be byte-identical and decode to
 /// the records read.
 OracleResult CheckBinLogRobustness(std::string_view input);
+
+/// The reference CSV log decoder: a naive whole-buffer copy of the rules
+/// log::LogReader implements, written for obviousness, not speed. The
+/// bytes are split into logical lines (every quote toggles the quote
+/// state; an LF, a CR or a CRLF outside quotes ends a line), each line
+/// into fields (commas outside quotes separate; a doubled quote inside
+/// quotes is one literal quote), and each row into a record with strict
+/// numeric fields. Appends the records before the first error to
+/// `*records` and returns that error, with LogReader's code, message and
+/// 1-based logical line number; a final line cut off inside quotes is
+/// "input truncated inside a quoted field" on its own line.
+Status DecodeCsvLogReference(std::string_view bytes, std::vector<log::LogRecord>* records);
+
+/// Differential CSV reading: the bytes, written to a temp file, are
+/// decoded by log::LogReader at chunk_bytes 1, 2, 7, 4096 and the
+/// default, and by DecodeCsvLogReference. Every decoder must return the
+/// same records and end with the same status code and message.
+OracleResult CheckCsvReader(std::string_view input);
 
 /// Every front-end oracle in sequence; stops at the first failure.
 OracleResult RunFrontEndOracles(std::string_view input, uint64_t seed);

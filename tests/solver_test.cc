@@ -516,6 +516,9 @@ TEST_F(SolveLogTest, InstancesSharingAMemberBothRewrite) {
   EXPECT_EQ(report_.instances[1].query_indices, (std::vector<size_t>{1, 2}));
   EXPECT_EQ(outcome.stats.instances_solved, 2u);
   EXPECT_EQ(outcome.stats.rewrite_failures, 0u);
+  // Only query 2 leaves both logs, so one query merged away, not one per
+  // instance listing it.
+  EXPECT_EQ(outcome.stats.queries_merged, 1u);
   ASSERT_EQ(outcome.clean_log.size(), 2u);
   EXPECT_EQ(outcome.clean_log.records()[0].statement, "select 2 merged");
   EXPECT_EQ(outcome.clean_log.records()[1].statement, "select 2 merged");
